@@ -163,19 +163,10 @@ def cmd_transient(args) -> int:
     models = _models(args)
     point = _point(args, models)
     opt = _options(args)
-    if args.t_stop is not None:
-        if args.t_stop <= _settle_start(point):
-            raise SystemExit(_EXIT_USAGE)
-        opt.t_stop = args.t_stop
-        from pfdsim.netlist import build_pfd
-        from pfdsim.engine import transient as run_transient
-
-        net = build_pfd(width=point.width, length=point.length, corner=point.corner,
-                        load_cap=point.load_cap, frequency=point.frequency,
-                        offset=point.offset, models=models)
-        result = run_transient(net, opt)
-    else:
-        result = simulate_point(point, args.periods, models, opt)
+    if args.t_stop is not None and args.t_stop <= _settle_start(point):
+        raise ValueError(f"--t-stop {args.t_stop:g} s must exceed the settle start "
+                         f"{_settle_start(point):g} s (period/4 + |offset| + 2 periods)")
+    result = simulate_point(point, args.periods, models, opt, t_stop=args.t_stop)
     report = report_from_result(point, result, models)
     outdir = Path(args.out)
     _write(outdir, [report.to_dict()], waves=result)
@@ -286,7 +277,7 @@ def cmd_report(args) -> int:
         data = json.loads(Path(path).read_text())
         rows.extend(data["rows"])
     if not rows:
-        raise SystemExit(_EXIT_USAGE)
+        raise ValueError("the input reports hold no rows; report needs at least 1")
     _write(Path(args.out), rows)
     return 0
 

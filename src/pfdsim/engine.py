@@ -2,17 +2,31 @@
 transient integration.
 
 Unknowns are the non-ground node voltages plus one branch current per
-voltage source. Capacitors (including the lumped MOSFET gate
-capacitances) enter through backward-Euler or trapezoidal companion
-models; MOSFETs are linearized each Newton iteration. Solves use dense
-LU (numpy.linalg.solve) -- the targeted circuits have tens of unknowns.
+voltage source; state vectors carry one more slot, for ground, held at 0.
+Capacitors (including the lumped MOSFET gate capacitances) enter through
+backward-Euler or trapezoidal companion models; MOSFETs are linearized
+each Newton iteration. Solves use dense LU (numpy.linalg.solve) -- the
+targeted circuits have tens of unknowns.
+
+One step kernel (`_Kernel`) assembles every time point of the DC solve
+(its a0 = 0 case), the transient and the KCL replay from matrices that
+`_compile` builds once, so a Newton iteration makes no scatter:
+- incidence products give every MOSFET's (vgs, vds) and every linear
+  branch voltage and source current, and carry the MOSFET and capacitor
+  companion currents into the KCL rows;
+- the per-node tolerance scale is a `np.maximum.reduceat` over a
+  node-sorted gather of branch-current magnitudes, so it is exact;
+- the Jacobian is built in the reduced, ground-free system: the linear
+  block, cached per step size, plus one `np.bincount` of MOSFET stamps.
 
 A step is accepted when every node's Kirchhoff current residual is
 within abstol_i + reltol * (largest branch current at that node) and
-every source branch satisfies its voltage constraint to abstol_v. The
-residual test runs before the first Newton update, so quiescent stretches
-where the previous solution still satisfies the tolerance advance
-without refactoring.
+every source branch satisfies its voltage constraint to abstol_v; one
+comparison covers both. The residual test runs before the first Newton
+update, so quiescent stretches where the previous solution still
+satisfies the tolerance advance without refactoring.
+`kcl_residual_ratio` replays the accepted points through the same kernel
+and arithmetic, so its ratio is at most 1 exactly when acceptance held.
 """
 
 from __future__ import annotations
@@ -20,6 +34,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,16 +135,14 @@ class TransientResult:
                 self.to_csv(fh)
             return
         names = list(self.probes)
-        cols = [self.voltage(n).v for n in names]
-        i_vdd = self.supply_current().v if self.supply_source else None
-        header = ",".join(["t"] + names + (["i_vdd"] if i_vdd is not None else []))
-        target.write(header + "\n")
-        for k in range(len(self.time)):
-            row = [repr(float(self.time[k]))]
-            row += [repr(float(c[k])) for c in cols]
-            if i_vdd is not None:
-                row.append(repr(float(i_vdd[k])))
-            target.write(",".join(row) + "\n")
+        cols = [self.time] + [self.voltage(n).v for n in names]
+        if self.supply_source:
+            names.append("i_vdd")
+            cols.append(self.supply_current().v)
+        target.write(",".join(["t"] + names) + "\n")
+        for k in range(0, len(self.time), 1024):  # blocks bound the Python floats alive
+            block = np.column_stack([col[k : k + 1024] for col in cols]).tolist()
+            target.writelines(",".join(map(repr, row)) + "\n" for row in block)
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -143,42 +156,58 @@ def supply_current(result: TransientResult) -> Waveform:
 
 
 # --------------------------------------------------------------------------
-# Compilation: netlist -> index arrays
+# Compilation: netlist -> index arrays and kernel matrices
 # --------------------------------------------------------------------------
 
 @dataclass
 class _Compiled:
+    """The step kernel's constant matrices.
+
+    State vectors have naug = n + 1 entries: node voltages, source branch
+    currents, then ground (index n, always 0). The n equations are the node
+    KCL rows, then one voltage constraint per source. The kernel's branch
+    currents are the MOSFETs', then the linear branches': resistors,
+    capacitors, sources, and one zero entry.
+    """
+
     n_nodes: int
+    n: int
     naug: int
-    gnd: int  # augmented index of the ground slot
     node_names: list[str]
-    keep: np.ndarray  # indices kept in the reduced system
-    node_rows: np.ndarray  # augmented indices of node equations
-    branch_rows: np.ndarray  # augmented indices of source rows
-    g_static: np.ndarray  # resistor + gmin + source-pattern stamps
-    cap_pattern: np.ndarray  # capacitance stamps, scaled by a0 per step
-    # capacitors
-    c_a: np.ndarray
-    c_b: np.ndarray
-    c_val: np.ndarray
-    # resistors
-    r_a: np.ndarray
-    r_b: np.ndarray
+    sources: list[DcSource | PulseSource]
+    supply: str | None
     r_g: np.ndarray
-    # mosfets
+    c_val: np.ndarray
     m_d: np.ndarray
     m_g: np.ndarray
     m_s: np.ndarray
     m_beta: np.ndarray
     m_vth: np.ndarray
     m_lam: np.ndarray
+    m_blam: np.ndarray  # beta * lambda
     m_sign: np.ndarray
-    m_jflat: np.ndarray  # flat matrix indices (6 * n_mos)
-    sources: list[DcSource | PulseSource]
-    s_p: np.ndarray
-    s_m: np.ndarray
-    diag: np.ndarray  # flat indices of node diagonal entries (for gmin)
-    supply: str | None = None
+    g_static: np.ndarray  # (n, n) resistor + gmin + source-pattern stamps
+    cap_pattern: np.ndarray  # (n, n) capacitance stamps, scaled by a0 per step
+    m_gather: np.ndarray  # (2 n_mos, naug): sign*(vg - vs), then sign*(vd - vs)
+    lin_gather: np.ndarray  # (n_lin, naug): branch voltages, source currents, 0
+    cap_gather: np.ndarray  # (n_cap, naug): capacitor voltages
+    m_kcl: np.ndarray  # (n, n_mos): drain +1, source -1
+    cap_kcl: np.ndarray  # (n, n_cap): plate a +1, plate b -1
+    cap: slice  # capacitors within the branch currents
+    ends: np.ndarray  # branch-current index of each branch end, sorted by row
+    starts: np.ndarray  # first entry of each row in ends
+    j_index: np.ndarray  # flat (n, n) index of each MOSFET Jacobian stamp
+    j_coef: np.ndarray  # the stamps as a matrix on (gm, gds)
+
+
+def _pairs(plus, minus, size: int, weight=None) -> np.ndarray:
+    """One row per pair: +weight in column plus, -weight in column minus."""
+    w = np.ones(len(plus)) if weight is None else weight
+    mat = np.zeros((len(plus), size))
+    rows = np.arange(len(plus))
+    np.add.at(mat, (rows, plus), w)
+    np.add.at(mat, (rows, minus), -w)
+    return mat
 
 
 def _compile(net: Netlist, gmin: float) -> _Compiled:
@@ -188,103 +217,111 @@ def _compile(net: Netlist, gmin: float) -> _Compiled:
 
     node_names = [n for n in net.nodes if n != net.ground]
     n_nodes = len(node_names)
-    gnd = n_nodes
-    index = {name: i for i, name in enumerate(node_names)}
-    index[net.ground] = gnd
-
     sources = net.sources()
-    n_src = len(sources)
-    naug = n_nodes + 1 + n_src
+    n = n_nodes + len(sources)
+    naug = n + 1
+    index = {name: i for i, name in enumerate(node_names)}
+    index[net.ground] = n
 
-    g_static = np.zeros((naug, naug))
-    cap_pattern = np.zeros((naug, naug))
-
-    def quad(mat, a, b, val):
-        mat[a, a] += val
-        mat[b, b] += val
-        mat[a, b] -= val
-        mat[b, a] -= val
-
-    r_a, r_b, r_g = [], [], []
-    c_a, c_b, c_val = [], [], []
-    m_list: list[Mosfet] = []
+    r_ab, r_g, c_ab, c_val, m_list = [], [], [], [], []
     for d in net.devices:
         if isinstance(d, Resistor):
-            a, b = index[d.a], index[d.b]
-            quad(g_static, a, b, 1.0 / d.ohms)
-            r_a.append(a)
-            r_b.append(b)
+            r_ab.append((index[d.a], index[d.b]))
             r_g.append(1.0 / d.ohms)
         elif isinstance(d, Capacitor):
-            a, b = index[d.a], index[d.b]
-            quad(cap_pattern, a, b, d.farads)
-            c_a.append(a)
-            c_b.append(b)
+            c_ab.append((index[d.a], index[d.b]))
             c_val.append(d.farads)
         elif isinstance(d, Mosfet):
             m_list.append(d)
             # lumped gate capacitances become ordinary capacitors
             for cval, other in ((d.params.cgs, d.source), (d.params.cgd, d.drain)):
                 if cval > 0:
-                    a, b = index[d.gate], index[other]
-                    quad(cap_pattern, a, b, cval)
-                    c_a.append(a)
-                    c_b.append(b)
+                    c_ab.append((index[d.gate], index[other]))
                     c_val.append(cval)
+    supply = next((s.name for s in sources if isinstance(s, DcSource)), None)
 
-    supply = None
-    s_p, s_m = [], []
-    for j, src in enumerate(sources):
-        row = n_nodes + 1 + j
-        p, m = index[src.plus], index[src.minus]
-        g_static[p, row] += 1.0
-        g_static[m, row] -= 1.0
-        g_static[row, p] += 1.0
-        g_static[row, m] -= 1.0
-        s_p.append(p)
-        s_m.append(m)
-        if supply is None and isinstance(src, DcSource):
-            supply = src.name
+    def ints(values):
+        return np.array(values, dtype=np.intp)
 
-    node_rows = np.arange(n_nodes)
-    g_static[node_rows, node_rows] += gmin
+    (r_a, r_b), (c_a, c_b) = (ints(ab).reshape(-1, 2).T for ab in (r_ab, c_ab))
+    s_p, s_m = (ints([index[getattr(s, t)] for s in sources]) for t in ("plus", "minus"))
+    m_d, m_g, m_s = (ints([index[getattr(m, t)] for m in m_list])
+                     for t in ("drain", "gate", "source"))
+    m_sign = np.array([1.0 if m.params.polarity == "nmos" else -1.0 for m in m_list])
+    m_beta = np.array([m.params.beta for m in m_list])
+    m_lam = np.array([m.params.lam for m in m_list])
+    r_g, c_val = np.array(r_g), np.array(c_val)
 
-    m_d = np.array([index[m.drain] for m in m_list], dtype=np.intp)
-    m_g = np.array([index[m.gate] for m in m_list], dtype=np.intp)
-    m_s = np.array([index[m.source] for m in m_list], dtype=np.intp)
-    jrows = np.concatenate([m_d, m_d, m_d, m_s, m_s, m_s]) if m_list else np.zeros(0, np.intp)
-    jcols = np.concatenate([m_g, m_d, m_s, m_g, m_d, m_s]) if m_list else np.zeros(0, np.intp)
+    res_gather = _pairs(r_a, r_b, naug)
+    cap_gather = _pairs(c_a, c_b, naug)
+    src_pattern = _pairs(s_p, s_m, naug)[:, :n]
+    res_n, cap_n = res_gather[:, :n], cap_gather[:, :n]
+    g_static = res_n.T @ (r_g[:, None] * res_n)
+    g_static[n_nodes:] += src_pattern
+    g_static[:, n_nodes:] += src_pattern.T
+    g_static[:n_nodes, :n_nodes] += gmin * np.eye(n_nodes)
+    lin_gather = np.vstack([
+        res_gather,
+        cap_gather,
+        np.eye(naug)[n_nodes:n],  # source branch currents
+        np.zeros((1, naug)),  # pads every row's scale segment with a 0
+    ])
 
-    keep = np.array([i for i in range(naug) if i != gnd], dtype=np.intp)
+    # Branch ends per equation row; each row also holds the zero entry, so
+    # source rows (and bare nodes) get a scale of 0.
+    plus = np.concatenate([m_d, r_a, c_a, s_p]).tolist()
+    minus = np.concatenate([m_s, r_b, c_b, s_m]).tolist()
+    row_ends: list[list[int]] = [[len(plus)] for _ in range(naug)]
+    for k, (a, b) in enumerate(zip(plus, minus)):
+        row_ends[a].append(k)
+        row_ends[b].append(k)
+    ends, starts = [], []
+    for seg in row_ends[:n]:  # ground row dropped
+        starts.append(len(ends))
+        ends.extend(seg)
+
+    # MOSFET Jacobian stamps (row, col, d/dgm, d/dgds), ground-free ones only
+    n_mos = len(m_list)
+    j_index, j_coef = [], []
+    for k, (d, g, s) in enumerate(zip(m_d.tolist(), m_g.tolist(), m_s.tolist())):
+        for row, col, cg, cd in ((d, g, 1, 0), (d, d, 0, 1), (d, s, -1, -1),
+                                 (s, g, -1, 0), (s, d, 0, -1), (s, s, 1, 1)):
+            if row < n and col < n:
+                coef = [0.0] * (2 * n_mos)
+                coef[k], coef[n_mos + k] = cg, cd
+                j_index.append(row * n + col)
+                j_coef.append(coef)
+
     return _Compiled(
         n_nodes=n_nodes,
+        n=n,
         naug=naug,
-        gnd=gnd,
         node_names=node_names,
-        keep=keep,
-        node_rows=node_rows,
-        branch_rows=np.arange(n_nodes + 1, naug, dtype=np.intp),
-        g_static=g_static,
-        cap_pattern=cap_pattern,
-        c_a=np.array(c_a, dtype=np.intp),
-        c_b=np.array(c_b, dtype=np.intp),
-        c_val=np.array(c_val),
-        r_a=np.array(r_a, dtype=np.intp),
-        r_b=np.array(r_b, dtype=np.intp),
-        r_g=np.array(r_g),
+        sources=sources,
+        supply=supply,
+        r_g=r_g,
+        c_val=c_val,
         m_d=m_d,
         m_g=m_g,
         m_s=m_s,
-        m_beta=np.array([m.params.beta for m in m_list]),
+        m_beta=m_beta,
         m_vth=np.array([abs(m.params.vth0) for m in m_list]),
-        m_lam=np.array([m.params.lam for m in m_list]),
-        m_sign=np.array([1.0 if m.params.polarity == "nmos" else -1.0 for m in m_list]),
-        m_jflat=(jrows * naug + jcols),
-        sources=sources,
-        s_p=np.array(s_p, dtype=np.intp),
-        s_m=np.array(s_m, dtype=np.intp),
-        diag=node_rows * naug + node_rows,
-        supply=supply,
+        m_lam=m_lam,
+        m_blam=m_beta * m_lam,
+        m_sign=m_sign,
+        g_static=g_static,
+        cap_pattern=cap_n.T @ (c_val[:, None] * cap_n),
+        m_gather=np.vstack([_pairs(m_g, m_s, naug, m_sign),
+                            _pairs(m_d, m_s, naug, m_sign)]),
+        lin_gather=lin_gather,
+        cap_gather=cap_gather,
+        m_kcl=_pairs(m_d, m_s, naug)[:, :n].T.copy(),
+        cap_kcl=cap_n.T.copy(),
+        cap=slice(n_mos + len(r_a), n_mos + len(r_a) + len(c_a)),
+        ends=ints(ends),
+        starts=ints(starts),
+        j_index=ints(j_index),
+        j_coef=np.array(j_coef).reshape(len(j_index), 2 * n_mos),
     )
 
 
@@ -296,147 +333,151 @@ def _mosfet_eval(c: _Compiled, x: np.ndarray):
         i   = beta * vmin * (vov - vmin/2) * clm
         gm  = beta * vmin * clm
         gds = beta * (max(vov - vds, 0) * clm + poly * lambda)
-    which reduces to the familiar per-region forms.
+    which reduces to the familiar per-region forms. A reversed channel
+    (vds < 0) is evaluated with drain and source exchanged.
     """
-    vg = x[c.m_g]
-    vd = x[c.m_d]
-    vs = x[c.m_s]
-    vgs = c.m_sign * (vg - vs)
-    vds = c.m_sign * (vd - vs)
+    vgs, vds = (c.m_gather @ x).reshape(2, -1)
     swap = vds < 0.0
     vds_c = np.abs(vds)
     vov = np.where(swap, vgs - vds, vgs) - c.m_vth
     np.maximum(vov, 0.0, out=vov)
     vmin = np.minimum(vds_c, vov)
     poly = vmin * (vov - 0.5 * vmin)
-    clm = 1.0 + c.m_lam * vds_c
-    bclm = c.m_beta * clm
-    i_core = bclm * poly
+    bclm = c.m_beta * (1.0 + c.m_lam * vds_c)
     gm_core = bclm * vmin
-    gds_core = bclm * np.maximum(vov - vds_c, 0.0) + c.m_beta * c.m_lam * poly
-    flip = np.where(swap, -1.0, 1.0)
-    ids = (c.m_sign * flip) * i_core
-    gm = flip * gm_core
-    gds = np.where(swap, gm_core + gds_core, gds_core)
+    ids = c.m_sign * np.copysign(bclm * poly, vds)
+    gm = np.copysign(gm_core, vds)
+    gds = bclm * (vov - vmin) + c.m_blam * poly  # vov - vmin = max(vov - vds, 0)
+    np.add(gds, gm_core, out=gds, where=swap)
     return ids, gm, gds
 
 
-def _source_values(c: _Compiled, t: float) -> np.ndarray:
-    return np.array([
-        src.volts if isinstance(src, DcSource) else src.spec.value(t)
-        for src in c.sources
-    ])
+def _source_values(c: _Compiled, times: list[float]) -> np.ndarray:
+    """Source voltages, shape (len(times), n_sources)."""
+    out = np.empty((len(times), len(c.sources)))
+    for j, src in enumerate(c.sources):
+        out[:, j] = (src.volts if isinstance(src, DcSource)
+                     else np.fromiter(map(src.spec.value, times), float, len(times)))
+    return out
 
 
-class _System:
-    """One linearized time point: base matrix plus companion/source rhs."""
+class _Point(NamedTuple):
+    """One linearized time point of the companion-model system."""
 
-    def __init__(self, c: _Compiled, a_lin: np.ndarray, rhs: np.ndarray,
-                 cap_geq: np.ndarray | None, cap_ieq: np.ndarray | None):
+    a_lin: np.ndarray  # (n, n) linear block
+    weights: np.ndarray  # linear-branch conductances (1 for source currents)
+    ieq: np.ndarray  # companion history currents, on the branch currents
+    rhs: np.ndarray  # (n,) history currents into nodes, source voltages
+
+
+class _Kernel:
+    """Step assembly shared by the DC solve, the transient and the KCL
+    replay: one residual, one tolerance test, one Newton iteration."""
+
+    def __init__(self, c: _Compiled, opt: SimOptions):
         self.c = c
-        self.a_lin = a_lin
-        self.rhs = rhs
-        self.cap_geq = cap_geq
-        self.cap_ieq = cap_ieq
-        self._mos = None  # (ids, gm, gds) at the last residual point
+        self.opt = opt
+        self.a0_num = 1.0 if opt.integrator == BACKWARD_EULER else 2.0
+        self.trap = opt.integrator == TRAPEZOIDAL
+        self.abs_tol = np.concatenate([np.full(c.n_nodes, opt.abstol_i),
+                                       np.full(c.n - c.n_nodes, opt.abstol_v)])
+        self._linear: dict[float | None, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def residual(self, x: np.ndarray):
+    def point(self, h: float | None, vsrc: np.ndarray, x_prev: np.ndarray | None = None,
+              i_prev: np.ndarray | None = None) -> _Point:
+        """Time point of step size h after x_prev (h None: DC)."""
         c = self.c
-        f = self.a_lin @ x - self.rhs
-        scale = np.zeros(c.naug)
-        self._mos = None
-        if len(c.m_d):
-            self._mos = _mosfet_eval(c, x)
-            ids = self._mos[0]
-            np.add.at(f, c.m_d, ids)
-            np.add.at(f, c.m_s, -ids)
-            aids = np.abs(ids)
-            np.maximum.at(scale, c.m_d, aids)
-            np.maximum.at(scale, c.m_s, aids)
-        if len(c.r_a):
-            ir = np.abs(c.r_g * (x[c.r_a] - x[c.r_b]))
-            np.maximum.at(scale, c.r_a, ir)
-            np.maximum.at(scale, c.r_b, ir)
-        if self.cap_geq is not None and len(c.c_a):
-            icap = np.abs(self.cap_geq * (x[c.c_a] - x[c.c_b]) - self.cap_ieq)
-            np.maximum.at(scale, c.c_a, icap)
-            np.maximum.at(scale, c.c_b, icap)
-        if len(c.branch_rows):
-            ib = np.abs(x[c.branch_rows])
-            np.maximum.at(scale, c.s_p, ib)
-            np.maximum.at(scale, c.s_m, ib)
-        return f, scale
+        cached = self._linear.get(h)
+        if cached is None:
+            a0 = 0.0 if h is None else self.a0_num / h
+            geq = a0 * c.c_val
+            cached = (c.g_static + a0 * c.cap_pattern,
+                      np.concatenate([c.r_g, geq, np.ones(c.n - c.n_nodes + 1)]), geq)
+            self._linear[h] = cached
+        a_lin, weights, geq = cached
+        ieq = np.zeros(len(c.m_d) + len(weights))
+        if x_prev is None:
+            rhs = np.zeros(c.n)
+        else:
+            history = geq * (c.cap_gather @ x_prev)
+            if self.trap:
+                history += i_prev
+            ieq[c.cap] = history
+            rhs = c.cap_kcl @ history
+        rhs[c.n_nodes:] = vsrc
+        return _Point(a_lin, weights, ieq, rhs)
 
-    def converged(self, f: np.ndarray, scale: np.ndarray, opt: SimOptions) -> bool:
+    def residual(self, p: _Point, x: np.ndarray):
+        """KCL/constraint residual f, per-row scale, branch currents and
+        the MOSFET conductances at x."""
         c = self.c
-        tol = opt.abstol_i + opt.reltol * scale[c.node_rows]
-        if np.any(np.abs(f[c.node_rows]) > tol):
-            return False
-        return not np.any(np.abs(f[c.branch_rows]) > opt.abstol_v)
+        ids, gm, gds = _mosfet_eval(c, x)
+        cur = np.concatenate([ids, p.weights * (c.lin_gather @ x)]) - p.ieq
+        scale = np.maximum.reduceat(np.abs(cur)[c.ends], c.starts)
+        f = p.a_lin @ x[: c.n] + c.m_kcl @ ids - p.rhs
+        return f, scale, cur, (gm, gds)
 
-    def worst_node(self, f: np.ndarray, scale: np.ndarray, opt: SimOptions) -> str:
+    def tolerance(self, scale: np.ndarray) -> np.ndarray:
+        return self.abs_tol + self.opt.reltol * scale
+
+    def converged(self, f: np.ndarray, scale: np.ndarray) -> bool:
+        return not (np.abs(f) > self.tolerance(scale)).any()
+
+    def node_ratios(self, f: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        k = self.c.n_nodes
+        return np.abs(f[:k]) / self.tolerance(scale)[:k]
+
+    def worst_node(self, f: np.ndarray, scale: np.ndarray) -> str:
+        return self.c.node_names[int(np.argmax(self.node_ratios(f, scale)))]
+
+    def jacobian(self, p: _Point, g: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         c = self.c
-        ratios = np.abs(f[c.node_rows]) / (opt.abstol_i + opt.reltol * scale[c.node_rows])
-        return c.node_names[int(np.argmax(ratios))]
+        stamps = np.bincount(c.j_index, c.j_coef @ np.concatenate(g), c.n * c.n)
+        return p.a_lin + stamps.reshape(c.n, c.n)
 
-    def solve(self, x0: np.ndarray, opt: SimOptions):
+    def newton(self, p: _Point, x0: np.ndarray):
         """Newton iteration with per-node voltage damping.
 
-        Returns (x, converged, f, scale); f/scale evaluated at x.
+        Returns (x, converged, f, scale, cur); f/scale/cur evaluated at x.
         """
         c = self.c
         x = x0.copy()
-        f, scale = self.residual(x)
-        for _ in range(opt.max_newton_iters):
-            if self.converged(f, scale, opt):
-                return x, True, f, scale
-            jac = self.a_lin.copy()
-            if len(c.m_d):
-                _, gm, gds = self._mos  # evaluated at x by the last residual()
-                vals = np.concatenate([gm, gds, -(gm + gds), -gm, -gds, gm + gds])
-                np.add.at(jac.reshape(-1), c.m_jflat, vals)
-            jr = jac[np.ix_(c.keep, c.keep)]
+        f, scale, cur, g = self.residual(p, x)
+        for _ in range(self.opt.max_newton_iters):
+            if self.converged(f, scale):
+                return x, True, f, scale, cur
             try:
-                dx = np.linalg.solve(jr, -f[c.keep])
+                dx = np.linalg.solve(self.jacobian(p, g), -f)
             except np.linalg.LinAlgError:
-                return x, False, f, scale
-            vmax = np.max(np.abs(dx[: c.n_nodes])) if c.n_nodes else 0.0
+                return x, False, f, scale, cur
+            vmax = np.abs(dx[: c.n_nodes]).max() if c.n_nodes else 0.0
             if vmax > _NEWTON_DAMP_V:
                 dx *= _NEWTON_DAMP_V / vmax
-            x[c.keep] += dx
-            f, scale = self.residual(x)
-        return x, self.converged(f, scale, opt), f, scale
+            x[: c.n] += dx
+            f, scale, cur, g = self.residual(p, x)
+        return x, self.converged(f, scale), f, scale, cur
 
 
-def _dc_system(c: _Compiled, t: float, extra_gmin: float = 0.0) -> _System:
-    a_lin = c.g_static.copy()
-    if extra_gmin:
-        a_lin.reshape(-1)[c.diag] += extra_gmin
-    rhs = np.zeros(c.naug)
-    rhs[c.branch_rows] = _source_values(c, t)
-    return _System(c, a_lin, rhs, None, None)
-
-
-def _dc_solve(c: _Compiled, opt: SimOptions, t: float = 0.0) -> np.ndarray:
-    x0 = np.zeros(c.naug)
-    sys0 = _dc_system(c, t)
-    x, ok, f, scale = sys0.solve(x0, opt)
+def _dc_solve(k: _Kernel, t: float = 0.0) -> np.ndarray:
+    c = k.c
+    p = k.point(None, _source_values(c, [t])[0])
+    x, ok, f, scale, _ = k.newton(p, np.zeros(c.naug))
     if ok:
         return x
     # gmin stepping: heavy extra shunt first, relaxed by a decade per pass,
     # finishing with a pass at the bare target gmin (already in g_static)
     ladder = []
     g = _GMIN_LADDER_START
-    while g > max(opt.gmin, 1e-15):
+    while g > max(k.opt.gmin, 1e-15):
         ladder.append(g)
         g /= 10.0
     ladder.append(0.0)
+    shunt = np.diag((np.arange(c.n) < c.n_nodes).astype(float))
     x = np.zeros(c.naug)
     for g in ladder:
-        sys_g = _dc_system(c, t, extra_gmin=g)
-        x, ok, f, scale = sys_g.solve(x, opt)
+        x, ok, f, scale, _ = k.newton(p._replace(a_lin=p.a_lin + g * shunt), x)
         if not ok:
-            worst = sys_g.worst_node(f, scale, opt)
+            worst = k.worst_node(f, scale)
             raise SolverError(
                 "DC operating point did not converge "
                 f"(gmin step {g:g} S, worst node {worst!r})",
@@ -451,7 +492,7 @@ def dc_operating_point(netlist: Netlist, options: SimOptions | None = None) -> d
     opt = options or SimOptions()
     opt.validate()
     c = _compile(netlist, opt.gmin)
-    x = _dc_solve(c, opt)
+    x = _dc_solve(_Kernel(c, opt))
     out = {name: float(x[i]) for i, name in enumerate(c.node_names)}
     out[netlist.ground] = 0.0
     return out
@@ -501,10 +542,12 @@ def transient(
     dt = _resolve_dt(netlist, opt)
     if opt.t_stop <= dt:
         raise ValueError("t_stop must exceed dt")
-    axis = _time_axis(netlist, dt, opt.t_stop)
+    axis = _time_axis(netlist, dt, opt.t_stop).tolist()
+    vsrc = _source_values(c, axis)
+    k = _Kernel(c, opt)
 
     if initial_voltages is None:
-        x = _dc_solve(c, opt, t=float(axis[0]))
+        x = _dc_solve(k, t=axis[0])
     else:
         x = np.zeros(c.naug)
         for name, v in initial_voltages.items():
@@ -512,58 +555,31 @@ def transient(
                 continue
             x[c.node_names.index(name)] = v
 
-    times = [float(axis[0])]
-    rows = [x.copy()]
-    i_cap = np.zeros(len(c.c_a))
-    a0_of = (lambda h: 1.0 / h) if opt.integrator == BACKWARD_EULER else (lambda h: 2.0 / h)
-    trap = opt.integrator == TRAPEZOIDAL
-
-    lin_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    def attempt(x_prev, i_prev, t0, t1):
-        h = t1 - t0
-        cached = lin_cache.get(h)
-        if cached is None:
-            a0 = a0_of(h)
-            cached = (c.g_static + a0 * c.cap_pattern, a0 * c.c_val)
-            lin_cache[h] = cached
-        a_lin, geq = cached
-        rhs = np.zeros(c.naug)
-        rhs[c.branch_rows] = _source_values(c, t1)
-        if len(c.c_a):
-            ieq = geq * (x_prev[c.c_a] - x_prev[c.c_b])
-            if trap:
-                ieq = ieq + i_prev
-            np.add.at(rhs, c.c_a, ieq)
-            np.add.at(rhs, c.c_b, -ieq)
-        else:
-            ieq = np.zeros(0)
-        sys_t = _System(c, a_lin, rhs, geq, ieq)
-        x_new, ok, f, scale = sys_t.solve(x_prev, opt)
-        if not ok:
-            return None, sys_t.worst_node(f, scale, opt)
-        i_new = geq * (x_new[c.c_a] - x_new[c.c_b]) - ieq if len(c.c_a) else i_prev
-        return (x_new, i_new), None
-
-    def advance(x_prev, i_prev, t0, t1, depth):
-        state, worst = attempt(x_prev, i_prev, t0, t1)
-        if state is not None:
-            times.append(t1)
-            rows.append(state[0].copy())
-            return state
-        if depth >= _MAX_STEP_HALVINGS:
-            raise SolverError(
-                f"transient Newton failed at t = {t1:.6e} s (worst node {worst!r})",
-                time=t1,
-                node=worst,
-            )
-        tm = 0.5 * (t0 + t1)
-        mid = advance(x_prev, i_prev, t0, tm, depth + 1)
-        return advance(mid[0], mid[1], tm, t1, depth + 1)
-
-    state = (x, i_cap)
-    for k in range(1, len(axis)):
-        state = advance(state[0], state[1], float(axis[k - 1]), float(axis[k]), 0)
+    times, rows, i_prev = [axis[0]], [x], np.zeros(len(c.c_val))
+    for j in range(1, len(axis)):
+        # targets still to reach from the last accepted point; a failed
+        # step is halved and both halves are tried one level deeper
+        pending = [(axis[j], vsrc[j], 0)]
+        while pending:
+            t0, (t1, v1, depth) = times[-1], pending[-1]
+            p = k.point(t1 - t0, v1, rows[-1], i_prev)
+            x_new, ok, f, scale, cur = k.newton(p, rows[-1])
+            if ok:
+                times.append(t1)
+                rows.append(x_new)
+                i_prev = cur[c.cap]
+                pending.pop()
+            elif depth < _MAX_STEP_HALVINGS:
+                tm = 0.5 * (t0 + t1)
+                pending[-1] = (t1, v1, depth + 1)
+                pending.append((tm, _source_values(c, [tm])[0], depth + 1))
+            else:
+                worst = k.worst_node(f, scale)
+                raise SolverError(
+                    f"transient Newton failed at t = {t1:.6e} s (worst node {worst!r})",
+                    time=t1,
+                    node=worst,
+                )
 
     data = np.array(rows)
     return TransientResult(
@@ -571,7 +587,7 @@ def transient(
         node_names=c.node_names,
         voltages=data[:, : c.n_nodes],
         source_names=[s.name for s in c.sources],
-        branch_currents=data[:, c.n_nodes + 1 :],
+        branch_currents=data[:, c.n_nodes : c.n],
         probes=dict(netlist.probes),
         supply_source=c.supply,
     )
@@ -583,39 +599,22 @@ def kcl_residual_ratio(netlist: Netlist, result: TransientResult,
 
     Returns the worst ratio |residual| / tolerance over all nodes and
     points (<= 1 means the whole run is within tolerance). Capacitor
-    companion state is replayed from the stored solution.
+    companion state is replayed from the stored solution through the
+    transient's own step kernel.
     """
     opt = options
     c = _compile(netlist, opt.gmin)
+    k = _Kernel(c, opt)
     n_pts = len(result.time)
-    x_all = np.hstack([
-        result.voltages,
-        np.zeros((n_pts, 1)),
-        result.branch_currents,
-    ])
-    worst = 0.0
-    sys0 = _dc_system(c, float(result.time[0]))
-    f, scale = sys0.residual(x_all[0])
-    tol = opt.abstol_i + opt.reltol * scale[c.node_rows]
-    worst = max(worst, float(np.max(np.abs(f[c.node_rows]) / tol)))
-    i_prev = np.zeros(len(c.c_a))
-    trap = opt.integrator == TRAPEZOIDAL
-    for k in range(1, n_pts):
-        h = float(result.time[k] - result.time[k - 1])
-        a0 = (1.0 / h) if opt.integrator == BACKWARD_EULER else (2.0 / h)
-        a_lin = c.g_static + a0 * c.cap_pattern
-        rhs = np.zeros(c.naug)
-        rhs[c.branch_rows] = _source_values(c, float(result.time[k]))
-        geq = a0 * c.c_val
-        ieq = geq * (x_all[k - 1][c.c_a] - x_all[k - 1][c.c_b])
-        if trap:
-            ieq = ieq + i_prev
-        if len(c.c_a):
-            np.add.at(rhs, c.c_a, ieq)
-            np.add.at(rhs, c.c_b, -ieq)
-        sys_t = _System(c, a_lin, rhs, geq, ieq)
-        f, scale = sys_t.residual(x_all[k])
-        tol = opt.abstol_i + opt.reltol * scale[c.node_rows]
-        worst = max(worst, float(np.max(np.abs(f[c.node_rows]) / tol)))
-        i_prev = geq * (x_all[k][c.c_a] - x_all[k][c.c_b]) - ieq
+    x_all = np.hstack([result.voltages, result.branch_currents, np.zeros((n_pts, 1))])
+    times = result.time.tolist()
+    vsrc = _source_values(c, times)
+    f, scale, _, _ = k.residual(k.point(None, vsrc[0]), x_all[0])
+    worst = float(np.max(k.node_ratios(f, scale)))
+    i_prev = np.zeros(len(c.c_val))
+    for j in range(1, n_pts):
+        p = k.point(times[j] - times[j - 1], vsrc[j], x_all[j - 1], i_prev)
+        f, scale, cur, _ = k.residual(p, x_all[j])
+        worst = max(worst, float(np.max(k.node_ratios(f, scale))))
+        i_prev = cur[c.cap]
     return worst

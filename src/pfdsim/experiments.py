@@ -101,11 +101,14 @@ def simulate_point(
     models: ModelConfig = DEFAULT_CONFIG,
     options: SimOptions | None = None,
     frequency_b: float | None = None,
+    t_stop: float | None = None,
 ) -> TransientResult:
-    """Build the PFD at the design point and run n_periods of stimulus."""
-    period = point.period
-    slow = max(period, 1.0 / frequency_b) if frequency_b else period
-    t_stop = 0.25 * period + abs(point.offset) + n_periods * slow
+    """Build the PFD at the design point and run n_periods of stimulus
+    (or up to t_stop, when given)."""
+    if t_stop is None:
+        period = point.period
+        slow = max(period, 1.0 / frequency_b) if frequency_b else period
+        t_stop = 0.25 * period + abs(point.offset) + n_periods * slow
     net = build_pfd(
         width=point.width,
         length=point.length,

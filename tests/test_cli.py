@@ -39,6 +39,19 @@ class TestUsageErrors:
         assert main(["transient", "--params", str(tmp_path / "nope.params"),
                      "--out", str(tmp_path / "o")]) == 1
 
+    def test_t_stop_before_settle_start_names_the_limit(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["transient", "--t-stop", "2e-9", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "pfdsim: error: --t-stop 2e-09 s must exceed the settle start 2.35e-09 s" in err
+        assert not out.exists()
+
+    def test_report_without_rows_names_the_limit(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"rows": []}\n')
+        assert main(["report", str(empty), "--out", str(tmp_path / "o")]) == 1
+        assert "pfdsim: error: the input reports hold no rows" in capsys.readouterr().err
+
 
 class TestTransientCommand:
     def test_writes_csv_and_report(self, tmp_path):
@@ -51,6 +64,12 @@ class TestTransientCommand:
         waves = (out / "waves.csv").read_text().splitlines()
         assert waves[0] == "t,A,B,X,Y,UP,DN,i_vdd"
         assert (out / "summary.txt").exists()
+
+    def test_t_stop_sets_the_end_time(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["transient", "--t-stop", "2.5e-9", "--out", str(out)]) == 0
+        last = (out / "waves.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == 2.5e-9
 
     def test_negative_offset_lead_b(self, tmp_path):
         out = tmp_path / "o"
