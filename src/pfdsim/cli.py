@@ -29,6 +29,7 @@ from pfdsim.experiments import (
     render_rows,
     report_from_result,
     simulate_point,
+    stimulus_time,
     width_sweep,
 )
 from pfdsim.measure import MeasurementError
@@ -57,8 +58,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--load-cap", type=float, default=1e-15, help="output load, F")
     p.add_argument("--periods", type=int, default=10, help="simulated input periods")
     p.add_argument("--dt", type=float, default=None, help="fixed step, s")
-    p.add_argument("--t-stop", type=float, default=None,
-                   help="override simulation end time, s (transient only)")
     p.add_argument("--integrator", default="trapezoidal",
                    choices=["trapezoidal", "backward_euler"])
     p.add_argument("--params", default=None, help="device calibration file")
@@ -73,6 +72,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("transient", help="fixed-offset lead/lag run")
     _add_common(p)
+    p.add_argument("--t-stop", type=float, default=None,
+                   help="override simulation end time, s")
 
     p = sub.add_parser("deadzone", help="bisect the smallest resolvable offset")
     _add_common(p)
@@ -155,17 +156,14 @@ def _plot_waves(outdir: Path, result: TransientResult) -> None:
                title="PFD transient", xlabel="time (s)", ylabel="voltage (V)")
 
 
-def _settle_start(point: DesignPoint, periods_hint: int = 2) -> float:
-    return 0.25 * point.period + abs(point.offset) + periods_hint * point.period
-
-
 def cmd_transient(args) -> int:
     models = _models(args)
     point = _point(args, models)
     opt = _options(args)
-    if args.t_stop is not None and args.t_stop <= _settle_start(point):
+    start = stimulus_time(point)
+    if args.t_stop is not None and args.t_stop <= start:
         raise ValueError(f"--t-stop {args.t_stop:g} s must exceed the settle start "
-                         f"{_settle_start(point):g} s (period/4 + |offset| + 2 periods)")
+                         f"{start:g} s (period/4 + |offset| + 2 periods)")
     result = simulate_point(point, args.periods, models, opt, t_stop=args.t_stop)
     report = report_from_result(point, result, models)
     outdir = Path(args.out)

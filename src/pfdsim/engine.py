@@ -18,6 +18,10 @@ One step kernel (`_Kernel`) assembles every time point of the DC solve
   node-sorted gather of branch-current magnitudes, so it is exact;
 - the Jacobian is built in the reduced, ground-free system: the linear
   block, cached per step size, plus one `np.bincount` of MOSFET stamps.
+Each state's device evaluation is computed once: the accepted point's
+evaluation seeds the first residual of the next step, which starts from
+that same state (SPICE2's device bypass, taken only where the state is
+unchanged, so every value is the same).
 
 A step is accepted when every node's Kirchhoff current residual is
 within abstol_i + reltol * (largest branch current at that node) and
@@ -148,11 +152,6 @@ class TransientResult:
         buf = io.StringIO()
         self.to_csv(buf)
         return buf.getvalue()
-
-
-def supply_current(result: TransientResult) -> Waveform:
-    """Current delivered by the supply source (positive into the circuit)."""
-    return result.supply_current()
 
 
 # --------------------------------------------------------------------------
@@ -370,6 +369,16 @@ class _Point(NamedTuple):
     rhs: np.ndarray  # (n,) history currents into nodes, source voltages
 
 
+class _Eval(NamedTuple):
+    """The state-only part of a residual, evaluated once per state."""
+
+    ids: np.ndarray  # MOSFET drain currents
+    gm: np.ndarray
+    gds: np.ndarray
+    lin: np.ndarray  # linear branch voltages and source currents (lin_gather @ x)
+    kcl: np.ndarray  # MOSFET currents into the KCL rows (m_kcl @ ids)
+
+
 class _Kernel:
     """Step assembly shared by the DC solve, the transient and the KCL
     replay: one residual, one tolerance test, one Newton iteration."""
@@ -407,15 +416,20 @@ class _Kernel:
         rhs[c.n_nodes:] = vsrc
         return _Point(a_lin, weights, ieq, rhs)
 
-    def residual(self, p: _Point, x: np.ndarray):
-        """KCL/constraint residual f, per-row scale, branch currents and
-        the MOSFET conductances at x."""
+    def evaluate(self, x: np.ndarray) -> _Eval:
+        """Device evaluation at state x, shared by every residual at x."""
         c = self.c
         ids, gm, gds = _mosfet_eval(c, x)
-        cur = np.concatenate([ids, p.weights * (c.lin_gather @ x)]) - p.ieq
+        return _Eval(ids, gm, gds, c.lin_gather @ x, c.m_kcl @ ids)
+
+    def residual(self, p: _Point, x: np.ndarray, ev: _Eval):
+        """KCL/constraint residual f, per-row scale and branch currents at
+        x, from its evaluation ev."""
+        c = self.c
+        cur = np.concatenate([ev.ids, p.weights * ev.lin]) - p.ieq
         scale = np.maximum.reduceat(np.abs(cur)[c.ends], c.starts)
-        f = p.a_lin @ x[: c.n] + c.m_kcl @ ids - p.rhs
-        return f, scale, cur, (gm, gds)
+        f = p.a_lin @ x[: c.n] + ev.kcl - p.rhs
+        return f, scale, cur
 
     def tolerance(self, scale: np.ndarray) -> np.ndarray:
         return self.abs_tol + self.opt.reltol * scale
@@ -430,40 +444,46 @@ class _Kernel:
     def worst_node(self, f: np.ndarray, scale: np.ndarray) -> str:
         return self.c.node_names[int(np.argmax(self.node_ratios(f, scale)))]
 
-    def jacobian(self, p: _Point, g: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    def jacobian(self, p: _Point, ev: _Eval) -> np.ndarray:
         c = self.c
-        stamps = np.bincount(c.j_index, c.j_coef @ np.concatenate(g), c.n * c.n)
+        stamps = np.bincount(c.j_index, c.j_coef @ np.concatenate((ev.gm, ev.gds)),
+                             c.n * c.n)
         return p.a_lin + stamps.reshape(c.n, c.n)
 
-    def newton(self, p: _Point, x0: np.ndarray):
-        """Newton iteration with per-node voltage damping.
+    def newton(self, p: _Point, x0: np.ndarray, ev0: _Eval):
+        """Newton iteration with per-node voltage damping from x0, whose
+        evaluation is ev0.
 
-        Returns (x, converged, f, scale, cur); f/scale/cur evaluated at x.
+        Returns (x, converged, f, scale, cur, ev); f/scale/cur/ev at x.
         """
         c = self.c
-        x = x0.copy()
-        f, scale, cur, g = self.residual(p, x)
+        x, ev = x0.copy(), ev0
+        f, scale, cur = self.residual(p, x, ev)
         for _ in range(self.opt.max_newton_iters):
             if self.converged(f, scale):
-                return x, True, f, scale, cur
+                return x, True, f, scale, cur, ev
             try:
-                dx = np.linalg.solve(self.jacobian(p, g), -f)
+                dx = np.linalg.solve(self.jacobian(p, ev), -f)
             except np.linalg.LinAlgError:
-                return x, False, f, scale, cur
+                return x, False, f, scale, cur, ev
             vmax = np.abs(dx[: c.n_nodes]).max() if c.n_nodes else 0.0
             if vmax > _NEWTON_DAMP_V:
                 dx *= _NEWTON_DAMP_V / vmax
             x[: c.n] += dx
-            f, scale, cur, g = self.residual(p, x)
-        return x, self.converged(f, scale), f, scale, cur
+            ev = self.evaluate(x)
+            f, scale, cur = self.residual(p, x, ev)
+        return x, self.converged(f, scale), f, scale, cur, ev
 
 
-def _dc_solve(k: _Kernel, t: float = 0.0) -> np.ndarray:
+def _dc_solve(k: _Kernel, t: float = 0.0) -> tuple[np.ndarray, _Eval]:
+    """DC solution and its device evaluation."""
     c = k.c
     p = k.point(None, _source_values(c, [t])[0])
-    x, ok, f, scale, _ = k.newton(p, np.zeros(c.naug))
+    zero = np.zeros(c.naug)
+    ev_zero = k.evaluate(zero)
+    x, ok, f, scale, _, ev = k.newton(p, zero, ev_zero)
     if ok:
-        return x
+        return x, ev
     # gmin stepping: heavy extra shunt first, relaxed by a decade per pass,
     # finishing with a pass at the bare target gmin (already in g_static)
     ladder = []
@@ -473,9 +493,9 @@ def _dc_solve(k: _Kernel, t: float = 0.0) -> np.ndarray:
         g /= 10.0
     ladder.append(0.0)
     shunt = np.diag((np.arange(c.n) < c.n_nodes).astype(float))
-    x = np.zeros(c.naug)
+    x, ev = zero, ev_zero
     for g in ladder:
-        x, ok, f, scale, _ = k.newton(p._replace(a_lin=p.a_lin + g * shunt), x)
+        x, ok, f, scale, _, ev = k.newton(p._replace(a_lin=p.a_lin + g * shunt), x, ev)
         if not ok:
             worst = k.worst_node(f, scale)
             raise SolverError(
@@ -484,7 +504,7 @@ def _dc_solve(k: _Kernel, t: float = 0.0) -> np.ndarray:
                 time=t,
                 node=worst,
             )
-    return x
+    return x, ev
 
 
 def dc_operating_point(netlist: Netlist, options: SimOptions | None = None) -> dict[str, float]:
@@ -492,7 +512,7 @@ def dc_operating_point(netlist: Netlist, options: SimOptions | None = None) -> d
     opt = options or SimOptions()
     opt.validate()
     c = _compile(netlist, opt.gmin)
-    x = _dc_solve(_Kernel(c, opt))
+    x, _ = _dc_solve(_Kernel(c, opt))
     out = {name: float(x[i]) for i, name in enumerate(c.node_names)}
     out[netlist.ground] = 0.0
     return out
@@ -547,27 +567,29 @@ def transient(
     k = _Kernel(c, opt)
 
     if initial_voltages is None:
-        x = _dc_solve(k, t=axis[0])
+        x, ev = _dc_solve(k, t=axis[0])
     else:
         x = np.zeros(c.naug)
         for name, v in initial_voltages.items():
             if name == netlist.ground:
                 continue
             x[c.node_names.index(name)] = v
+        ev = k.evaluate(x)
 
     times, rows, i_prev = [axis[0]], [x], np.zeros(len(c.c_val))
     for j in range(1, len(axis)):
         # targets still to reach from the last accepted point; a failed
-        # step is halved and both halves are tried one level deeper
+        # step is halved and both halves are tried one level deeper. Every
+        # attempt starts from rows[-1], whose evaluation ev is kept
         pending = [(axis[j], vsrc[j], 0)]
         while pending:
             t0, (t1, v1, depth) = times[-1], pending[-1]
             p = k.point(t1 - t0, v1, rows[-1], i_prev)
-            x_new, ok, f, scale, cur = k.newton(p, rows[-1])
+            x_new, ok, f, scale, cur, ev_new = k.newton(p, rows[-1], ev)
             if ok:
                 times.append(t1)
                 rows.append(x_new)
-                i_prev = cur[c.cap]
+                i_prev, ev = cur[c.cap], ev_new
                 pending.pop()
             elif depth < _MAX_STEP_HALVINGS:
                 tm = 0.5 * (t0 + t1)
@@ -609,12 +631,12 @@ def kcl_residual_ratio(netlist: Netlist, result: TransientResult,
     x_all = np.hstack([result.voltages, result.branch_currents, np.zeros((n_pts, 1))])
     times = result.time.tolist()
     vsrc = _source_values(c, times)
-    f, scale, _, _ = k.residual(k.point(None, vsrc[0]), x_all[0])
+    f, scale, _ = k.residual(k.point(None, vsrc[0]), x_all[0], k.evaluate(x_all[0]))
     worst = float(np.max(k.node_ratios(f, scale)))
     i_prev = np.zeros(len(c.c_val))
     for j in range(1, n_pts):
         p = k.point(times[j] - times[j - 1], vsrc[j], x_all[j - 1], i_prev)
-        f, scale, cur, _ = k.residual(p, x_all[j])
+        f, scale, cur = k.residual(p, x_all[j], k.evaluate(x_all[j]))
         worst = max(worst, float(np.max(k.node_ratios(f, scale))))
         i_prev = cur[c.cap]
     return worst

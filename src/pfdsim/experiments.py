@@ -95,6 +95,16 @@ def _base_options(options: SimOptions | None, t_stop: float) -> SimOptions:
     return opt
 
 
+def stimulus_time(point: DesignPoint, periods: int = _SETTLE_PERIODS,
+                  frequency_b: float | None = None) -> float:
+    """End of the lead-in (period/4 + |offset|) plus `periods` periods of
+    the slower input; by default the settle start, where measurement
+    windows begin."""
+    period = point.period
+    slow = max(period, 1.0 / frequency_b) if frequency_b else period
+    return 0.25 * period + abs(point.offset) + periods * slow
+
+
 def simulate_point(
     point: DesignPoint,
     n_periods: int = 10,
@@ -106,9 +116,7 @@ def simulate_point(
     """Build the PFD at the design point and run n_periods of stimulus
     (or up to t_stop, when given)."""
     if t_stop is None:
-        period = point.period
-        slow = max(period, 1.0 / frequency_b) if frequency_b else period
-        t_stop = 0.25 * period + abs(point.offset) + n_periods * slow
+        t_stop = stimulus_time(point, n_periods, frequency_b)
     net = build_pfd(
         width=point.width,
         length=point.length,
@@ -124,10 +132,7 @@ def simulate_point(
 
 def _measure_window(point: DesignPoint, result: TransientResult,
                     frequency_b: float | None = None) -> tuple[float, float]:
-    period = point.period
-    slow = max(period, 1.0 / frequency_b) if frequency_b else period
-    start = 0.25 * period + abs(point.offset) + _SETTLE_PERIODS * slow
-    return start, float(result.time[-1])
+    return stimulus_time(point, frequency_b=frequency_b), float(result.time[-1])
 
 
 def report_from_result(

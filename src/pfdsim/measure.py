@@ -7,7 +7,6 @@ measurement results do not inherit the integrator's step granularity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -164,15 +163,3 @@ def average_power(supply: Waveform, vdd: float, window: tuple[float, float]) -> 
     vs = np.concatenate(([supply.at(t0)], supply.v[inside], [supply.at(t1)]))
     return vdd * float(np.trapezoid(vs, ts)) / (t1 - t0)
 
-
-def measurements_to_json(values: dict) -> str:
-    """Serialize a flat dict of named scalar results (SI units)."""
-    out = {}
-    for key, val in values.items():
-        if isinstance(val, Decision):
-            out[key] = val.value
-        elif val is None or isinstance(val, (bool, int, float, str)):
-            out[key] = val
-        else:
-            out[key] = float(val)
-    return json.dumps(out, indent=2, sort_keys=True)

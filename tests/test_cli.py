@@ -46,6 +46,10 @@ class TestUsageErrors:
         assert "pfdsim: error: --t-stop 2e-09 s must exceed the settle start 2.35e-09 s" in err
         assert not out.exists()
 
+    def test_t_stop_is_a_transient_only_flag(self, tmp_path, capsys):
+        assert main(["deadzone", "--t-stop", "1e-9", "--out", str(tmp_path / "o")]) == 1
+        assert "unrecognized arguments: --t-stop 1e-9" in capsys.readouterr().err
+
     def test_report_without_rows_names_the_limit(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
         empty.write_text('{"rows": []}\n')

@@ -23,7 +23,6 @@ from pfdsim.engine import (
     _compile,
     dc_operating_point,
     kcl_residual_ratio,
-    supply_current,
     transient,
 )
 from pfdsim.netlist import (
@@ -214,7 +213,7 @@ class TestSupplyCurrent:
         net.add(Resistor("R1", a="vdd", b="mid", ohms=600.0))
         net.add(Resistor("R2", a="mid", b="0", ohms=600.0))
         res = transient(net, SimOptions(dt=1e-12, t_stop=1e-10))
-        i = supply_current(res)
+        i = res.supply_current()
         assert np.allclose(i.v, 1e-3, rtol=1e-6)
 
     def test_error_without_supply(self):
@@ -523,7 +522,7 @@ def _compiled_pfd():
     opt = SimOptions()
     net = build_pfd()
     c = _compile(net, opt.gmin)
-    return c, ref_index(net, c, opt.gmin), _dc_solve(_Kernel(c, opt))
+    return c, ref_index(net, c, opt.gmin), _dc_solve(_Kernel(c, opt))[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -563,8 +562,9 @@ def test_kernel_matches_scatter_reference(step, log_dx, t, seed):
         pt = kern.point(h, vsrc, x_prev, i_prev)
         ref = ref_point(r, opt, h, vsrc, x_prev, i_prev)
 
-    f, scale, _, g = kern.residual(pt, x)
-    jac = kern.jacobian(pt, g)
+    ev = kern.evaluate(x)
+    f, scale, _ = kern.residual(pt, x, ev)
+    jac = kern.jacobian(pt, ev)
     f_ref, scale_ref, jac_ref, f_mag, jac_mag = ref_residual(r, ref, x)
 
     assert np.array_equal(scale, scale_ref)
@@ -575,17 +575,26 @@ def test_kernel_matches_scatter_reference(step, log_dx, t, seed):
         assert kern.converged(f, scale) == verdict
 
 
-@pytest.mark.parametrize("offset,options", [
+ONE_PERIOD_RUNS = pytest.mark.parametrize("offset,options", [
     (25e-12, {}),
     (-25e-12, {}),
     (50e-12, {"dt": 5e-12, "max_newton_iters": 1}),  # most steps are halved
 ])
+
+
+def one_period_run(offset, options):
+    """(netlist, options, initial voltages) of a 1-period default-PFD run;
+    runs with extra options start from the default DC point."""
+    net = build_pfd(offset=offset)
+    opt = SimOptions(t_stop=0.25e-9 + abs(offset) + 1e-9, **options)
+    return net, opt, dc_operating_point(net) if options else None
+
+
+@ONE_PERIOD_RUNS
 def test_transient_matches_scatter_reference(offset, options):
     """One period of the default PFD: identical time axis, voltages within
     1 nV of the reference time loop."""
-    net = build_pfd(offset=offset)
-    opt = SimOptions(t_stop=0.25e-9 + abs(offset) + 1e-9, **options)
-    initial = dc_operating_point(net) if options else None
+    net, opt, initial = one_period_run(offset, options)
     res = transient(net, opt, initial_voltages=initial)
     times, volts = ref_transient(net, opt, initial)
     assert np.array_equal(res.time, times)
@@ -594,6 +603,45 @@ def test_transient_matches_scatter_reference(offset, options):
         from pfdsim.engine import _time_axis
 
         assert len(res.time) > len(_time_axis(net, opt.dt, opt.t_stop))
+
+
+@ONE_PERIOD_RUNS
+def test_reused_evaluation_is_bit_identical(offset, options, monkeypatch):
+    """Seeding each step with the accepted point's evaluation changes no
+    float: the same run with every Newton start evaluated afresh gives
+    identical arrays (including after failed, halved attempts)."""
+    from pfdsim.engine import _Kernel
+
+    net, opt, initial = one_period_run(offset, options)
+    reused = transient(net, opt, initial_voltages=initial)
+    newton = _Kernel.newton
+    monkeypatch.setattr(_Kernel, "newton",
+                        lambda k, p, x0, ev0: newton(k, p, x0, k.evaluate(x0)))
+    fresh = transient(net, opt, initial_voltages=initial)
+    assert np.array_equal(reused.time, fresh.time)
+    assert np.array_equal(reused.voltages, fresh.voltages)
+    assert np.array_equal(reused.branch_currents, fresh.branch_currents)
+
+
+def test_one_device_evaluation_per_newton_iterate(monkeypatch):
+    """On the 1-period default PFD every device evaluation but one follows
+    an LU solve: the DC start's evaluation of the zero state. Re-evaluating
+    each step's starting state would add one per accepted point."""
+    import pfdsim.engine as engine
+
+    calls = {"eval": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(engine, "_mosfet_eval", counted("eval", engine._mosfet_eval))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    transient(build_pfd(), SimOptions(t_stop=1.25e-9))
+    assert calls["solve"] > 0
+    assert calls["eval"] == calls["solve"] + 1
 
 
 class TestOptionsAndErrors:

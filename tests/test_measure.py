@@ -14,7 +14,6 @@ from pfdsim.measure import (
     detect_pulses,
     fall_time,
     high_time,
-    measurements_to_json,
     mutual_exclusion_overlap,
     rise_time,
 )
@@ -211,17 +210,3 @@ class TestAveragePower:
         expect = vdd * (cload * vdd) / (window[1] - window[0])
         assert p == pytest.approx(expect, rel=0.02)
 
-
-class TestJsonExport:
-    def test_flat_scalars_and_enums(self):
-        text = measurements_to_json({
-            "decision": Decision.LEAD_A,
-            "dead_zone": 25e-12,
-            "f_max": None,
-            "note": "ok",
-        })
-        import json
-
-        data = json.loads(text)
-        assert data == {"decision": "LeadA", "dead_zone": 25e-12,
-                        "f_max": None, "note": "ok"}
