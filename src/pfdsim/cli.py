@@ -18,6 +18,7 @@ import numpy as np
 from pfdsim.devices import DEFAULT_CONFIG, ModelConfig, load_config
 from pfdsim.engine import SimOptions, SolverError, TransientResult
 from pfdsim.experiments import (
+    SETTLE_PERIODS,
     STANDARD_CORNERS,
     DesignPoint,
     ExperimentError,
@@ -28,6 +29,7 @@ from pfdsim.experiments import (
     measure_fmax,
     render_rows,
     report_from_result,
+    report_row,
     simulate_point,
     stimulus_time,
     width_sweep,
@@ -42,28 +44,36 @@ _EXIT_EXPERIMENT = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    # no flag prefixes: fmax --offset would resolve to --offset-fraction
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(_EXIT_USAGE)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--width", type=float, default=260e-9, help="gate width, m")
-    p.add_argument("--length", type=float, default=100e-9, help="gate length, m")
-    p.add_argument("--corner", default="TT", choices=list(STANDARD_CORNERS))
-    p.add_argument("--freq", type=float, default=1e9, help="input frequency, Hz")
-    p.add_argument("--offset", type=float, default=100e-12,
-                   help="phase offset, s (positive: A leads)")
-    p.add_argument("--load-cap", type=float, default=1e-15, help="output load, F")
-    p.add_argument("--periods", type=int, default=10, help="simulated input periods")
-    p.add_argument("--dt", type=float, default=None, help="fixed step, s")
-    p.add_argument("--integrator", default="trapezoidal",
-                   choices=["trapezoidal", "backward_euler"])
-    p.add_argument("--params", default=None, help="device calibration file")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--plot", action="store_true", help="write SVG plots")
-    p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
+def _add_common(p: argparse.ArgumentParser, omit: tuple[str, ...] = ()) -> None:
+    """The shared flags but `omit`: a subcommand takes only those it reads."""
+    def add(flag, **kwargs):
+        if flag not in omit:
+            p.add_argument(flag, **kwargs)
+
+    add("--width", type=float, default=260e-9, help="gate width, m")
+    add("--length", type=float, default=100e-9, help="gate length, m")
+    add("--corner", default="TT", choices=list(STANDARD_CORNERS))
+    add("--freq", dest="frequency", type=float, default=1e9, help="input frequency, Hz")
+    add("--offset", type=float, default=100e-12,
+        help="phase offset, s (positive: A leads)")
+    add("--load-cap", type=float, default=1e-15, help="output load, F")
+    add("--periods", type=int, default=10, help="simulated input periods")
+    add("--dt", type=float, default=None, help="fixed step, s")
+    add("--integrator", default="trapezoidal", choices=["trapezoidal", "backward_euler"])
+    add("--params", default=None, help="device calibration file")
+    add("--out", default="out", help="output directory")
+    add("--plot", action="store_true", help="write SVG plots")
+    add("--jobs", type=int, default=1, help="parallel sweep workers")
 
 
 def build_parser() -> _Parser:
@@ -71,40 +81,40 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("transient", help="fixed-offset lead/lag run")
-    _add_common(p)
+    _add_common(p, omit=("--jobs",))
     p.add_argument("--t-stop", type=float, default=None,
                    help="override simulation end time, s")
 
     p = sub.add_parser("deadzone", help="bisect the smallest resolvable offset")
-    _add_common(p)
+    _add_common(p, omit=("--offset", "--plot", "--jobs"))
     p.add_argument("--search-lo", type=float, default=0.0)
     p.add_argument("--search-hi", type=float, default=200e-12)
     p.add_argument("--tol", type=float, default=0.5e-12)
 
     p = sub.add_parser("halfperiod", help="T/2 offset stabilization test")
-    _add_common(p)
+    _add_common(p, omit=("--jobs",))
     p.set_defaults(periods=20)
 
     p = sub.add_parser("fmax", help="binary-search the maximum operating frequency")
-    _add_common(p)
+    _add_common(p, omit=("--freq", "--offset", "--plot", "--jobs"))
     p.add_argument("--f-lo", type=float, default=0.5e9)
     p.add_argument("--f-hi", type=float, default=20e9)
     p.add_argument("--tol-rel", type=float, default=0.01)
     p.add_argument("--offset-fraction", type=float, default=0.1)
 
     p = sub.add_parser("mismatch", help="unequal reference/feedback frequencies")
-    _add_common(p)
+    _add_common(p, omit=("--freq", "--offset", "--jobs"))
     p.add_argument("--f-ref", type=float, default=1e9)
     p.add_argument("--f-fb", type=float, default=0.8e9)
 
     p = sub.add_parser("sweep-width", help="width parametric sweep")
-    _add_common(p)
+    _add_common(p, omit=("--width",))
     p.add_argument("--w-lo", type=float, default=120e-9)
     p.add_argument("--w-hi", type=float, default=310e-9)
     p.add_argument("--steps", type=int, default=5)
 
     p = sub.add_parser("corners", help="process-corner sweep")
-    _add_common(p)
+    _add_common(p, omit=("--corner",))
     p.add_argument("--corners", default=",".join(STANDARD_CORNERS),
                    help="comma-separated corner names")
 
@@ -120,15 +130,15 @@ def _models(args) -> ModelConfig:
     return load_config(args.params)
 
 
-def _point(args, models: ModelConfig, offset: float | None = None) -> DesignPoint:
-    return DesignPoint(
-        width=args.width,
-        length=args.length,
-        corner=models.corner(args.corner),
-        frequency=args.freq,
-        offset=args.offset if offset is None else offset,
-        load_cap=args.load_cap,
-    )
+def _point(args, models: ModelConfig) -> DesignPoint:
+    """A field whose flag the subcommand does not take keeps DesignPoint's
+    default; the experiment sets it."""
+    given = vars(args)
+    fields = {f: given[f] for f in ("width", "length", "frequency", "offset", "load_cap")
+              if f in given}
+    if "corner" in given:
+        fields["corner"] = models.corner(args.corner)
+    return DesignPoint(**fields)
 
 
 def _options(args) -> SimOptions:
@@ -137,107 +147,98 @@ def _options(args) -> SimOptions:
     return opt
 
 
-def _write(outdir: Path, rows: list[dict], waves: TransientResult | None = None) -> None:
+def _check_power_window(args, point: DesignPoint) -> None:
+    """Fail before simulating if the run ends by the settle start, where the
+    power window begins."""
+    if getattr(args, "t_stop", None) is not None:
+        start = stimulus_time(point)
+        if args.t_stop <= start:
+            raise ValueError(f"--t-stop {args.t_stop:g} s must exceed the settle start "
+                             f"{start:g} s (period/4 + |offset| + 2 periods)")
+    elif args.periods <= SETTLE_PERIODS:
+        raise ValueError(f"--periods {args.periods} must exceed the {SETTLE_PERIODS} "
+                         "settle periods before the power window")
+
+
+def _write(args, rows: list[dict], waves: TransientResult | None = None) -> Path:
+    """Write the report files and any waves (plotted with --plot); returns --out."""
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     json_text, table = render_rows(rows)
     (outdir / "report.json").write_text(json_text + "\n")
     (outdir / "summary.txt").write_text(table)
     if waves is not None:
         waves.to_csv(outdir / "waves.csv")
-
-
-def _plot_waves(outdir: Path, result: TransientResult) -> None:
-    series = []
-    for name in ("A", "B", "UP", "DN"):
-        w = result.voltage(name)
-        stride = max(1, len(w.t) // 2000)
-        series.append((name, w.t[::stride], w.v[::stride]))
-    line_chart(outdir / "plot_waves.svg", series,
-               title="PFD transient", xlabel="time (s)", ylabel="voltage (V)")
+        if args.plot:
+            series = []
+            for name in ("A", "B", "UP", "DN"):
+                w = waves.voltage(name)
+                stride = max(1, len(w.t) // 2000)
+                series.append((name, w.t[::stride], w.v[::stride]))
+            line_chart(outdir / "plot_waves.svg", series, title="PFD transient",
+                       xlabel="time (s)", ylabel="voltage (V)")
+    return outdir
 
 
 def cmd_transient(args) -> int:
     models = _models(args)
     point = _point(args, models)
     opt = _options(args)
-    start = stimulus_time(point)
-    if args.t_stop is not None and args.t_stop <= start:
-        raise ValueError(f"--t-stop {args.t_stop:g} s must exceed the settle start "
-                         f"{start:g} s (period/4 + |offset| + 2 periods)")
+    _check_power_window(args, point)
     result = simulate_point(point, args.periods, models, opt, t_stop=args.t_stop)
-    report = report_from_result(point, result, models)
-    outdir = Path(args.out)
-    _write(outdir, [report.to_dict()], waves=result)
-    if args.plot:
-        _plot_waves(outdir, result)
+    _write(args, [report_from_result(point, result, models).to_dict()], waves=result)
     return 0
 
 
 def cmd_deadzone(args) -> int:
     models = _models(args)
-    point = _point(args, models, offset=0.0)
+    point = _point(args, models)
     dz = measure_dead_zone(point, search_lo=args.search_lo, search_hi=args.search_hi,
                            tol=args.tol, n_periods=args.periods, models=models,
                            options=_options(args))
-    row = {
-        "width": point.width, "length": point.length, "corner": point.corner.name,
-        "frequency": point.frequency, "offset": None, "decision": None,
-        "avg_power": None, "up_rise_time": None, "mutual_exclusion_overlap": None,
-        "dead_zone": dz, "f_max": None, "die_area": "out of scope",
-    }
-    _write(Path(args.out), [row])
+    _write(args, [report_row(point, offset=None, dead_zone=dz)])
     return 0
 
 
 def cmd_halfperiod(args) -> int:
     models = _models(args)
     point = _point(args, models)
+    _check_power_window(args, point)
     report, result = half_period_test(point, n_periods=args.periods, models=models,
                                       options=_options(args))
-    outdir = Path(args.out)
-    _write(outdir, [report.to_dict()], waves=result)
-    if args.plot:
-        _plot_waves(outdir, result)
+    _write(args, [report.to_dict()], waves=result)
     return 0
 
 
 def cmd_fmax(args) -> int:
     models = _models(args)
-    point = _point(args, models, offset=0.0)
+    point = _point(args, models)
     fm = measure_fmax(point, offset_fraction=args.offset_fraction, f_lo=args.f_lo,
                       f_hi=args.f_hi, tol_rel=args.tol_rel, n_periods=args.periods,
                       models=models, options=_options(args))
-    row = {
-        "width": point.width, "length": point.length, "corner": point.corner.name,
-        "frequency": None, "offset": None, "decision": None,
-        "avg_power": None, "up_rise_time": None, "mutual_exclusion_overlap": None,
-        "dead_zone": None, "f_max": fm, "die_area": "out of scope",
-    }
-    _write(Path(args.out), [row])
+    _write(args, [report_row(point, frequency=None, offset=None, f_max=fm)])
     return 0
 
 
 def cmd_mismatch(args) -> int:
     models = _models(args)
-    point = _point(args, models, offset=0.0)
+    point = _point(args, models)
+    _check_power_window(args, point)
     report, result = frequency_mismatch_test(args.f_ref, args.f_fb,
                                              n_periods=args.periods, point=point,
                                              models=models, options=_options(args))
-    outdir = Path(args.out)
-    _write(outdir, [report.to_dict()], waves=result)
-    if args.plot:
-        _plot_waves(outdir, result)
+    _write(args, [report.to_dict()], waves=result)
     return 0
 
 
 def cmd_sweep_width(args) -> int:
     models = _models(args)
     point = _point(args, models)
+    _check_power_window(args, point)
     reports = width_sweep(w_lo=args.w_lo, w_hi=args.w_hi, steps=args.steps,
                           point=point, n_periods=args.periods, models=models,
                           options=_options(args), jobs=args.jobs)
-    outdir = Path(args.out)
-    _write(outdir, [r.to_dict() for r in reports])
+    outdir = _write(args, [r.to_dict() for r in reports])
     if args.plot:
         widths = np.array([r.point.width for r in reports])
         line_chart(outdir / "plot_width_rise.svg",
@@ -254,11 +255,11 @@ def cmd_sweep_width(args) -> int:
 def cmd_corners(args) -> int:
     models = _models(args)
     point = _point(args, models)
+    _check_power_window(args, point)
     names = [c.strip().upper() for c in args.corners.split(",") if c.strip()]
     reports = corner_sweep(corners=names, point=point, n_periods=args.periods,
                            models=models, options=_options(args), jobs=args.jobs)
-    outdir = Path(args.out)
-    _write(outdir, [r.to_dict() for r in reports])
+    outdir = _write(args, [r.to_dict() for r in reports])
     if args.plot:
         idx = np.arange(len(reports), dtype=float)
         line_chart(outdir / "plot_corner_rise.svg",
@@ -276,7 +277,7 @@ def cmd_report(args) -> int:
         rows.extend(data["rows"])
     if not rows:
         raise ValueError("the input reports hold no rows; report needs at least 1")
-    _write(Path(args.out), rows)
+    _write(args, rows)
     return 0
 
 

@@ -5,12 +5,17 @@ modulation, and supplies the analytic small-signal conductances the
 Newton solver needs.  Source/drain are treated symmetrically: a negative
 vds is evaluated with the terminals exchanged, which keeps the drain
 current a continuous (C1) function of the terminal voltages.
+
+`mosfet_eval`, over arrays of devices, is the one coding of the equations:
+the engine calls it and `mosfet_current` / `mosfet_conductances` wrap it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 NMOS = "nmos"
 PMOS = "pmos"
@@ -69,31 +74,44 @@ class CornerSet:
                 raise ValueError("corner scale factors must be > 0")
 
 
-def _core_current(beta: float, vth: float, lam: float, vgs: float, vds: float) -> float:
-    """NMOS-convention drain current for vds >= 0 (vth > 0)."""
-    vov = vgs - vth
-    if vov <= 0.0:
-        return 0.0
-    if vds < vov:
-        return beta * (vov * vds - 0.5 * vds * vds) * (1.0 + lam * vds)
-    return 0.5 * beta * vov * vov * (1.0 + lam * vds)
+def mosfet_eval(vgs, vds, beta, vth, lam, sign):
+    """Level-1 drain currents and conductances of a set of devices.
+
+    The arguments are arrays over the devices (a parameter shared by all
+    may be a scalar): the sign-folded bias vgs = sign * (vg - vs),
+    vds = sign * (vd - vs), then beta, |vth0|, lambda and sign (+1 nmos,
+    -1 pmos). Returns (ids, gm, gds): the drain
+    current in amperes and its derivatives by vgs and vds, which the double
+    sign flip makes the same for both polarities.
+
+    With vov clamped at zero and vmin = min(vds, vov), one polynomial
+    covers cutoff, triode and saturation:
+        i   = beta * vmin * (vov - vmin/2) * clm
+        gm  = beta * vmin * clm
+        gds = beta * (max(vov - vds, 0) * clm + poly * lambda)
+    which reduces to the familiar per-region forms. A reversed channel
+    (vds < 0) is evaluated with drain and source exchanged.
+    """
+    swap = vds < 0.0
+    vds_c = np.abs(vds)
+    vov = np.where(swap, vgs - vds, vgs) - vth
+    np.maximum(vov, 0.0, out=vov)
+    vmin = np.minimum(vds_c, vov)
+    poly = vmin * (vov - 0.5 * vmin)
+    bclm = beta * (1.0 + lam * vds_c)
+    gm_core = bclm * vmin
+    ids = sign * np.copysign(bclm * poly, vds)
+    gm = np.copysign(gm_core, vds)
+    gds = bclm * (vov - vmin) + beta * lam * poly  # vov - vmin = max(vov - vds, 0)
+    np.add(gds, gm_core, out=gds, where=swap)
+    return ids, gm, gds
 
 
-def _core_conductances(
-    beta: float, vth: float, lam: float, vgs: float, vds: float
-) -> tuple[float, float]:
-    """(d/dvgs, d/dvds) of _core_current for vds >= 0."""
-    vov = vgs - vth
-    if vov <= 0.0:
-        return 0.0, 0.0
-    clm = 1.0 + lam * vds
-    if vds < vov:
-        gm = beta * vds * clm
-        gds = beta * ((vov - vds) * clm + (vov * vds - 0.5 * vds * vds) * lam)
-    else:
-        gm = beta * vov * clm
-        gds = 0.5 * beta * vov * vov * lam
-    return gm, gds
+def _eval_one(p: MosfetParams, vgs: float, vds: float) -> list[float]:
+    sign = 1.0 if p.polarity == NMOS else -1.0
+    out = mosfet_eval(np.array([sign * vgs]), np.array([sign * vds]), p.beta,
+                      abs(p.vth0), p.lam, sign)
+    return [float(a[0]) for a in out]
 
 
 def mosfet_current(p: MosfetParams, vgs: float, vds: float) -> float:
@@ -104,28 +122,14 @@ def mosfet_current(p: MosfetParams, vgs: float, vds: float) -> float:
     exchanged, so the result is defined and continuous for all finite
     inputs.
     """
-    sign = 1.0 if p.polarity == NMOS else -1.0
-    vth = abs(p.vth0)
-    vgs_c = sign * vgs
-    vds_c = sign * vds
-    if vds_c >= 0.0:
-        return sign * _core_current(p.beta, vth, p.lam, vgs_c, vds_c)
-    # channel reversed: the nominal drain acts as source
-    return -sign * _core_current(p.beta, vth, p.lam, vgs_c - vds_c, -vds_c)
+    return _eval_one(p, vgs, vds)[0]
 
 
 def mosfet_conductances(p: MosfetParams, vgs: float, vds: float) -> tuple[float, float]:
     """Analytic (gm, gds) = (dI/dvgs, dI/dvds), region-consistent with
-    mosfet_current. The double sign flip makes the expressions identical
-    for both polarities."""
-    vth = abs(p.vth0)
-    sign = 1.0 if p.polarity == NMOS else -1.0
-    vgs_c = sign * vgs
-    vds_c = sign * vds
-    if vds_c >= 0.0:
-        return _core_conductances(p.beta, vth, p.lam, vgs_c, vds_c)
-    gm_r, gds_r = _core_conductances(p.beta, vth, p.lam, vgs_c - vds_c, -vds_c)
-    return -gm_r, gm_r + gds_r
+    mosfet_current."""
+    _, gm, gds = _eval_one(p, vgs, vds)
+    return gm, gds
 
 
 def apply_corner(p: MosfetParams, c: CornerSet) -> MosfetParams:

@@ -6,7 +6,9 @@ voltage source; state vectors carry one more slot, for ground, held at 0.
 Capacitors (including the lumped MOSFET gate capacitances) enter through
 backward-Euler or trapezoidal companion models; MOSFETs are linearized
 each Newton iteration. Solves use dense LU (numpy.linalg.solve) -- the
-targeted circuits have tens of unknowns.
+targeted circuits have tens of unknowns. The MOSFET equations are
+`devices.mosfet_eval`'s; the engine gathers every device's bias and
+calls it once per state.
 
 One step kernel (`_Kernel`) assembles every time point of the DC solve
 (its a0 = 0 case), the transient and the KCL replay from matrices that
@@ -42,6 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from pfdsim.devices import mosfet_eval
 from pfdsim.netlist import (
     Capacitor,
     DcSource,
@@ -183,7 +186,6 @@ class _Compiled:
     m_beta: np.ndarray
     m_vth: np.ndarray
     m_lam: np.ndarray
-    m_blam: np.ndarray  # beta * lambda
     m_sign: np.ndarray
     g_static: np.ndarray  # (n, n) resistor + gmin + source-pattern stamps
     cap_pattern: np.ndarray  # (n, n) capacitance stamps, scaled by a0 per step
@@ -247,8 +249,6 @@ def _compile(net: Netlist, gmin: float) -> _Compiled:
     m_d, m_g, m_s = (ints([index[getattr(m, t)] for m in m_list])
                      for t in ("drain", "gate", "source"))
     m_sign = np.array([1.0 if m.params.polarity == "nmos" else -1.0 for m in m_list])
-    m_beta = np.array([m.params.beta for m in m_list])
-    m_lam = np.array([m.params.lam for m in m_list])
     r_g, c_val = np.array(r_g), np.array(c_val)
 
     res_gather = _pairs(r_a, r_b, naug)
@@ -303,10 +303,9 @@ def _compile(net: Netlist, gmin: float) -> _Compiled:
         m_d=m_d,
         m_g=m_g,
         m_s=m_s,
-        m_beta=m_beta,
+        m_beta=np.array([m.params.beta for m in m_list]),
         m_vth=np.array([abs(m.params.vth0) for m in m_list]),
-        m_lam=m_lam,
-        m_blam=m_beta * m_lam,
+        m_lam=np.array([m.params.lam for m in m_list]),
         m_sign=m_sign,
         g_static=g_static,
         cap_pattern=cap_n.T @ (c_val[:, None] * cap_n),
@@ -322,33 +321,6 @@ def _compile(net: Netlist, gmin: float) -> _Compiled:
         j_index=ints(j_index),
         j_coef=np.array(j_coef).reshape(len(j_index), 2 * n_mos),
     )
-
-
-def _mosfet_eval(c: _Compiled, x: np.ndarray):
-    """Vectorized level-1 evaluation: currents and conductances at x.
-
-    With vov clamped at zero and vmin = min(vds, vov), one polynomial
-    covers cutoff, triode and saturation:
-        i   = beta * vmin * (vov - vmin/2) * clm
-        gm  = beta * vmin * clm
-        gds = beta * (max(vov - vds, 0) * clm + poly * lambda)
-    which reduces to the familiar per-region forms. A reversed channel
-    (vds < 0) is evaluated with drain and source exchanged.
-    """
-    vgs, vds = (c.m_gather @ x).reshape(2, -1)
-    swap = vds < 0.0
-    vds_c = np.abs(vds)
-    vov = np.where(swap, vgs - vds, vgs) - c.m_vth
-    np.maximum(vov, 0.0, out=vov)
-    vmin = np.minimum(vds_c, vov)
-    poly = vmin * (vov - 0.5 * vmin)
-    bclm = c.m_beta * (1.0 + c.m_lam * vds_c)
-    gm_core = bclm * vmin
-    ids = c.m_sign * np.copysign(bclm * poly, vds)
-    gm = np.copysign(gm_core, vds)
-    gds = bclm * (vov - vmin) + c.m_blam * poly  # vov - vmin = max(vov - vds, 0)
-    np.add(gds, gm_core, out=gds, where=swap)
-    return ids, gm, gds
 
 
 def _source_values(c: _Compiled, times: list[float]) -> np.ndarray:
@@ -419,7 +391,8 @@ class _Kernel:
     def evaluate(self, x: np.ndarray) -> _Eval:
         """Device evaluation at state x, shared by every residual at x."""
         c = self.c
-        ids, gm, gds = _mosfet_eval(c, x)
+        vgs, vds = (c.m_gather @ x).reshape(2, -1)
+        ids, gm, gds = mosfet_eval(vgs, vds, c.m_beta, c.m_vth, c.m_lam, c.m_sign)
         return _Eval(ids, gm, gds, c.lin_gather @ x, c.m_kcl @ ids)
 
     def residual(self, p: _Point, x: np.ndarray, ev: _Eval):

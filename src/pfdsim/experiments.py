@@ -28,7 +28,7 @@ from pfdsim.measure import (
 from pfdsim.netlist import build_pfd
 
 STANDARD_CORNERS = ("TT", "FF", "FS", "SF", "SS")
-_SETTLE_PERIODS = 2  # start-up stretch excluded from the power window
+SETTLE_PERIODS = 2  # start-up stretch excluded from the power window
 
 
 class ExperimentError(Exception):
@@ -70,23 +70,10 @@ class ExperimentReport:
     f_max: float | None = None
 
     def to_dict(self) -> dict:
-        def num(v):
-            return None if v is None else float(v)
-
-        return {
-            "width": num(self.point.width),
-            "length": num(self.point.length),
-            "corner": self.point.corner.name,
-            "frequency": num(self.point.frequency),
-            "offset": num(self.point.offset),
-            "decision": self.decision.value,
-            "avg_power": num(self.avg_power),
-            "up_rise_time": num(self.up_rise_time),
-            "mutual_exclusion_overlap": num(self.mutual_exclusion_overlap),
-            "dead_zone": num(self.dead_zone),
-            "f_max": num(self.f_max),
-            "die_area": "out of scope",
-        }
+        return report_row(self.point, decision=self.decision.value, avg_power=self.avg_power,
+                          up_rise_time=self.up_rise_time,
+                          mutual_exclusion_overlap=self.mutual_exclusion_overlap,
+                          dead_zone=self.dead_zone, f_max=self.f_max)
 
 
 def _base_options(options: SimOptions | None, t_stop: float) -> SimOptions:
@@ -95,7 +82,7 @@ def _base_options(options: SimOptions | None, t_stop: float) -> SimOptions:
     return opt
 
 
-def stimulus_time(point: DesignPoint, periods: int = _SETTLE_PERIODS,
+def stimulus_time(point: DesignPoint, periods: int = SETTLE_PERIODS,
                   frequency_b: float | None = None) -> float:
     """End of the lead-in (period/4 + |offset|) plus `periods` periods of
     the slower input; by default the settle start, where measurement
@@ -299,10 +286,14 @@ def _sweep_worker(args) -> ExperimentReport:
 
 
 def _run_points(points, n_periods, models, options, jobs) -> list[ExperimentReport]:
+    """Reports in input order, from min(jobs, points) worker processes."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     tasks = [(p, n_periods, models, options) for p in points]
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [_sweep_worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_worker, tasks))
 
 
@@ -437,6 +428,16 @@ _COLUMNS = (
     "f_max", "dead_zone", "avg_power", "up_rise_time",
     "mutual_exclusion_overlap", "die_area",
 )
+
+
+def report_row(point: DesignPoint, **values) -> dict:
+    """One row over _COLUMNS: the point's columns, then `values` (None blanks
+    a point column); metrics not given are None, die area is not modelled."""
+    row = dict.fromkeys(_COLUMNS)
+    row.update(width=point.width, length=point.length, corner=point.corner.name,
+               frequency=point.frequency, offset=point.offset, die_area="out of scope")
+    row.update(values)
+    return {k: v if v is None or isinstance(v, str) else float(v) for k, v in row.items()}
 
 
 def render_rows(rows: list[dict]) -> tuple[str, str]:

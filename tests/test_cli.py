@@ -7,9 +7,40 @@ not depend on the argument values.
 import json
 from pathlib import Path
 
+import pytest
+
+import pfdsim.experiments as experiments
 from pfdsim.cli import main
 
 FAST = ["--periods", "3"]
+
+# (argv, message): runs that end at or before the settle start
+SHORT_RUNS = [
+    (["transient", "--t-stop", "2e-9"],
+     "--t-stop 2e-09 s must exceed the settle start 2.35e-09 s"),
+    (["transient", "--periods", "2"], "--periods 2 must exceed the 2 settle periods"),
+    (["halfperiod", "--periods", "2"], "--periods 2 must exceed the 2 settle periods"),
+    (["mismatch", "--periods", "2"], "--periods 2 must exceed the 2 settle periods"),
+    (["sweep-width", "--periods", "2"], "--periods 2 must exceed the 2 settle periods"),
+    (["corners", "--periods", "1"], "--periods 1 must exceed the 2 settle periods"),
+]
+
+# (subcommand, flag) pairs where the experiment would ignore or overwrite the flag
+UNREAD_FLAGS = [
+    ("deadzone", "--t-stop"),
+    *((c, "--jobs") for c in ("transient", "deadzone", "halfperiod", "fmax", "mismatch")),
+    ("deadzone", "--plot"),
+    ("fmax", "--plot"),
+    *((c, "--offset") for c in ("deadzone", "fmax", "mismatch")),
+    ("fmax", "--freq"),
+    ("mismatch", "--freq"),
+    ("sweep-width", "--width"),
+    ("corners", "--corner"),
+]
+
+
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("simulated despite a usage error")
 
 
 def read_json(outdir: Path) -> dict:
@@ -39,16 +70,32 @@ class TestUsageErrors:
         assert main(["transient", "--params", str(tmp_path / "nope.params"),
                      "--out", str(tmp_path / "o")]) == 1
 
-    def test_t_stop_before_settle_start_names_the_limit(self, tmp_path, capsys):
-        out = tmp_path / "o"
-        assert main(["transient", "--t-stop", "2e-9", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "pfdsim: error: --t-stop 2e-09 s must exceed the settle start 2.35e-09 s" in err
-        assert not out.exists()
+    def test_t_stop_before_settle_start_names_the_limit(self, tmp_path, capsys,
+                                                        monkeypatch):
+        """A power-reporting run that would end at or before the settle start
+        is a usage error, raised before anything is simulated."""
+        monkeypatch.setattr(experiments, "transient", _no_simulation)
+        for k, (argv, message) in enumerate(SHORT_RUNS):
+            out = tmp_path / str(k)
+            assert main([*argv, "--out", str(out)]) == 1, argv
+            assert f"pfdsim: error: {message}" in capsys.readouterr().err, argv
+            assert not out.exists(), argv
 
     def test_t_stop_is_a_transient_only_flag(self, tmp_path, capsys):
-        assert main(["deadzone", "--t-stop", "1e-9", "--out", str(tmp_path / "o")]) == 1
-        assert "unrecognized arguments: --t-stop 1e-9" in capsys.readouterr().err
+        """Each subcommand accepts only the flags it reads; --t-stop is the
+        first such case."""
+        for command, flag in UNREAD_FLAGS:
+            value = [] if flag == "--plot" else ["1"]
+            assert main([command, flag, *value, "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join([flag, *value])}" in err, command
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        out = tmp_path / "o"
+        assert main(["sweep-width", "--steps", "2", f"--jobs={jobs}", "--out", str(out)]) == 1
+        assert "pfdsim: error: jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_without_rows_names_the_limit(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"

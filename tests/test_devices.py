@@ -230,23 +230,32 @@ class TestConfigFile:
 
 
 def test_current_formula_cross_check_against_direct_math():
-    """Independent evaluation of the square law, written out longhand."""
+    """Independent evaluation of the square law, written out longhand, for
+    both channel directions. A reversed channel (vds < 0 after the polarity
+    sign fold) conducts with drain and source exchanged: its gate drive is
+    vgs - vds, its drain-source voltage -vds, and its current flows back."""
     rng = random.Random(5)
-    for _ in range(300):
+    for _ in range(600):
         p = random_params(rng)
         sign = 1.0 if p.polarity == "nmos" else -1.0
         vgs = rng.uniform(-2, 2)
-        vds = sign * rng.uniform(0, 2)  # forward region only; reversal covered elsewhere
+        vds = rng.uniform(-2, 2)
         beta = p.kprime * p.w / p.l
-        vov = sign * vgs - abs(p.vth0)
+        vgs_c = sign * vgs
         vds_c = sign * vds
+        direction = 1.0
+        if vds_c < 0:
+            vgs_c, vds_c, direction = vgs_c - vds_c, -vds_c, -1.0
+        vov = vgs_c - abs(p.vth0)
         if vov <= 0:
             expect = 0.0
         elif vds_c < vov:
             expect = beta * (vov * vds_c - 0.5 * vds_c**2) * (1 + p.lam * vds_c)
         else:
             expect = 0.5 * beta * vov**2 * (1 + p.lam * vds_c)
-        assert mosfet_current(p, vgs, vds) == pytest.approx(sign * expect, abs=1e-18)
+        # rel: the longhand groups the arithmetic differently (last-ulp noise)
+        assert mosfet_current(p, vgs, vds) == pytest.approx(
+            sign * direction * expect, rel=1e-12, abs=1e-18)
 
 
 def test_conductance_units_scale_with_beta():

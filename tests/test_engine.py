@@ -285,48 +285,6 @@ class TestPfdTransient:
         assert active > 1e3 * max(idle, 1e-12)
 
 
-def test_vectorized_eval_agrees_with_device_model():
-    """The engine's fused evaluation and the scalar reference model are
-    independent codings of the same equations; they must agree closely."""
-    import random
-
-    from pfdsim.devices import mosfet_conductances, mosfet_current
-    from pfdsim.engine import _compile
-
-    rng = random.Random(42)
-    nm = DEFAULT_CONFIG.mosfet("nmos", 260e-9, 100e-9)
-    pm = DEFAULT_CONFIG.mosfet("pmos", 310e-9, 100e-9)
-    net = Netlist()
-    net.add_node("0")
-    for n in ("d1", "g1", "s1", "d2", "g2", "s2"):
-        net.add_node(n)
-    net.add(DcSource("VD", plus="d1", minus="0", volts=0.0))
-    net.add(Resistor("R1", a="g1", b="0", ohms=1.0))
-    net.add(Resistor("R2", a="g2", b="0", ohms=1.0))
-    net.add(Resistor("R3", a="s1", b="0", ohms=1.0))
-    net.add(Resistor("R4", a="s2", b="0", ohms=1.0))
-    net.add(Resistor("R5", a="d2", b="0", ohms=1.0))
-    net.add(Mosfet("M1", drain="d1", gate="g1", source="s1", params=nm))
-    net.add(Mosfet("M2", drain="d2", gate="g2", source="s2", params=pm))
-    c = _compile(net, gmin=0.0)
-    from pfdsim.engine import _mosfet_eval
-
-    for _ in range(500):
-        x = np.zeros(c.naug)
-        for name in ("d1", "g1", "s1", "d2", "g2", "s2"):
-            x[c.node_names.index(name)] = rng.uniform(-1.5, 1.5)
-        ids, gm, gds = _mosfet_eval(c, x)
-        for j, (m, p) in enumerate([("M1", nm), ("M2", pm)]):
-            vd = x[c.m_d[j]]
-            vg = x[c.m_g[j]]
-            vs = x[c.m_s[j]]
-            i_ref = mosfet_current(p, vg - vs, vd - vs)
-            gm_ref, gds_ref = mosfet_conductances(p, vg - vs, vd - vs)
-            assert ids[j] == pytest.approx(i_ref, rel=1e-12, abs=1e-18)
-            assert gm[j] == pytest.approx(gm_ref, rel=1e-12, abs=1e-18)
-            assert gds[j] == pytest.approx(gds_ref, rel=1e-12, abs=1e-18)
-
-
 # ---------------------------------------------------------------------------
 # Scatter-based reference: the step assembly the engine's kernel replaced
 # (np.add.at / np.maximum.at on the ground-augmented system), kept as an
@@ -637,7 +595,7 @@ def test_one_device_evaluation_per_newton_iterate(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(engine, "_mosfet_eval", counted("eval", engine._mosfet_eval))
+    monkeypatch.setattr(engine, "mosfet_eval", counted("eval", engine.mosfet_eval))
     monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
     transient(build_pfd(), SimOptions(t_stop=1.25e-9))
     assert calls["solve"] > 0

@@ -7,7 +7,9 @@ import json
 
 import pytest
 
+import pfdsim.experiments as experiments
 from pfdsim.experiments import (
+    _COLUMNS,
     DesignPoint,
     ExperimentError,
     frequency_mismatch_test,
@@ -16,6 +18,7 @@ from pfdsim.experiments import (
     measure_dead_zone,
     per_period_decisions,
     report_from_result,
+    report_row,
     width_sweep,
 )
 from pfdsim.measure import Decision
@@ -126,6 +129,34 @@ class TestWidthSweep:
         parallel = width_sweep(steps=2, n_periods=3, jobs=2)
         assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
 
+    def test_workers_capped_at_point_count(self, monkeypatch):
+        """--jobs 5000 for 2 points asks the pool for 2 workers; the fake
+        pool runs map serially, so no process starts."""
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments, "_sweep_worker", lambda task: task[0].width)
+        widths = width_sweep(steps=2, jobs=5000)
+        assert seen == [2]
+        assert widths == [120e-9, 310e-9]
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            width_sweep(steps=2, jobs=0)
+
 
 class TestCornerSweep:
     def test_all_corners_correct(self, corner_reports):
@@ -224,3 +255,13 @@ class TestGenerateReport:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             generate_report([])
+
+    def test_search_rows_carry_every_column(self):
+        """Search rows come from the same column list as full reports; the
+        point columns a search does not fix are null."""
+        row = report_row(DesignPoint(), frequency=None, offset=None, f_max=2e9)
+        assert list(row) == list(_COLUMNS)
+        assert row["frequency"] is None and row["offset"] is None
+        assert row["f_max"] == 2e9 and row["dead_zone"] is None
+        assert row["width"] == 260e-9 and row["corner"] == "TT"
+        assert row["die_area"] == "out of scope"
