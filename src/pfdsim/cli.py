@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,21 +148,41 @@ def _options(args) -> SimOptions:
     return opt
 
 
-def _check_power_window(args, point: DesignPoint) -> None:
-    """Fail before simulating if the run ends by the settle start, where the
-    power window begins."""
+# the searches report no power, so they only need whole periods
+_SEARCHES = ("deadzone", "fmax")
+
+
+def _check_run_length(args, point: DesignPoint) -> None:
+    """Fail before simulating if the run is too short: a search needs at
+    least one period, a power report must end past the settle start, where
+    the power window begins."""
     if getattr(args, "t_stop", None) is not None:
         start = stimulus_time(point)
         if args.t_stop <= start:
             raise ValueError(f"--t-stop {args.t_stop:g} s must exceed the settle start "
                              f"{start:g} s (period/4 + |offset| + 2 periods)")
+    elif args.command in _SEARCHES:
+        if args.periods < 1:
+            raise ValueError(f"--periods {args.periods} must be >= 1")
     elif args.periods <= SETTLE_PERIODS:
         raise ValueError(f"--periods {args.periods} must exceed the {SETTLE_PERIODS} "
                          "settle periods before the power window")
 
 
-def _write(args, rows: list[dict], waves: TransientResult | None = None) -> Path:
-    """Write the report files and any waves (plotted with --plot); returns --out."""
+class _Output(NamedTuple):
+    """What an experiment subcommand writes: report rows, the waves of a
+    single run and, with --plot, (file name, series, title, xlabel, ylabel)
+    sweep charts."""
+
+    rows: list[dict]
+    waves: TransientResult | None = None
+    plots: tuple = ()
+
+
+def _write(args, rows: list[dict], waves: TransientResult | None = None,
+           plots: tuple = ()) -> None:
+    """Write the report files, any waves and, with --plot, the waves' and
+    sweep charts under --out."""
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     json_text, table = render_rows(rows)
@@ -169,108 +190,93 @@ def _write(args, rows: list[dict], waves: TransientResult | None = None) -> Path
     (outdir / "summary.txt").write_text(table)
     if waves is not None:
         waves.to_csv(outdir / "waves.csv")
-        if args.plot:
-            series = []
-            for name in ("A", "B", "UP", "DN"):
-                w = waves.voltage(name)
-                stride = max(1, len(w.t) // 2000)
-                series.append((name, w.t[::stride], w.v[::stride]))
-            line_chart(outdir / "plot_waves.svg", series, title="PFD transient",
-                       xlabel="time (s)", ylabel="voltage (V)")
-    return outdir
+    if not getattr(args, "plot", False):
+        return
+    if waves is not None:
+        series = []
+        for name in ("A", "B", "UP", "DN"):
+            w = waves.voltage(name)
+            stride = max(1, len(w.t) // 2000)
+            series.append((name, w.t[::stride], w.v[::stride]))
+        line_chart(outdir / "plot_waves.svg", series, title="PFD transient",
+                   xlabel="time (s)", ylabel="voltage (V)")
+    for name, series, title, xlabel, ylabel in plots:
+        line_chart(outdir / name, series, title=title, xlabel=xlabel, ylabel=ylabel)
 
 
-def cmd_transient(args) -> int:
+def _run(args, experiment) -> None:
+    """The path of every experiment subcommand from its flags to its files:
+    models, design point and options, the run-length check before anything
+    is simulated, the experiment, then its output."""
     models = _models(args)
     point = _point(args, models)
-    opt = _options(args)
-    _check_power_window(args, point)
-    result = simulate_point(point, args.periods, models, opt, t_stop=args.t_stop)
-    _write(args, [report_from_result(point, result, models).to_dict()], waves=result)
-    return 0
+    options = _options(args)
+    _check_run_length(args, point)
+    _write(args, *experiment(args, point, models, options))
 
 
-def cmd_deadzone(args) -> int:
-    models = _models(args)
-    point = _point(args, models)
+def cmd_transient(args, point, models, options) -> _Output:
+    result = simulate_point(point, args.periods, models, options, t_stop=args.t_stop)
+    return _Output([report_from_result(point, result, models).to_dict()], result)
+
+
+def cmd_deadzone(args, point, models, options) -> _Output:
     dz = measure_dead_zone(point, search_lo=args.search_lo, search_hi=args.search_hi,
                            tol=args.tol, n_periods=args.periods, models=models,
-                           options=_options(args))
-    _write(args, [report_row(point, offset=None, dead_zone=dz)])
-    return 0
+                           options=options)
+    return _Output([report_row(point, offset=None, dead_zone=dz)])
 
 
-def cmd_halfperiod(args) -> int:
-    models = _models(args)
-    point = _point(args, models)
-    _check_power_window(args, point)
+def cmd_halfperiod(args, point, models, options) -> _Output:
     report, result = half_period_test(point, n_periods=args.periods, models=models,
-                                      options=_options(args))
-    _write(args, [report.to_dict()], waves=result)
-    return 0
+                                      options=options)
+    return _Output([report.to_dict()], result)
 
 
-def cmd_fmax(args) -> int:
-    models = _models(args)
-    point = _point(args, models)
+def cmd_fmax(args, point, models, options) -> _Output:
     fm = measure_fmax(point, offset_fraction=args.offset_fraction, f_lo=args.f_lo,
                       f_hi=args.f_hi, tol_rel=args.tol_rel, n_periods=args.periods,
-                      models=models, options=_options(args))
-    _write(args, [report_row(point, frequency=None, offset=None, f_max=fm)])
-    return 0
+                      models=models, options=options)
+    return _Output([report_row(point, frequency=None, offset=None, f_max=fm)])
 
 
-def cmd_mismatch(args) -> int:
-    models = _models(args)
-    point = _point(args, models)
-    _check_power_window(args, point)
+def cmd_mismatch(args, point, models, options) -> _Output:
     report, result = frequency_mismatch_test(args.f_ref, args.f_fb,
                                              n_periods=args.periods, point=point,
-                                             models=models, options=_options(args))
-    _write(args, [report.to_dict()], waves=result)
-    return 0
+                                             models=models, options=options)
+    return _Output([report.to_dict()], result)
 
 
-def cmd_sweep_width(args) -> int:
-    models = _models(args)
-    point = _point(args, models)
-    _check_power_window(args, point)
+def cmd_sweep_width(args, point, models, options) -> _Output:
     reports = width_sweep(w_lo=args.w_lo, w_hi=args.w_hi, steps=args.steps,
                           point=point, n_periods=args.periods, models=models,
-                          options=_options(args), jobs=args.jobs)
-    outdir = _write(args, [r.to_dict() for r in reports])
-    if args.plot:
-        widths = np.array([r.point.width for r in reports])
-        line_chart(outdir / "plot_width_rise.svg",
-                   [("UP rise time", widths,
-                     np.array([r.up_rise_time for r in reports]))],
-                   title="Rise time vs width", xlabel="width (m)", ylabel="s")
-        line_chart(outdir / "plot_width_power.svg",
-                   [("average power", widths,
-                     np.array([r.avg_power for r in reports]))],
-                   title="Power vs width", xlabel="width (m)", ylabel="W")
-    return 0
+                          options=options, jobs=args.jobs)
+    widths = np.array([r.point.width for r in reports])
+    plots = (
+        ("plot_width_rise.svg",
+         [("UP rise time", widths, np.array([r.up_rise_time for r in reports]))],
+         "Rise time vs width", "width (m)", "s"),
+        ("plot_width_power.svg",
+         [("average power", widths, np.array([r.avg_power for r in reports]))],
+         "Power vs width", "width (m)", "W"),
+    )
+    return _Output([r.to_dict() for r in reports], plots=plots)
 
 
-def cmd_corners(args) -> int:
-    models = _models(args)
-    point = _point(args, models)
-    _check_power_window(args, point)
+def cmd_corners(args, point, models, options) -> _Output:
     names = [c.strip().upper() for c in args.corners.split(",") if c.strip()]
     reports = corner_sweep(corners=names, point=point, n_periods=args.periods,
-                           models=models, options=_options(args), jobs=args.jobs)
-    outdir = _write(args, [r.to_dict() for r in reports])
-    if args.plot:
-        idx = np.arange(len(reports), dtype=float)
-        line_chart(outdir / "plot_corner_rise.svg",
-                   [("UP rise time", idx,
-                     np.array([r.up_rise_time for r in reports]))],
-                   title="Rise time vs corner (" + ",".join(names) + ")",
-                   xlabel="corner index", ylabel="s")
-    return 0
+                           models=models, options=options, jobs=args.jobs)
+    idx = np.arange(len(reports), dtype=float)
+    plots = (
+        ("plot_corner_rise.svg",
+         [("UP rise time", idx, np.array([r.up_rise_time for r in reports]))],
+         "Rise time vs corner (" + ",".join(names) + ")", "corner index", "s"),
+    )
+    return _Output([r.to_dict() for r in reports], plots=plots)
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     rows = []
     for path in args.inputs:
         data = json.loads(Path(path).read_text())
@@ -278,10 +284,10 @@ def cmd_report(args) -> int:
     if not rows:
         raise ValueError("the input reports hold no rows; report needs at least 1")
     _write(args, rows)
-    return 0
 
 
-_COMMANDS = {
+# the experiment subcommands, each run by _run
+_EXPERIMENTS = {
     "transient": cmd_transient,
     "deadzone": cmd_deadzone,
     "halfperiod": cmd_halfperiod,
@@ -289,7 +295,6 @@ _COMMANDS = {
     "mismatch": cmd_mismatch,
     "sweep-width": cmd_sweep_width,
     "corners": cmd_corners,
-    "report": cmd_report,
 }
 
 
@@ -300,7 +305,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else _EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "report":
+            cmd_report(args)
+        else:
+            _run(args, _EXPERIMENTS[args.command])
+        return 0
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else _EXIT_USAGE
     except (ValueError, NetlistError, OSError, KeyError) as exc:

@@ -24,6 +24,9 @@ PMOS = "pmos"
 # devices scale gate capacitance linearly with width, as a real process does.
 CAP_REF_WIDTH = 260e-9
 
+# process corners, one letter per polarity (NMOS then PMOS): Typical, Fast, Slow
+STANDARD_CORNERS = ("TT", "FF", "FS", "SF", "SS")
+
 
 @dataclass(frozen=True)
 class MosfetParams:
@@ -62,7 +65,7 @@ class MosfetParams:
 class CornerSet:
     """Multiplicative process-corner modifiers per polarity."""
 
-    name: str  # TT | FF | SS | FS | SF
+    name: str  # one of STANDARD_CORNERS
     vth_scale_n: float = 1.0
     vth_scale_p: float = 1.0
     k_scale_n: float = 1.0
@@ -190,7 +193,7 @@ class ModelConfig:
     def corner(self, name: str) -> CornerSet:
         """Build one of the five standard corners from the fast/slow scales."""
         name = name.upper()
-        if name not in ("TT", "FF", "SS", "FS", "SF"):
+        if name not in STANDARD_CORNERS:
             raise ValueError(f"unknown corner {name!r}")
         scales = {}
         for letter, polarity in zip(name, "np"):
@@ -205,7 +208,7 @@ class ModelConfig:
         return CornerSet(name=name, **scales)
 
     def corners(self) -> dict[str, CornerSet]:
-        return {n: self.corner(n) for n in ("TT", "FF", "FS", "SF", "SS")}
+        return {n: self.corner(n) for n in STANDARD_CORNERS}
 
 
 DEFAULT_CONFIG = ModelConfig()

@@ -180,9 +180,6 @@ class _Compiled:
     supply: str | None
     r_g: np.ndarray
     c_val: np.ndarray
-    m_d: np.ndarray
-    m_g: np.ndarray
-    m_s: np.ndarray
     m_beta: np.ndarray
     m_vth: np.ndarray
     m_lam: np.ndarray
@@ -300,9 +297,6 @@ def _compile(net: Netlist, gmin: float) -> _Compiled:
         supply=supply,
         r_g=r_g,
         c_val=c_val,
-        m_d=m_d,
-        m_g=m_g,
-        m_s=m_s,
         m_beta=np.array([m.params.beta for m in m_list]),
         m_vth=np.array([abs(m.params.vth0) for m in m_list]),
         m_lam=np.array([m.params.lam for m in m_list]),
@@ -376,7 +370,7 @@ class _Kernel:
                       np.concatenate([c.r_g, geq, np.ones(c.n - c.n_nodes + 1)]), geq)
             self._linear[h] = cached
         a_lin, weights, geq = cached
-        ieq = np.zeros(len(c.m_d) + len(weights))
+        ieq = np.zeros(len(c.m_sign) + len(weights))
         if x_prev is None:
             rhs = np.zeros(c.n)
         else:

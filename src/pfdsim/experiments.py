@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from pfdsim.devices import DEFAULT_CONFIG, CornerSet, ModelConfig
+from pfdsim.devices import DEFAULT_CONFIG, STANDARD_CORNERS, CornerSet, ModelConfig
 from pfdsim.engine import SimOptions, TransientResult, Waveform, transient
 from pfdsim.measure import (
     Decision,
@@ -27,7 +27,6 @@ from pfdsim.measure import (
 )
 from pfdsim.netlist import build_pfd
 
-STANDARD_CORNERS = ("TT", "FF", "FS", "SF", "SS")
 SETTLE_PERIODS = 2  # start-up stretch excluded from the power window
 
 
@@ -76,12 +75,6 @@ class ExperimentReport:
                           dead_zone=self.dead_zone, f_max=self.f_max)
 
 
-def _base_options(options: SimOptions | None, t_stop: float) -> SimOptions:
-    opt = replace(options) if options is not None else SimOptions()
-    opt.t_stop = t_stop
-    return opt
-
-
 def stimulus_time(point: DesignPoint, periods: int = SETTLE_PERIODS,
                   frequency_b: float | None = None) -> float:
     """End of the lead-in (period/4 + |offset|) plus `periods` periods of
@@ -114,12 +107,7 @@ def simulate_point(
         frequency_b=frequency_b,
         models=models,
     )
-    return transient(net, _base_options(options, t_stop))
-
-
-def _measure_window(point: DesignPoint, result: TransientResult,
-                    frequency_b: float | None = None) -> tuple[float, float]:
-    return stimulus_time(point, frequency_b=frequency_b), float(result.time[-1])
+    return transient(net, replace(options or SimOptions(), t_stop=t_stop))
 
 
 def report_from_result(
@@ -132,7 +120,7 @@ def report_from_result(
     up = result.voltage("UP")
     dn = result.voltage("DN")
     decision = classify_decision(up, dn, vdd=vdd)
-    window = _measure_window(point, result, frequency_b)
+    window = (stimulus_time(point, frequency_b=frequency_b), float(result.time[-1]))
     power = average_power(result.supply_current(), vdd, window)
     try:
         up_rise = rise_time(up, 0.0, vdd)
@@ -159,9 +147,25 @@ def run_offset_experiment(
     return report_from_result(point, result, models)
 
 
-def _decision_at(point: DesignPoint, offset: float, n_periods, models, options) -> Decision:
-    result = simulate_point(replace(point, offset=offset), n_periods, models, options)
+def _decision_at(point: DesignPoint, n_periods, models, options) -> Decision:
+    result = simulate_point(point, n_periods, models, options)
     return classify_decision(result.voltage("UP"), result.voltage("DN"), vdd=models.vdd)
+
+
+def _bisect(passes, good: float, bad: float, unresolved) -> float:
+    """Last passing point of a bisection between a passing end `good` and a
+    failing end `bad`, run while `unresolved(good, bad)`. It also stops when
+    the midpoint rounds to an end: the ends are then adjacent floats and
+    the bracket cannot shrink."""
+    while unresolved(good, bad):
+        mid = 0.5 * (good + bad)
+        if mid == good or mid == bad:
+            break
+        if passes(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 def measure_dead_zone(
@@ -173,52 +177,28 @@ def measure_dead_zone(
     models: ModelConfig = DEFAULT_CONFIG,
     options: SimOptions | None = None,
 ) -> float:
-    """Smallest offset (by bisection, to tol) classified correctly in both
-    lead directions; the two polarities share one search, so the result is
-    the max of the two thresholds.
-
-    Falls back to a tol-resolution linear scan if the pass/fail boundary
-    turns out not to be monotone on the bracket.
-    """
+    """Smallest offset classified correctly in both lead directions, by
+    bisection of [search_lo, search_hi] down to tol or to float resolution.
+    The two polarities share one search, so the result is the larger of
+    the two thresholds. search_hi must pass; search_lo is taken to fail and
+    is never run, and no failing offset may lie above a passing one."""
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if search_lo < 0 or search_hi <= search_lo:
         raise ValueError("need 0 <= search_lo < search_hi")
 
-    def correct(off: float) -> bool:
-        if _decision_at(point, +off, n_periods, models, options) is not Decision.LEAD_A:
+    def passes(off: float) -> bool:
+        if _decision_at(replace(point, offset=+off), n_periods, models,
+                        options) is not Decision.LEAD_A:
             return False
-        return _decision_at(point, -off, n_periods, models, options) is Decision.LEAD_B
+        return _decision_at(replace(point, offset=-off), n_periods, models,
+                            options) is Decision.LEAD_B
 
-    history: list[tuple[float, bool]] = []
-
-    def probe(off: float) -> bool:
-        ok = correct(off)
-        history.append((off, ok))
-        return ok
-
-    if not probe(search_hi):
+    if not passes(search_hi):
         raise ExperimentError(
             f"no lock window found: wrong decision at search_hi = {search_hi:g} s"
         )
-    lo, hi = search_lo, search_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if probe(mid):
-            hi = mid
-        else:
-            lo = mid
-        oks = [o for o, ok in history if ok]
-        bads = [o for o, ok in history if not ok]
-        if oks and bads and min(oks) < max(bads):
-            # non-monotone bracket: scan upward at tol resolution
-            off = search_lo + tol
-            while off <= search_hi:
-                if correct(off):
-                    return off
-                off += tol
-            raise ExperimentError("no lock window found in linear scan")
-    return hi
+    return _bisect(passes, search_hi, search_lo, lambda hi, lo: hi - lo > tol)
 
 
 def measure_fmax(
@@ -231,53 +211,25 @@ def measure_fmax(
     models: ModelConfig = DEFAULT_CONFIG,
     options: SimOptions | None = None,
 ) -> float:
-    """Largest frequency (binary search, relative tol) at which the
-    detector still classifies a leading reference correctly over
-    n_periods consecutive periods at a fixed fractional offset."""
+    """Largest frequency at which an n_periods run with A leading by
+    offset_fraction of a period is classified LeadA (over the whole run,
+    not period by period), by bisection of [f_lo, f_hi] down to a relative
+    tol_rel or to float resolution; f_hi itself when it passes. f_lo must
+    pass, and no passing frequency may lie above a failing one."""
     if not (0.0 < offset_fraction < 0.5):
         raise ValueError("offset_fraction must be in (0, 0.5)")
     if f_lo <= 0 or f_hi <= f_lo or tol_rel <= 0:
         raise ValueError("need 0 < f_lo < f_hi and tol_rel > 0")
 
-    def correct(f: float) -> bool:
+    def passes(f: float) -> bool:
         p = replace(point, frequency=f, offset=offset_fraction / f)
-        result = simulate_point(p, n_periods, models, options)
-        dec = classify_decision(result.voltage("UP"), result.voltage("DN"),
-                                vdd=models.vdd)
-        return dec is Decision.LEAD_A
+        return _decision_at(p, n_periods, models, options) is Decision.LEAD_A
 
-    history: list[tuple[float, bool]] = []
-
-    def probe(f: float) -> bool:
-        ok = correct(f)
-        history.append((f, ok))
-        return ok
-
-    if not probe(f_lo):
+    if not passes(f_lo):
         raise ExperimentError(f"wrong decision already at f_lo = {f_lo:g} Hz")
-    if probe(f_hi):
+    if passes(f_hi):
         return f_hi
-    lo, hi = f_lo, f_hi
-    while (hi - lo) / lo > tol_rel:
-        mid = 0.5 * (lo + hi)
-        if probe(mid):
-            lo = mid
-        else:
-            hi = mid
-        oks = [f for f, ok in history if ok]
-        bads = [f for f, ok in history if not ok]
-        if oks and bads and max(oks) > min(bads):
-            # non-monotone bracket: geometric scan at tol_rel resolution
-            f = f_lo
-            last_ok = f_lo
-            while f <= f_hi:
-                if correct(f):
-                    last_ok = f
-                else:
-                    return last_ok
-                f *= 1.0 + tol_rel
-            return last_ok
-    return lo
+    return _bisect(passes, f_lo, f_hi, lambda lo, hi: (hi - lo) / lo > tol_rel)
 
 
 def _sweep_worker(args) -> ExperimentReport:

@@ -115,22 +115,11 @@ def high_time(w: Waveform, threshold: float) -> float:
     return sum(ev.duration for ev in detect_pulses(w, threshold))
 
 
-def classify_decision(
-    up: Waveform,
-    dn: Waveform,
-    threshold: float | None = None,
-    min_peak: float | None = None,
-    *,
-    vdd: float | None = None,
-) -> Decision:
+def classify_decision(up: Waveform, dn: Waveform, *, vdd: float) -> Decision:
     """LeadA when only UP carries a full-swing pulse, LeadB when only DN
-    does, Undetermined otherwise. Defaults: threshold 0.5*vdd, full-swing
-    requirement 0.8*vdd."""
-    if threshold is None or min_peak is None:
-        if vdd is None:
-            raise ValueError("provide vdd or explicit threshold and min_peak")
-        threshold = 0.5 * vdd if threshold is None else threshold
-        min_peak = 0.8 * vdd if min_peak is None else min_peak
+    does, Undetermined otherwise. A pulse is a stretch at or above 0.5*vdd;
+    it is full-swing when it peaks at 0.8*vdd or more."""
+    threshold, min_peak = 0.5 * vdd, 0.8 * vdd
     up_real = [ev for ev in detect_pulses(up, threshold) if ev.peak >= min_peak]
     dn_real = [ev for ev in detect_pulses(dn, threshold) if ev.peak >= min_peak]
     if up_real and not dn_real:

@@ -174,9 +174,6 @@ class Netlist:
             raise NetlistError(f"unknown node {node!r} for probe {alias!r}")
         self.probes[alias] = node
 
-    def mosfets(self) -> list[Mosfet]:
-        return [d for d in self.devices if isinstance(d, Mosfet)]
-
     def sources(self) -> list[DcSource | PulseSource]:
         return [d for d in self.devices if isinstance(d, (DcSource, PulseSource))]
 

@@ -4,6 +4,8 @@ Runs use reduced periods and coarse search settings; determinism does
 not depend on the argument values.
 """
 
+import ast
+import importlib
 import json
 from pathlib import Path
 
@@ -13,9 +15,13 @@ import pfdsim.experiments as experiments
 from pfdsim.cli import main
 
 FAST = ["--periods", "3"]
+REPO = Path(__file__).resolve().parents[1]
 
-# (argv, message): runs that end at or before the settle start
+# (argv, message): searches shorter than a period, power runs that end at or
+# before the settle start
 SHORT_RUNS = [
+    (["deadzone", "--periods", "0"], "--periods 0 must be >= 1"),
+    (["fmax", "--periods", "-1"], "--periods -1 must be >= 1"),
     (["transient", "--t-stop", "2e-9"],
      "--t-stop 2e-09 s must exceed the settle start 2.35e-09 s"),
     (["transient", "--periods", "2"], "--periods 2 must exceed the 2 settle periods"),
@@ -72,8 +78,9 @@ class TestUsageErrors:
 
     def test_t_stop_before_settle_start_names_the_limit(self, tmp_path, capsys,
                                                         monkeypatch):
-        """A power-reporting run that would end at or before the settle start
-        is a usage error, raised before anything is simulated."""
+        """A search shorter than one period, or a power-reporting run that
+        would end at or before the settle start, is a usage error, raised
+        before anything is simulated."""
         monkeypatch.setattr(experiments, "transient", _no_simulation)
         for k, (argv, message) in enumerate(SHORT_RUNS):
             out = tmp_path / str(k)
@@ -220,3 +227,22 @@ class TestReproducibility:
             outs.append(out)
         for fname in ("report.json", "summary.txt", "waves.csv", "plot_waves.svg"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
+
+
+class TestTracePoints:
+    def test_bench_patch_points_resolve(self):
+        """Every name the benchmark's layer trace patches exists, so a
+        refactor that drops one fails here, not in `bench/run.py --trace 1`.
+        The bench file is parsed, not imported."""
+        tree = ast.parse((REPO / "bench" / "layers.py").read_text())
+        points = next(ast.literal_eval(node.value) for node in tree.body
+                      if isinstance(node, ast.Assign)
+                      and any(getattr(t, "id", None) == "PATCH_POINTS"
+                              for t in node.targets))
+        assert points
+        for module, path, layer in points:
+            owner = importlib.import_module(module)
+            for name in path.split("."):
+                assert hasattr(owner, name), f"{module}.{path} ({layer}) is gone"
+                owner = getattr(owner, name)
+            assert callable(owner), f"{module}.{path}"

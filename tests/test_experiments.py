@@ -4,8 +4,14 @@ acceptance suite; here we exercise the cheap logic and reuse the shared
 simulation fixtures."""
 
 import json
+import math
+from contextlib import contextmanager
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pfdsim.experiments as experiments
 from pfdsim.experiments import (
@@ -16,6 +22,7 @@ from pfdsim.experiments import (
     generate_report,
     half_period_test,
     measure_dead_zone,
+    measure_fmax,
     per_period_decisions,
     report_from_result,
     report_row,
@@ -101,6 +108,88 @@ class TestDeadZone:
             measure_dead_zone(DesignPoint(), tol=0.0)
         with pytest.raises(ValueError):
             measure_dead_zone(DesignPoint(), search_lo=5e-12, search_hi=1e-12)
+
+
+MAX_STUB_RUNS = 10_000
+
+
+@contextmanager
+def stubbed_decisions(decide):
+    """Replace simulation and classification with `decide(point)`; yields the
+    list of simulated points and fails on run MAX_STUB_RUNS + 1, so a
+    search that never ends fails instead of hanging."""
+    runs = []
+
+    def simulate(point, *args, **kwargs):
+        if len(runs) == MAX_STUB_RUNS:
+            raise AssertionError(f"search still running after {MAX_STUB_RUNS} runs")
+        runs.append(point)
+        return SimpleNamespace(voltage=lambda name: point)
+
+    def classify(up, dn, *, vdd):
+        return decide(up)
+
+    with mock.patch.object(experiments, "simulate_point", simulate), \
+            mock.patch.object(experiments, "classify_decision", classify):
+        yield runs
+
+
+def lead_beyond(threshold):
+    """Stub decision: a lead of at least `threshold` either way is resolved."""
+    def decide(point):
+        if point.offset >= threshold:
+            return Decision.LEAD_A
+        if point.offset <= -threshold:
+            return Decision.LEAD_B
+        return Decision.UNDETERMINED
+    return decide
+
+
+def lock_up_to(threshold):
+    """Stub decision: A's lead is resolved at frequencies up to `threshold`."""
+    def decide(point):
+        return Decision.LEAD_A if point.frequency <= threshold else Decision.UNDETERMINED
+    return decide
+
+
+def probe_bound(span, tol, threshold):
+    """Probes a search may spend on a bracket of width `span`: one per
+    halving down to `tol` or to the float spacing just below `threshold`,
+    one for midpoint rounding and one for the bracket end checked first."""
+    ulp = threshold - math.nextafter(threshold, 0.0)
+    return math.ceil(math.log2(span / max(tol, ulp))) + 2
+
+
+class TestSearchTermination:
+    """The searches with a stub decision: no simulation, any tolerance."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(threshold=st.floats(min_value=0.0, max_value=200e-12, exclude_min=True),
+           tol=st.floats(min_value=1e-40, max_value=1e-10))
+    def test_dead_zone_ends_on_a_passing_offset(self, threshold, tol):
+        with stubbed_decisions(lead_beyond(threshold)) as runs:
+            dz = measure_dead_zone(DesignPoint(), tol=tol)
+        assert threshold <= dz <= 200e-12
+        probes = sum(1 for p in runs if p.offset > 0)  # +off runs first
+        assert probes <= probe_bound(200e-12, tol, threshold)
+
+    @settings(max_examples=300, deadline=None)
+    @given(threshold=st.floats(min_value=0.5e9, max_value=20e9, exclude_max=True),
+           tol_rel=st.floats(min_value=1e-40, max_value=1e-2))
+    def test_fmax_ends_on_a_passing_frequency(self, threshold, tol_rel):
+        with stubbed_decisions(lock_up_to(threshold)) as runs:
+            fm = measure_fmax(DesignPoint(), tol_rel=tol_rel)
+        assert 0.5e9 <= fm <= threshold
+        probes = len(runs) - 1  # f_lo must pass before the search starts
+        assert probes <= probe_bound(20e9 - 0.5e9, tol_rel * 0.5e9, threshold)
+
+    def test_tolerances_below_float_resolution(self):
+        with stubbed_decisions(lead_beyond(25e-12)):
+            dz = measure_dead_zone(DesignPoint(), tol=1e-30)
+        assert dz == 25e-12
+        with stubbed_decisions(lock_up_to(5e9)):
+            fm = measure_fmax(DesignPoint(), tol_rel=1e-17)
+        assert fm == 5e9
 
 
 class TestWidthSweep:

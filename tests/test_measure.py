@@ -135,10 +135,6 @@ class TestClassifyDecision:
         assert classify_decision(dn, up, vdd=1.2) == Decision.LEAD_B
         assert classify_decision(up, up, vdd=1.2) == Decision.UNDETERMINED
 
-    def test_requires_thresholds_or_vdd(self):
-        with pytest.raises(ValueError):
-            classify_decision(self.flat(), self.flat())
-
 
 class TestMutualExclusionOverlap:
     def test_flat_low_no_overlap(self):
