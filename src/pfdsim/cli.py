@@ -158,7 +158,7 @@ def _check_run_length(args, point: DesignPoint) -> None:
     the power window begins."""
     if getattr(args, "t_stop", None) is not None:
         start = stimulus_time(point)
-        if args.t_stop <= start:
+        if not args.t_stop > start:  # NaN fails too
             raise ValueError(f"--t-stop {args.t_stop:g} s must exceed the settle start "
                              f"{start:g} s (period/4 + |offset| + 2 periods)")
     elif args.command in _SEARCHES:

@@ -77,13 +77,14 @@ class CornerSet:
                 raise ValueError("corner scale factors must be > 0")
 
 
-def mosfet_eval(vgs, vds, beta, vth, lam, sign):
+def mosfet_eval(vgs, vds, beta, vth, lam, sign, beta_lam):
     """Level-1 drain currents and conductances of a set of devices.
 
     The arguments are arrays over the devices (a parameter shared by all
     may be a scalar): the sign-folded bias vgs = sign * (vg - vs),
-    vds = sign * (vd - vs), then beta, |vth0|, lambda and sign (+1 nmos,
-    -1 pmos). Returns (ids, gm, gds): the drain
+    vds = sign * (vd - vs), then beta, |vth0|, lambda, sign (+1 nmos,
+    -1 pmos) and the product beta * lambda, which callers form once.
+    Returns one (3, devices) array whose rows are (ids, gm, gds): the drain
     current in amperes and its derivatives by vgs and vds, which the double
     sign flip makes the same for both polarities.
 
@@ -95,26 +96,37 @@ def mosfet_eval(vgs, vds, beta, vth, lam, sign):
     which reduces to the familiar per-region forms. A reversed channel
     (vds < 0) is evaluated with drain and source exchanged.
     """
-    swap = vds < 0.0
     vds_c = np.abs(vds)
-    vov = np.where(swap, vgs - vds, vgs) - vth
+    vov = vgs - np.minimum(vds, 0.0)  # the gate drive is vgs - vds when reversed
+    vov -= vth
     np.maximum(vov, 0.0, out=vov)
     vmin = np.minimum(vds_c, vov)
-    poly = vmin * (vov - 0.5 * vmin)
-    bclm = beta * (1.0 + lam * vds_c)
-    gm_core = bclm * vmin
-    ids = sign * np.copysign(bclm * poly, vds)
-    gm = np.copysign(gm_core, vds)
-    gds = bclm * (vov - vmin) + beta * lam * poly  # vov - vmin = max(vov - vds, 0)
-    np.add(gds, gm_core, out=gds, where=swap)
-    return ids, gm, gds
+    poly = vov - 0.5 * vmin
+    poly *= vmin
+    bclm = lam * vds_c
+    bclm += 1.0
+    bclm *= beta
+    out = np.empty((3,) + vmin.shape)
+    ids, gm, gds = out[0], out[1], out[2]
+    np.multiply(bclm, poly, out=ids)
+    np.copysign(ids, vds, out=ids)
+    ids *= sign
+    np.multiply(bclm, vmin, out=gm)
+    np.copysign(gm, vds, out=gm)
+    np.subtract(vov, vmin, out=gds)  # max(vov - vds, 0)
+    gds *= bclm
+    poly *= beta_lam
+    gds += poly
+    # a reversed channel adds beta * clm * vmin, which is -gm there
+    gds -= np.minimum(gm, 0.0)
+    return out
 
 
 def _eval_one(p: MosfetParams, vgs: float, vds: float) -> list[float]:
     sign = 1.0 if p.polarity == NMOS else -1.0
     out = mosfet_eval(np.array([sign * vgs]), np.array([sign * vds]), p.beta,
-                      abs(p.vth0), p.lam, sign)
-    return [float(a[0]) for a in out]
+                      abs(p.vth0), p.lam, sign, p.beta * p.lam)
+    return out[:, 0].tolist()
 
 
 def mosfet_current(p: MosfetParams, vgs: float, vds: float) -> float:

@@ -12,14 +12,16 @@ calls it once per state.
 
 One step kernel (`_Kernel`) assembles every time point of the DC solve
 (its a0 = 0 case), the transient and the KCL replay from matrices that
-`_compile` builds once, so a Newton iteration makes no scatter:
-- incidence products give every MOSFET's (vgs, vds) and every linear
-  branch voltage and source current, and carry the MOSFET and capacitor
-  companion currents into the KCL rows;
-- the per-node tolerance scale is a `np.maximum.reduceat` over a
-  node-sorted gather of branch-current magnitudes, so it is exact;
+`_compile` builds once, so a Newton iteration makes no scatter and few
+numpy calls:
+- one incidence product gives every MOSFET's (vgs, vds) and every linear
+  branch voltage and source current; others carry the MOSFET and
+  capacitor companion currents into the KCL rows;
+- the per-node tolerance is abs_tol + reltol * a `np.maximum.reduceat`
+  over a node-sorted gather of branch-current magnitudes, so it is exact;
 - the Jacobian is built in the reduced, ground-free system: the linear
-  block, cached per step size, plus one `np.bincount` of MOSFET stamps.
+  block, cached per step size, plus one product of a precomputed
+  (n * n, 2 n_mos) stamp matrix with the conductances (gm, gds).
 Each state's device evaluation is computed once: the accepted point's
 evaluation seeds the first residual of the next step, which starts from
 that same state (SPICE2's device bypass, taken only where the state is
@@ -28,9 +30,12 @@ unchanged, so every value is the same).
 A step is accepted when every node's Kirchhoff current residual is
 within abstol_i + reltol * (largest branch current at that node) and
 every source branch satisfies its voltage constraint to abstol_v; one
-comparison covers both. The residual test runs before the first Newton
-update, so quiescent stretches where the previous solution still
-satisfies the tolerance advance without refactoring.
+comparison, `(|f| <= tol).all()`, covers both and fails on NaN. The
+residual test runs before the first Newton update, so quiescent
+stretches where the previous solution still satisfies the tolerance
+advance without refactoring. Each run counts its work in `SimStats`
+(accepted points, LU solves, device evaluations, steps accepted without a
+solve, step halvings), returned as `TransientResult.stats`.
 `kcl_residual_ratio` replays the accepted points through the same kernel
 and arithmetic, so its ratio is at most 1 exactly when acceptance held.
 """
@@ -83,19 +88,20 @@ class SimOptions:
     gmin: float = 1e-12
 
     def validate(self) -> None:
-        if self.reltol <= 0:
+        # written as `not (x > 0)` so that NaN fails too
+        if not self.reltol > 0:
             raise ValueError("reltol must be > 0")
-        if self.abstol_v <= 0 or self.abstol_i <= 0:
+        if not (self.abstol_v > 0 and self.abstol_i > 0):
             raise ValueError("absolute tolerances must be > 0")
-        if self.dt is not None and self.dt <= 0:
+        if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be > 0")
-        if self.t_stop is not None and self.dt is not None and self.t_stop <= self.dt:
+        if self.t_stop is not None and self.dt is not None and not self.t_stop > self.dt:
             raise ValueError("t_stop must exceed dt")
         if self.integrator not in (BACKWARD_EULER, TRAPEZOIDAL):
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.max_newton_iters < 1:
+        if not self.max_newton_iters >= 1:
             raise ValueError("max_newton_iters must be >= 1")
-        if self.gmin < 0:
+        if not self.gmin >= 0:
             raise ValueError("gmin must be >= 0")
 
 
@@ -111,6 +117,19 @@ class Waveform:
 
 
 @dataclass
+class SimStats:
+    """Work counters of one run (the DC solve included), in the manner of
+    SPICE2's run statistics. Every device evaluation but the first follows
+    an LU solve, so device_evals == lu_solves + 1."""
+
+    points: int = 0  # accepted time points, the starting point included
+    lu_solves: int = 0  # Newton iterations: one LU factorisation and solve each
+    device_evals: int = 0  # MOSFET model evaluations, one per Newton state
+    steps_without_solve: int = 0  # steps whose starting state was accepted as is
+    step_halvings: int = 0  # failed steps split in two
+
+
+@dataclass
 class TransientResult:
     time: np.ndarray
     node_names: list[str]
@@ -119,6 +138,7 @@ class TransientResult:
     branch_currents: np.ndarray  # (n_points, n_sources), current p->m through source
     probes: dict[str, str]
     supply_source: str | None
+    stats: SimStats
 
     def voltage(self, name: str) -> Waveform:
         node = self.probes.get(name, name)
@@ -169,7 +189,9 @@ class _Compiled:
     currents, then ground (index n, always 0). The n equations are the node
     KCL rows, then one voltage constraint per source. The kernel's branch
     currents are the MOSFETs', then the linear branches': resistors,
-    capacitors, sources, and one zero entry.
+    capacitors, sources, and one zero entry. `gather @ x` gives every
+    MOSFET's sign*(vg - vs), then its sign*(vd - vs), then the linear
+    branches' voltages and source currents (and the zero entry).
     """
 
     n_nodes: int
@@ -184,18 +206,17 @@ class _Compiled:
     m_vth: np.ndarray
     m_lam: np.ndarray
     m_sign: np.ndarray
+    m_blam: np.ndarray  # beta * lambda
     g_static: np.ndarray  # (n, n) resistor + gmin + source-pattern stamps
     cap_pattern: np.ndarray  # (n, n) capacitance stamps, scaled by a0 per step
-    m_gather: np.ndarray  # (2 n_mos, naug): sign*(vg - vs), then sign*(vd - vs)
-    lin_gather: np.ndarray  # (n_lin, naug): branch voltages, source currents, 0
+    gather: np.ndarray  # (2 n_mos + n_lin, naug): MOSFET biases, then linear branches
     cap_gather: np.ndarray  # (n_cap, naug): capacitor voltages
     m_kcl: np.ndarray  # (n, n_mos): drain +1, source -1
     cap_kcl: np.ndarray  # (n, n_cap): plate a +1, plate b -1
     cap: slice  # capacitors within the branch currents
     ends: np.ndarray  # branch-current index of each branch end, sorted by row
     starts: np.ndarray  # first entry of each row in ends
-    j_index: np.ndarray  # flat (n, n) index of each MOSFET Jacobian stamp
-    j_coef: np.ndarray  # the stamps as a matrix on (gm, gds)
+    j_stamps: np.ndarray  # (n * n, 2 n_mos): the MOSFET Jacobian stamps on (gm, gds)
 
 
 def _pairs(plus, minus, size: int, weight=None) -> np.ndarray:
@@ -278,15 +299,15 @@ def _compile(net: Netlist, gmin: float) -> _Compiled:
 
     # MOSFET Jacobian stamps (row, col, d/dgm, d/dgds), ground-free ones only
     n_mos = len(m_list)
-    j_index, j_coef = [], []
+    j_stamps = np.zeros((n, n, 2 * n_mos))
     for k, (d, g, s) in enumerate(zip(m_d.tolist(), m_g.tolist(), m_s.tolist())):
         for row, col, cg, cd in ((d, g, 1, 0), (d, d, 0, 1), (d, s, -1, -1),
                                  (s, g, -1, 0), (s, d, 0, -1), (s, s, 1, 1)):
             if row < n and col < n:
-                coef = [0.0] * (2 * n_mos)
-                coef[k], coef[n_mos + k] = cg, cd
-                j_index.append(row * n + col)
-                j_coef.append(coef)
+                j_stamps[row, col, k] += cg
+                j_stamps[row, col, n_mos + k] += cd
+    m_beta = np.array([m.params.beta for m in m_list])
+    m_lam = np.array([m.params.lam for m in m_list])
 
     return _Compiled(
         n_nodes=n_nodes,
@@ -297,23 +318,23 @@ def _compile(net: Netlist, gmin: float) -> _Compiled:
         supply=supply,
         r_g=r_g,
         c_val=c_val,
-        m_beta=np.array([m.params.beta for m in m_list]),
+        m_beta=m_beta,
         m_vth=np.array([abs(m.params.vth0) for m in m_list]),
-        m_lam=np.array([m.params.lam for m in m_list]),
+        m_lam=m_lam,
         m_sign=m_sign,
+        m_blam=m_beta * m_lam,
         g_static=g_static,
         cap_pattern=cap_n.T @ (c_val[:, None] * cap_n),
-        m_gather=np.vstack([_pairs(m_g, m_s, naug, m_sign),
-                            _pairs(m_d, m_s, naug, m_sign)]),
-        lin_gather=lin_gather,
+        gather=np.vstack([_pairs(m_g, m_s, naug, m_sign),
+                          _pairs(m_d, m_s, naug, m_sign),
+                          lin_gather]),
         cap_gather=cap_gather,
         m_kcl=_pairs(m_d, m_s, naug)[:, :n].T.copy(),
         cap_kcl=cap_n.T.copy(),
         cap=slice(n_mos + len(r_a), n_mos + len(r_a) + len(c_a)),
         ends=ints(ends),
         starts=ints(starts),
-        j_index=ints(j_index),
-        j_coef=np.array(j_coef).reshape(len(j_index), 2 * n_mos),
+        j_stamps=j_stamps.reshape(n * n, 2 * n_mos),
     )
 
 
@@ -330,7 +351,7 @@ class _Point(NamedTuple):
     """One linearized time point of the companion-model system."""
 
     a_lin: np.ndarray  # (n, n) linear block
-    weights: np.ndarray  # linear-branch conductances (1 for source currents)
+    weights: np.ndarray  # per branch current: 1, or its (companion) conductance
     ieq: np.ndarray  # companion history currents, on the branch currents
     rhs: np.ndarray  # (n,) history currents into nodes, source voltages
 
@@ -338,20 +359,20 @@ class _Point(NamedTuple):
 class _Eval(NamedTuple):
     """The state-only part of a residual, evaluated once per state."""
 
-    ids: np.ndarray  # MOSFET drain currents
-    gm: np.ndarray
-    gds: np.ndarray
-    lin: np.ndarray  # linear branch voltages and source currents (lin_gather @ x)
+    dev: np.ndarray  # (3, n_mos): MOSFET ids, gm, gds
+    branch: np.ndarray  # MOSFET currents, linear branch voltages, source currents
     kcl: np.ndarray  # MOSFET currents into the KCL rows (m_kcl @ ids)
 
 
 class _Kernel:
     """Step assembly shared by the DC solve, the transient and the KCL
-    replay: one residual, one tolerance test, one Newton iteration."""
+    replay: one residual, one acceptance test, one Newton iteration. It
+    counts its device evaluations and LU solves in `stats`."""
 
     def __init__(self, c: _Compiled, opt: SimOptions):
         self.c = c
         self.opt = opt
+        self.stats = SimStats()
         self.a0_num = 1.0 if opt.integrator == BACKWARD_EULER else 2.0
         self.trap = opt.integrator == TRAPEZOIDAL
         self.abs_tol = np.concatenate([np.full(c.n_nodes, opt.abstol_i),
@@ -367,79 +388,93 @@ class _Kernel:
             a0 = 0.0 if h is None else self.a0_num / h
             geq = a0 * c.c_val
             cached = (c.g_static + a0 * c.cap_pattern,
-                      np.concatenate([c.r_g, geq, np.ones(c.n - c.n_nodes + 1)]), geq)
+                      np.concatenate([np.ones(len(c.m_sign)), c.r_g, geq,
+                                      np.ones(c.n - c.n_nodes + 1)]), geq)
             self._linear[h] = cached
         a_lin, weights, geq = cached
-        ieq = np.zeros(len(c.m_sign) + len(weights))
+        ieq = np.zeros(len(weights))
         if x_prev is None:
             rhs = np.zeros(c.n)
         else:
-            history = geq * (c.cap_gather @ x_prev)
+            history = c.cap_gather.dot(x_prev)
+            history *= geq
             if self.trap:
                 history += i_prev
             ieq[c.cap] = history
-            rhs = c.cap_kcl @ history
+            rhs = c.cap_kcl.dot(history)
         rhs[c.n_nodes:] = vsrc
         return _Point(a_lin, weights, ieq, rhs)
 
     def evaluate(self, x: np.ndarray) -> _Eval:
         """Device evaluation at state x, shared by every residual at x."""
         c = self.c
-        vgs, vds = (c.m_gather @ x).reshape(2, -1)
-        ids, gm, gds = mosfet_eval(vgs, vds, c.m_beta, c.m_vth, c.m_lam, c.m_sign)
-        return _Eval(ids, gm, gds, c.lin_gather @ x, c.m_kcl @ ids)
+        self.stats.device_evals += 1
+        m = len(c.m_sign)
+        y = c.gather.dot(x)  # vgs, vds, then the linear branches
+        dev = mosfet_eval(y[:m], y[m: 2 * m], c.m_beta, c.m_vth, c.m_lam, c.m_sign,
+                          c.m_blam)
+        ids = dev[0]
+        y[m: 2 * m] = ids
+        return _Eval(dev, y[m:], c.m_kcl.dot(ids))
 
     def residual(self, p: _Point, x: np.ndarray, ev: _Eval):
-        """KCL/constraint residual f, per-row scale and branch currents at
-        x, from its evaluation ev."""
+        """KCL/constraint residual f, per-row tolerance and branch currents
+        at x, from its evaluation ev. The tolerance is abs_tol + reltol *
+        (largest branch current at the row)."""
         c = self.c
-        cur = np.concatenate([ev.ids, p.weights * ev.lin]) - p.ieq
-        scale = np.maximum.reduceat(np.abs(cur)[c.ends], c.starts)
-        f = p.a_lin @ x[: c.n] + ev.kcl - p.rhs
-        return f, scale, cur
+        cur = p.weights * ev.branch
+        cur -= p.ieq
+        tol = np.maximum.reduceat(np.abs(cur)[c.ends], c.starts)
+        tol *= self.opt.reltol
+        tol += self.abs_tol
+        f = p.a_lin.dot(x[: c.n])
+        f += ev.kcl
+        f -= p.rhs
+        return f, tol, cur
 
-    def tolerance(self, scale: np.ndarray) -> np.ndarray:
-        return self.abs_tol + self.opt.reltol * scale
+    @staticmethod
+    def accepts(f: np.ndarray, tol: np.ndarray) -> bool:
+        """Every row within its tolerance; a NaN residual is never accepted."""
+        return bool((np.abs(f) <= tol).all())
 
-    def converged(self, f: np.ndarray, scale: np.ndarray) -> bool:
-        return not (np.abs(f) > self.tolerance(scale)).any()
-
-    def node_ratios(self, f: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    def node_ratios(self, f: np.ndarray, tol: np.ndarray) -> np.ndarray:
         k = self.c.n_nodes
-        return np.abs(f[:k]) / self.tolerance(scale)[:k]
+        return np.abs(f[:k]) / tol[:k]
 
-    def worst_node(self, f: np.ndarray, scale: np.ndarray) -> str:
-        return self.c.node_names[int(np.argmax(self.node_ratios(f, scale)))]
+    def worst_node(self, f: np.ndarray, tol: np.ndarray) -> str:
+        return self.c.node_names[int(np.argmax(self.node_ratios(f, tol)))]
 
     def jacobian(self, p: _Point, ev: _Eval) -> np.ndarray:
         c = self.c
-        stamps = np.bincount(c.j_index, c.j_coef @ np.concatenate((ev.gm, ev.gds)),
-                             c.n * c.n)
-        return p.a_lin + stamps.reshape(c.n, c.n)
+        stamps = c.j_stamps.dot(ev.dev[1:].reshape(-1))  # on (gm, gds)
+        return stamps.reshape(c.n, c.n) + p.a_lin
 
     def newton(self, p: _Point, x0: np.ndarray, ev0: _Eval):
         """Newton iteration with per-node voltage damping from x0, whose
         evaluation is ev0.
 
-        Returns (x, converged, f, scale, cur, ev); f/scale/cur/ev at x.
+        Returns (x, converged, f, tol, cur, ev); f/tol/cur/ev at x. Each
+        LU solve that succeeds is counted and followed by one evaluation.
         """
-        c = self.c
+        c, stats = self.c, self.stats
         x, ev = x0.copy(), ev0
-        f, scale, cur = self.residual(p, x, ev)
+        unknowns = x[: c.n]  # a view: ground stays 0
+        f, tol, cur = self.residual(p, x, ev)
         for _ in range(self.opt.max_newton_iters):
-            if self.converged(f, scale):
-                return x, True, f, scale, cur, ev
+            if self.accepts(f, tol):
+                return x, True, f, tol, cur, ev
             try:
-                dx = np.linalg.solve(self.jacobian(p, ev), -f)
+                dx = np.linalg.solve(self.jacobian(p, ev), f)
             except np.linalg.LinAlgError:
-                return x, False, f, scale, cur, ev
+                return x, False, f, tol, cur, ev
+            stats.lu_solves += 1
             vmax = np.abs(dx[: c.n_nodes]).max() if c.n_nodes else 0.0
             if vmax > _NEWTON_DAMP_V:
                 dx *= _NEWTON_DAMP_V / vmax
-            x[: c.n] += dx
+            unknowns -= dx
             ev = self.evaluate(x)
-            f, scale, cur = self.residual(p, x, ev)
-        return x, self.converged(f, scale), f, scale, cur, ev
+            f, tol, cur = self.residual(p, x, ev)
+        return x, self.accepts(f, tol), f, tol, cur, ev
 
 
 def _dc_solve(k: _Kernel, t: float = 0.0) -> tuple[np.ndarray, _Eval]:
@@ -448,7 +483,7 @@ def _dc_solve(k: _Kernel, t: float = 0.0) -> tuple[np.ndarray, _Eval]:
     p = k.point(None, _source_values(c, [t])[0])
     zero = np.zeros(c.naug)
     ev_zero = k.evaluate(zero)
-    x, ok, f, scale, _, ev = k.newton(p, zero, ev_zero)
+    x, ok, f, tol, _, ev = k.newton(p, zero, ev_zero)
     if ok:
         return x, ev
     # gmin stepping: heavy extra shunt first, relaxed by a decade per pass,
@@ -462,9 +497,9 @@ def _dc_solve(k: _Kernel, t: float = 0.0) -> tuple[np.ndarray, _Eval]:
     shunt = np.diag((np.arange(c.n) < c.n_nodes).astype(float))
     x, ev = zero, ev_zero
     for g in ladder:
-        x, ok, f, scale, _, ev = k.newton(p._replace(a_lin=p.a_lin + g * shunt), x, ev)
+        x, ok, f, tol, _, ev = k.newton(p._replace(a_lin=p.a_lin + g * shunt), x, ev)
         if not ok:
-            worst = k.worst_node(f, scale)
+            worst = k.worst_node(f, tol)
             raise SolverError(
                 "DC operating point did not converge "
                 f"(gmin step {g:g} S, worst node {worst!r})",
@@ -527,7 +562,7 @@ def transient(
         raise ValueError("t_stop is required")
     c = _compile(netlist, opt.gmin)
     dt = _resolve_dt(netlist, opt)
-    if opt.t_stop <= dt:
+    if not opt.t_stop > dt:
         raise ValueError("t_stop must exceed dt")
     axis = _time_axis(netlist, dt, opt.t_stop).tolist()
     vsrc = _source_values(c, axis)
@@ -544,6 +579,7 @@ def transient(
         ev = k.evaluate(x)
 
     times, rows, i_prev = [axis[0]], [x], np.zeros(len(c.c_val))
+    stats = k.stats
     for j in range(1, len(axis)):
         # targets still to reach from the last accepted point; a failed
         # step is halved and both halves are tried one level deeper. Every
@@ -552,24 +588,28 @@ def transient(
         while pending:
             t0, (t1, v1, depth) = times[-1], pending[-1]
             p = k.point(t1 - t0, v1, rows[-1], i_prev)
-            x_new, ok, f, scale, cur, ev_new = k.newton(p, rows[-1], ev)
+            solves = stats.lu_solves
+            x_new, ok, f, tol, cur, ev_new = k.newton(p, rows[-1], ev)
             if ok:
+                stats.steps_without_solve += stats.lu_solves == solves
                 times.append(t1)
                 rows.append(x_new)
                 i_prev, ev = cur[c.cap], ev_new
                 pending.pop()
             elif depth < _MAX_STEP_HALVINGS:
+                stats.step_halvings += 1
                 tm = 0.5 * (t0 + t1)
                 pending[-1] = (t1, v1, depth + 1)
                 pending.append((tm, _source_values(c, [tm])[0], depth + 1))
             else:
-                worst = k.worst_node(f, scale)
+                worst = k.worst_node(f, tol)
                 raise SolverError(
                     f"transient Newton failed at t = {t1:.6e} s (worst node {worst!r})",
                     time=t1,
                     node=worst,
                 )
 
+    stats.points = len(times)
     data = np.array(rows)
     return TransientResult(
         time=np.array(times),
@@ -579,6 +619,7 @@ def transient(
         branch_currents=data[:, c.n_nodes : c.n],
         probes=dict(netlist.probes),
         supply_source=c.supply,
+        stats=stats,
     )
 
 
@@ -598,12 +639,12 @@ def kcl_residual_ratio(netlist: Netlist, result: TransientResult,
     x_all = np.hstack([result.voltages, result.branch_currents, np.zeros((n_pts, 1))])
     times = result.time.tolist()
     vsrc = _source_values(c, times)
-    f, scale, _ = k.residual(k.point(None, vsrc[0]), x_all[0], k.evaluate(x_all[0]))
-    worst = float(np.max(k.node_ratios(f, scale)))
+    f, tol, _ = k.residual(k.point(None, vsrc[0]), x_all[0], k.evaluate(x_all[0]))
+    worst = float(np.max(k.node_ratios(f, tol)))
     i_prev = np.zeros(len(c.c_val))
     for j in range(1, n_pts):
         p = k.point(times[j] - times[j - 1], vsrc[j], x_all[j - 1], i_prev)
-        f, scale, cur = k.residual(p, x_all[j], k.evaluate(x_all[j]))
-        worst = max(worst, float(np.max(k.node_ratios(f, scale))))
+        f, tol, cur = k.residual(p, x_all[j], k.evaluate(x_all[j]))
+        worst = max(worst, float(np.max(k.node_ratios(f, tol))))
         i_prev = cur[c.cap]
     return worst

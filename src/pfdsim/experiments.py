@@ -44,13 +44,14 @@ class DesignPoint:
     load_cap: float = 1e-15
 
     def __post_init__(self):
-        if self.width <= 0 or self.length <= 0:
+        # written as `not (x > 0)` so that NaN fails too
+        if not (self.width > 0 and self.length > 0):
             raise ValueError("width and length must be > 0")
-        if self.frequency <= 0:
+        if not self.frequency > 0:
             raise ValueError("frequency must be > 0")
-        if abs(self.offset) >= self.period:
+        if not abs(self.offset) < self.period:
             raise ValueError("offset magnitude must be below one period")
-        if self.load_cap <= 0:
+        if not self.load_cap > 0:
             raise ValueError("load_cap must be > 0")
 
     @property
@@ -182,9 +183,9 @@ def measure_dead_zone(
     The two polarities share one search, so the result is the larger of
     the two thresholds. search_hi must pass; search_lo is taken to fail and
     is never run, and no failing offset may lie above a passing one."""
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValueError("tol must be > 0")
-    if search_lo < 0 or search_hi <= search_lo:
+    if not 0 <= search_lo < search_hi:
         raise ValueError("need 0 <= search_lo < search_hi")
 
     def passes(off: float) -> bool:
@@ -218,7 +219,7 @@ def measure_fmax(
     pass, and no passing frequency may lie above a failing one."""
     if not (0.0 < offset_fraction < 0.5):
         raise ValueError("offset_fraction must be in (0, 0.5)")
-    if f_lo <= 0 or f_hi <= f_lo or tol_rel <= 0:
+    if not (0 < f_lo < f_hi and tol_rel > 0):  # NaN fails too
         raise ValueError("need 0 < f_lo < f_hi and tol_rel > 0")
 
     def passes(f: float) -> bool:

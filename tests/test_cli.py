@@ -88,6 +88,26 @@ class TestUsageErrors:
             assert f"pfdsim: error: {message}" in capsys.readouterr().err, argv
             assert not out.exists(), argv
 
+    @pytest.mark.parametrize("argv", [
+        ["transient", "--load-cap", "nan", "--periods", "3"],
+        ["transient", "--width", "nan"],
+        ["transient", "--dt", "nan"],
+        ["transient", "--t-stop", "nan"],
+        ["deadzone", "--tol", "nan"],
+        ["deadzone", "--search-lo", "nan"],
+        ["deadzone", "--search-hi", "nan"],
+        ["fmax", "--tol-rel", "nan"],
+        ["fmax", "--f-lo", "nan"],
+        ["fmax", "--f-hi", "nan"],
+    ])
+    def test_nan_value_exits_1_before_simulation(self, argv, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(experiments, "transient", _no_simulation)
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "pfdsim: error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_t_stop_is_a_transient_only_flag(self, tmp_path, capsys):
         """Each subcommand accepts only the flags it reads; --t-stop is the
         first such case."""

@@ -8,7 +8,10 @@ closed forms.
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfdsim.devices import (
     DEFAULT_CONFIG,
@@ -20,6 +23,7 @@ from pfdsim.devices import (
     load_config,
     mosfet_conductances,
     mosfet_current,
+    mosfet_eval,
 )
 
 NM = MosfetParams(polarity="nmos", vth0=0.35, kprime=200e-6, lam=0.0, w=260e-9, l=100e-9)
@@ -276,3 +280,113 @@ def test_reversed_channel_conductances_match_fd():
     assert gm == pytest.approx(fd_gm, rel=1e-4)
     assert gds == pytest.approx(fd_gds, rel=1e-4)
     assert math.copysign(1.0, mosfet_current(p, vgs, vds)) == -1.0
+
+
+def reference_mosfet_eval(vgs, vds, beta, vth, lam, sign):
+    """The previous coding of `mosfet_eval`, kept as its reference: a
+    `np.where` for the reversed gate drive and a masked add for the
+    reversed-channel gds term."""
+    swap = vds < 0.0
+    vds_c = np.abs(vds)
+    vov = np.where(swap, vgs - vds, vgs) - vth
+    np.maximum(vov, 0.0, out=vov)
+    vmin = np.minimum(vds_c, vov)
+    poly = vmin * (vov - 0.5 * vmin)
+    bclm = beta * (1.0 + lam * vds_c)
+    gm_core = bclm * vmin
+    ids = sign * np.copysign(bclm * poly, vds)
+    gm = np.copysign(gm_core, vds)
+    gds = bclm * (vov - vmin) + beta * lam * poly
+    np.add(gds, gm_core, out=gds, where=swap)
+    return ids, gm, gds
+
+
+# Biases placed on the model's boundaries as well as anywhere: vds = +0.0 and
+# -0.0, vov = 0 (forward and reversed), vds = vov and its mirror -vds = vov.
+BIAS_CASES = ("free", "vds +0", "vds -0", "vov 0", "reversed vov 0", "vds = vov",
+              "-vds = vov")
+
+
+@st.composite
+def device_batches(draw, size=6):
+    """(vgs, vds, beta, vth, lam, sign) arrays over `size` devices."""
+    volts = st.floats(-2.0, 2.0, allow_nan=False)
+    columns = {k: [] for k in ("vgs", "vds", "beta", "vth", "lam", "sign")}
+    for _ in range(size):
+        vth = draw(st.floats(0.05, 0.8))
+        vds, vgs = draw(volts), draw(volts)
+        case = draw(st.sampled_from(BIAS_CASES))
+        if case in ("vds +0", "vds -0"):
+            vds = 0.0 if case == "vds +0" else -0.0
+        elif case == "vov 0":
+            vds, vgs = abs(vds), vth
+        elif case == "reversed vov 0":
+            vds = -abs(vds)
+            vgs = vth + vds
+        elif case == "vds = vov":
+            vds = abs(vds)
+            vgs = vth + vds
+        elif case == "-vds = vov":
+            vds, vgs = -abs(vds), vth  # reversed: vov = vgs - vds - vth = -vds
+        columns["vgs"].append(vgs)
+        columns["vds"].append(vds)
+        columns["vth"].append(vth)
+        columns["beta"].append(draw(st.floats(1e-6, 1e-2)))
+        columns["lam"].append(draw(st.sampled_from([0.0, draw(st.floats(0.0, 0.5))])))
+        columns["sign"].append(draw(st.sampled_from([1.0, -1.0])))
+    return {k: np.array(v) for k, v in columns.items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(device_batches())
+def test_mosfet_eval_bit_identical_to_reference(d):
+    """Every float of (ids, gm, gds), the sign of zeros included, equals the
+    reference coding's."""
+    out = mosfet_eval(d["vgs"], d["vds"], d["beta"], d["vth"], d["lam"], d["sign"],
+                      d["beta"] * d["lam"])
+    ref = reference_mosfet_eval(d["vgs"], d["vds"], d["beta"], d["vth"], d["lam"],
+                                d["sign"])
+    assert out.shape == (3, len(d["vgs"]))
+    for got, want in zip(out, ref):
+        assert got.tobytes() == want.tobytes(), (got, want)
+
+
+BOUNDARIES = ("vov = 0", "vds = vov", "vds = 0", "-vds = vov")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    boundary=st.sampled_from(BOUNDARIES),
+    across=st.sampled_from(["vgs", "vds"]),
+    vth=st.floats(0.1, 0.6),
+    level=st.floats(0.05, 1.5),
+    other=st.floats(-1.5, 1.5),
+    beta=st.floats(1e-5, 1e-2),
+    lam=st.floats(0.0, 0.3),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_c1_continuity_at_region_boundaries(boundary, across, vth, level, other, beta, lam,
+                                            sign):
+    """Current, gm and gds are continuous across each region boundary:
+    stepping the bias by +/-h across it moves each by at most 2h times a
+    bound on the model's second derivatives, 4 beta (1 + lam (|vgs| + |vds|
+    + 1)). A jump in a conductance, such as a dropped lambda term on one
+    side, is orders of magnitude larger than that at h = 1 nV."""
+    if boundary == "vov = 0":  # cutoff | saturation, forward channel
+        vgs, vds = vth, level
+    elif boundary == "vds = vov":  # triode | saturation
+        vgs, vds = vth + level, level
+    elif boundary == "vds = 0":  # forward | reversed channel
+        vgs, vds = vth + other, 0.0
+    else:  # reversed triode | reversed saturation: vgs - vds - vth = -vds
+        vgs, vds = vth, -level
+    h = 1e-9
+    step = np.array([-h, h])
+    vgs_pair = vgs + (step if across == "vgs" else 0.0)
+    vds_pair = vds + (step if across == "vds" else 0.0)
+    ids, gm, gds = mosfet_eval(vgs_pair, vds_pair, beta, vth, lam, sign, beta * lam)
+    bound = 2 * h * 4 * beta * (1 + lam * (abs(vgs) + abs(vds) + 1))
+    slack = 1e-14 * beta  # rounding of values of order beta * volts^2
+    assert abs(ids[1] - ids[0]) <= 2 * h * (abs(gm).max() + abs(gds).max()) + bound + slack
+    assert abs(gm[1] - gm[0]) <= bound + slack
+    assert abs(gds[1] - gds[0]) <= bound + slack

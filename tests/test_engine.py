@@ -413,9 +413,13 @@ def ref_residual(r, pt, x):
     return f[keep], scale[keep], jac[sub], f_mag[keep], jac_mag[sub]
 
 
+def ref_tolerance(r, opt, scale):
+    return np.concatenate([opt.abstol_i + opt.reltol * scale[: r.n_nodes],
+                           np.full(len(scale) - r.n_nodes, opt.abstol_v)])
+
+
 def ref_converged(r, opt, f, scale):
-    tol = np.concatenate([opt.abstol_i + opt.reltol * scale[: r.n_nodes],
-                          np.full(len(f) - r.n_nodes, opt.abstol_v)])
+    tol = ref_tolerance(r, opt, scale)
     return not np.any(np.abs(f) > tol), float(np.max(np.abs(f) / tol))
 
 
@@ -492,9 +496,9 @@ def _compiled_pfd():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_kernel_matches_scatter_reference(step, log_dx, t, seed):
-    """f, scale, Jacobian and converged verdict of the step kernel against
-    the scatter-based reference, at states drawn around the PFD's DC point
-    (log_dx sets the distance, so both verdicts occur)."""
+    """f, tolerance, Jacobian and converged verdict of the step kernel
+    against the scatter-based reference, at states drawn around the PFD's
+    DC point (log_dx sets the distance, so both verdicts occur)."""
     from pfdsim.engine import _Kernel, _source_values
 
     c, r, x_dc = _compiled_pfd()
@@ -521,16 +525,16 @@ def test_kernel_matches_scatter_reference(step, log_dx, t, seed):
         ref = ref_point(r, opt, h, vsrc, x_prev, i_prev)
 
     ev = kern.evaluate(x)
-    f, scale, _ = kern.residual(pt, x, ev)
+    f, tol, _ = kern.residual(pt, x, ev)
     jac = kern.jacobian(pt, ev)
     f_ref, scale_ref, jac_ref, f_mag, jac_mag = ref_residual(r, ref, x)
 
-    assert np.array_equal(scale, scale_ref)
+    assert np.array_equal(tol, ref_tolerance(r, opt, scale_ref))
     assert np.all(np.abs(f - f_ref) <= 1e-12 * f_mag)
     assert np.all(np.abs(jac - jac_ref) <= 1e-12 * jac_mag)
     verdict, worst = ref_converged(r, opt, f_ref, scale_ref)
     if abs(worst - 1.0) > 1e-9:
-        assert kern.converged(f, scale) == verdict
+        assert kern.accepts(f, tol) == verdict
 
 
 ONE_PERIOD_RUNS = pytest.mark.parametrize("offset,options", [
@@ -602,7 +606,66 @@ def test_one_device_evaluation_per_newton_iterate(monkeypatch):
     assert calls["eval"] == calls["solve"] + 1
 
 
+@ONE_PERIOD_RUNS
+def test_stats_count_the_run(offset, options, monkeypatch):
+    """`TransientResult.stats` against counts taken from outside: LU solves
+    and device evaluations by patching, points from the result, halvings
+    from the time axis (each halving adds one point)."""
+    import pfdsim.engine as engine
+    from pfdsim.engine import _resolve_dt, _time_axis
+
+    net, opt, initial = one_period_run(offset, options)
+    calls = {"solve": 0, "eval": 0}
+    solve, mosfet_eval = np.linalg.solve, engine.mosfet_eval
+
+    def counted_solve(*args):
+        calls["solve"] += 1
+        return solve(*args)
+
+    def counted_eval(*args):
+        calls["eval"] += 1
+        return mosfet_eval(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(engine, "mosfet_eval", counted_eval)
+    res = transient(net, opt, initial_voltages=initial)
+    stats = res.stats
+    axis = _time_axis(net, _resolve_dt(net, opt), opt.t_stop)
+    assert stats.points == len(res.time)
+    assert stats.lu_solves == calls["solve"] > 0
+    assert stats.device_evals == calls["eval"] == stats.lu_solves + 1
+    assert stats.step_halvings == len(res.time) - len(axis)
+    assert (stats.step_halvings > 0) == bool(options)
+    assert 0 < stats.steps_without_solve < stats.points - 1
+
+
+class TestNanInputs:
+    """A NaN residual is never within tolerance, so it fails as a solver
+    error instead of being accepted as converged."""
+
+    def test_nan_initial_voltage_raises(self):
+        net = build_pfd()
+        initial = dict(dc_operating_point(net))
+        initial["UP"] = math.nan
+        with pytest.raises(SolverError, match="transient Newton failed"):
+            transient(net, SimOptions(t_stop=0.3e-9), initial_voltages=initial)
+
+    def test_nan_is_not_accepted(self):
+        from pfdsim.engine import _Kernel
+
+        f = np.array([0.0, math.nan])
+        assert not _Kernel.accepts(f, np.ones(2))
+        assert _Kernel.accepts(np.zeros(2), np.ones(2))
+
+
 class TestOptionsAndErrors:
+    @pytest.mark.parametrize("field", ["reltol", "abstol_v", "abstol_i", "dt", "t_stop",
+                                       "gmin"])
+    def test_nan_option_rejected(self, field):
+        opt = SimOptions(dt=1e-12, t_stop=1e-9)
+        with pytest.raises(ValueError):
+            replace(opt, **{field: math.nan}).validate()
+
     def test_option_validation(self):
         with pytest.raises(ValueError):
             SimOptions(reltol=0.0).validate()

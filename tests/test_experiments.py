@@ -44,6 +44,33 @@ class TestDesignPoint:
         with pytest.raises(ValueError):
             DesignPoint(offset=2e-9)  # beyond one period
 
+    @pytest.mark.parametrize("field", ["width", "length", "frequency", "offset", "load_cap"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ValueError):
+            DesignPoint(**{field: math.nan})
+
+
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("simulated despite an invalid argument")
+
+
+@pytest.mark.parametrize("search,kwargs", [
+    (measure_dead_zone, {"tol": math.nan}),
+    (measure_dead_zone, {"search_lo": math.nan}),
+    (measure_dead_zone, {"search_hi": math.nan}),
+    (measure_fmax, {"tol_rel": math.nan}),
+    (measure_fmax, {"f_lo": math.nan}),
+    (measure_fmax, {"f_hi": math.nan}),
+    (measure_fmax, {"offset_fraction": math.nan}),
+])
+def test_search_rejects_nan_before_simulating(search, kwargs, monkeypatch):
+    """A NaN tolerance or bracket end is refused, not bisected: with NaN
+    the stop test `hi - lo > tol` is false at once, and the dead-zone
+    search reported search_hi after one probe."""
+    monkeypatch.setattr(experiments, "simulate_point", _no_simulation)
+    with pytest.raises(ValueError):
+        search(DesignPoint(), **kwargs)
+
 
 class TestOffsetExperiment:
     def test_lead_a_at_plus_100ps(self, grid_runs):
