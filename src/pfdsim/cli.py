@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from pfdsim.devices import DEFAULT_CONFIG, ModelConfig, load_config
-from pfdsim.engine import SimOptions, SolverError, TransientResult
+from pfdsim.engine import SimOptions, SimStats, SolverError, TransientResult
 from pfdsim.experiments import (
     SETTLE_PERIODS,
     STANDARD_CORNERS,
@@ -171,21 +171,22 @@ def _check_run_length(args, point: DesignPoint) -> None:
 
 class _Output(NamedTuple):
     """What an experiment subcommand writes: report rows, the waves of a
-    single run and, with --plot, (file name, series, title, xlabel, ylabel)
-    sweep charts."""
+    single run, with --plot (file name, series, title, xlabel, ylabel)
+    sweep charts, and the run counters that report.json carries."""
 
     rows: list[dict]
     waves: TransientResult | None = None
     plots: tuple = ()
+    stats: SimStats | None = None
 
 
 def _write(args, rows: list[dict], waves: TransientResult | None = None,
-           plots: tuple = ()) -> None:
+           plots: tuple = (), stats: SimStats | None = None) -> None:
     """Write the report files, any waves and, with --plot, the waves' and
     sweep charts under --out."""
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    json_text, table = render_rows(rows)
+    json_text, table = render_rows(rows, stats)
     (outdir / "report.json").write_text(json_text + "\n")
     (outdir / "summary.txt").write_text(table)
     if waves is not None:
@@ -217,7 +218,8 @@ def _run(args, experiment) -> None:
 
 def cmd_transient(args, point, models, options) -> _Output:
     result = simulate_point(point, args.periods, models, options, t_stop=args.t_stop)
-    return _Output([report_from_result(point, result, models).to_dict()], result)
+    return _Output([report_from_result(point, result, models).to_dict()], result,
+                   stats=result.stats)
 
 
 def cmd_deadzone(args, point, models, options) -> _Output:

@@ -5,10 +5,14 @@ Unknowns are the non-ground node voltages plus one branch current per
 voltage source; state vectors carry one more slot, for ground, held at 0.
 Capacitors (including the lumped MOSFET gate capacitances) enter through
 backward-Euler or trapezoidal companion models; MOSFETs are linearized
-each Newton iteration. Solves use dense LU (numpy.linalg.solve) -- the
-targeted circuits have tens of unknowns. The MOSFET equations are
-`devices.mosfet_eval`'s; the engine gathers every device's bias and
-calls it once per state.
+each Newton iteration. Solves use dense LU -- the targeted circuits have
+tens of unknowns: `_lu_solve` calls LAPACK gesv through the gufunc that
+`numpy.linalg.solve` wraps (`numpy.linalg._umath_linalg.solve1`), under the
+same error state, skipping the wrapper's per-call checks and conversions.
+That module is private to numpy, so the tests pin the helper bit for bit to
+`numpy.linalg.solve`, and CI runs the oldest and the newest supported
+numpy. The MOSFET equations are `devices.mosfet_eval`'s; the engine
+gathers every device's bias and calls it once per state.
 
 One step kernel (`_Kernel`) assembles every time point of the DC solve
 (its a0 = 0 case), the transient and the KCL replay from matrices that
@@ -16,7 +20,8 @@ One step kernel (`_Kernel`) assembles every time point of the DC solve
 numpy calls:
 - one incidence product gives every MOSFET's (vgs, vds) and every linear
   branch voltage and source current; others carry the MOSFET and
-  capacitor companion currents into the KCL rows;
+  capacitor companion currents into the KCL rows, and the companion
+  history is subtracted from the capacitor currents alone;
 - the per-node tolerance is abs_tol + reltol * a `np.maximum.reduceat`
   over a node-sorted gather of branch-current magnitudes, so it is exact;
 - the Jacobian is built in the reduced, ground-free system: the linear
@@ -48,6 +53,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from pfdsim.devices import mosfet_eval
 from pfdsim.netlist import (
@@ -65,6 +71,22 @@ TRAPEZOIDAL = "trapezoidal"
 _GMIN_LADDER_START = 1e-3
 _MAX_STEP_HALVINGS = 8
 _NEWTON_DAMP_V = 0.3  # max node-voltage move per iteration, volts
+
+
+def _singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a @ x = b, for one float64 system: `np.linalg.solve(a, b)`
+    without its argument checks and conversions. It calls the LAPACK gesv
+    gufunc that `np.linalg.solve` wraps, under the same error state, so the
+    result is bit-equal and a singular `a` raises `LinAlgError` (no
+    warning). `_umath_linalg` is private to numpy; the tests pin this
+    helper to `np.linalg.solve`."""
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
 class SolverError(Exception):
@@ -352,7 +374,7 @@ class _Point(NamedTuple):
 
     a_lin: np.ndarray  # (n, n) linear block
     weights: np.ndarray  # per branch current: 1, or its (companion) conductance
-    ieq: np.ndarray  # companion history currents, on the branch currents
+    ieq: np.ndarray | None  # capacitor companion history currents (None: DC)
     rhs: np.ndarray  # (n,) history currents into nodes, source voltages
 
 
@@ -392,18 +414,16 @@ class _Kernel:
                                       np.ones(c.n - c.n_nodes + 1)]), geq)
             self._linear[h] = cached
         a_lin, weights, geq = cached
-        ieq = np.zeros(len(weights))
         if x_prev is None:
-            rhs = np.zeros(c.n)
+            history, rhs = None, np.zeros(c.n)
         else:
             history = c.cap_gather.dot(x_prev)
             history *= geq
             if self.trap:
                 history += i_prev
-            ieq[c.cap] = history
             rhs = c.cap_kcl.dot(history)
         rhs[c.n_nodes:] = vsrc
-        return _Point(a_lin, weights, ieq, rhs)
+        return _Point(a_lin, weights, history, rhs)
 
     def evaluate(self, x: np.ndarray) -> _Eval:
         """Device evaluation at state x, shared by every residual at x."""
@@ -423,7 +443,9 @@ class _Kernel:
         (largest branch current at the row)."""
         c = self.c
         cur = p.weights * ev.branch
-        cur -= p.ieq
+        if p.ieq is not None:
+            cap = cur[c.cap]  # a view
+            cap -= p.ieq
         tol = np.maximum.reduceat(np.abs(cur)[c.ends], c.starts)
         tol *= self.opt.reltol
         tol += self.abs_tol
@@ -435,7 +457,7 @@ class _Kernel:
     @staticmethod
     def accepts(f: np.ndarray, tol: np.ndarray) -> bool:
         """Every row within its tolerance; a NaN residual is never accepted."""
-        return bool((np.abs(f) <= tol).all())
+        return bool(np.logical_and.reduce(np.abs(f) <= tol))
 
     def node_ratios(self, f: np.ndarray, tol: np.ndarray) -> np.ndarray:
         k = self.c.n_nodes
@@ -446,8 +468,9 @@ class _Kernel:
 
     def jacobian(self, p: _Point, ev: _Eval) -> np.ndarray:
         c = self.c
-        stamps = c.j_stamps.dot(ev.dev[1:].reshape(-1))  # on (gm, gds)
-        return stamps.reshape(c.n, c.n) + p.a_lin
+        jac = c.j_stamps.dot(ev.dev[1:].reshape(-1)).reshape(c.n, c.n)  # on (gm, gds)
+        jac += p.a_lin
+        return jac
 
     def newton(self, p: _Point, x0: np.ndarray, ev0: _Eval):
         """Newton iteration with per-node voltage damping from x0, whose
@@ -464,11 +487,11 @@ class _Kernel:
             if self.accepts(f, tol):
                 return x, True, f, tol, cur, ev
             try:
-                dx = np.linalg.solve(self.jacobian(p, ev), f)
-            except np.linalg.LinAlgError:
+                dx = _lu_solve(self.jacobian(p, ev), f)
+            except LinAlgError:
                 return x, False, f, tol, cur, ev
             stats.lu_solves += 1
-            vmax = np.abs(dx[: c.n_nodes]).max() if c.n_nodes else 0.0
+            vmax = np.maximum.reduce(np.abs(dx[: c.n_nodes]), initial=0.0)
             if vmax > _NEWTON_DAMP_V:
                 dx *= _NEWTON_DAMP_V / vmax
             unknowns -= dx

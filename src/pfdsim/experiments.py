@@ -9,13 +9,13 @@ process pool and assemble results in input order either way.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+import math
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from pfdsim.devices import DEFAULT_CONFIG, STANDARD_CORNERS, CornerSet, ModelConfig
-from pfdsim.engine import SimOptions, TransientResult, Waveform, transient
+from pfdsim.engine import SimOptions, SimStats, TransientResult, Waveform, transient
 from pfdsim.measure import (
     Decision,
     MeasurementError,
@@ -183,8 +183,8 @@ def measure_dead_zone(
     The two polarities share one search, so the result is the larger of
     the two thresholds. search_hi must pass; search_lo is taken to fail and
     is never run, and no failing offset may lie above a passing one."""
-    if not tol > 0:  # NaN fails too
-        raise ValueError("tol must be > 0")
+    if not 0 < tol < math.inf:  # NaN fails too
+        raise ValueError("tol must be finite and > 0")
     if not 0 <= search_lo < search_hi:
         raise ValueError("need 0 <= search_lo < search_hi")
 
@@ -219,8 +219,8 @@ def measure_fmax(
     pass, and no passing frequency may lie above a failing one."""
     if not (0.0 < offset_fraction < 0.5):
         raise ValueError("offset_fraction must be in (0, 0.5)")
-    if not (0 < f_lo < f_hi and tol_rel > 0):  # NaN fails too
-        raise ValueError("need 0 < f_lo < f_hi and tol_rel > 0")
+    if not (0 < f_lo < f_hi and 0 < tol_rel < math.inf):  # NaN fails too
+        raise ValueError("need 0 < f_lo < f_hi and a finite tol_rel > 0")
 
     def passes(f: float) -> bool:
         p = replace(point, frequency=f, offset=offset_fraction / f)
@@ -246,6 +246,9 @@ def _run_points(points, n_periods, models, options, jobs) -> list[ExperimentRepo
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [_sweep_worker(t) for t in tasks]
+    # imported here: the pool's modules are about a tenth of the CLI's import time
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_worker, tasks))
 
@@ -393,12 +396,14 @@ def report_row(point: DesignPoint, **values) -> dict:
     return {k: v if v is None or isinstance(v, str) else float(v) for k, v in row.items()}
 
 
-def render_rows(rows: list[dict]) -> tuple[str, str]:
+def render_rows(rows: list[dict], stats: SimStats | None = None) -> tuple[str, str]:
     """Render report rows as (json_text, table_text).
 
     The table prints full-precision reprs so both renderings carry
     identical numeric values; missing metrics show as "-". Die area is
-    not modelled and its column says so.
+    not modelled and its column says so. The run counters of a single
+    transient, when given, go into the JSON as a top-level "stats" object
+    beside "rows".
     """
     if not rows:
         raise ValueError("no reports to summarize")
@@ -410,7 +415,8 @@ def render_rows(rows: list[dict]) -> tuple[str, str]:
             return repr(v)
         return str(v)
 
-    json_text = json.dumps({"rows": rows}, indent=2, sort_keys=True)
+    report = {"rows": rows} if stats is None else {"rows": rows, "stats": asdict(stats)}
+    json_text = json.dumps(report, indent=2, sort_keys=True)
     table = [list(_COLUMNS)] + [[cell(row.get(c)) for c in _COLUMNS] for row in rows]
     widths = [max(len(r[i]) for r in table) for i in range(len(_COLUMNS))]
     lines = []

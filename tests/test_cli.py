@@ -99,6 +99,8 @@ class TestUsageErrors:
         ["fmax", "--tol-rel", "nan"],
         ["fmax", "--f-lo", "nan"],
         ["fmax", "--f-hi", "nan"],
+        ["deadzone", "--tol", "inf"],
+        ["fmax", "--tol-rel", "inf"],
     ])
     def test_nan_value_exits_1_before_simulation(self, argv, tmp_path, capsys,
                                                    monkeypatch):
@@ -137,11 +139,16 @@ class TestTransientCommand:
         rc = main(["transient", "--freq", "1e9", "--offset", "100e-12",
                    "--out", str(out), *FAST])
         assert rc == 0
-        rows = read_json(out)["rows"]
-        assert rows[0]["decision"] == "LeadA"
+        report = read_json(out)
+        assert report["rows"][0]["decision"] == "LeadA"
         waves = (out / "waves.csv").read_text().splitlines()
         assert waves[0] == "t,A,B,X,Y,UP,DN,i_vdd"
         assert (out / "summary.txt").exists()
+        stats = report["stats"]  # the run's SimStats, beside the rows
+        assert set(stats) == {"points", "lu_solves", "device_evals",
+                              "steps_without_solve", "step_halvings"}
+        assert stats["points"] == len(waves) - 1
+        assert stats["device_evals"] == stats["lu_solves"] + 1 > 1
 
     def test_t_stop_sets_the_end_time(self, tmp_path):
         out = tmp_path / "o"
@@ -232,7 +239,11 @@ class TestReportCommand:
         rc = main(["report", str(a / "report.json"), str(b / "report.json"),
                    "--out", str(out)])
         assert rc == 0
-        rows = read_json(out)["rows"]
+        assert set(read_json(a)) == {"rows", "stats"}
+        assert set(read_json(b)) == {"rows"}
+        merged = read_json(out)
+        assert set(merged) == {"rows"}  # run counters are not merged
+        rows = merged["rows"]
         assert len(rows) == 2
         table = (out / "summary.txt").read_text()
         assert "dead_zone" in table and "out of scope" in table

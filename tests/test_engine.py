@@ -8,6 +8,7 @@ properties.
 
 import functools
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -600,7 +601,7 @@ def test_one_device_evaluation_per_newton_iterate(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(engine, "mosfet_eval", counted("eval", engine.mosfet_eval))
-    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    monkeypatch.setattr(engine, "_lu_solve", counted("solve", engine._lu_solve))
     transient(build_pfd(), SimOptions(t_stop=1.25e-9))
     assert calls["solve"] > 0
     assert calls["eval"] == calls["solve"] + 1
@@ -616,7 +617,7 @@ def test_stats_count_the_run(offset, options, monkeypatch):
 
     net, opt, initial = one_period_run(offset, options)
     calls = {"solve": 0, "eval": 0}
-    solve, mosfet_eval = np.linalg.solve, engine.mosfet_eval
+    solve, mosfet_eval = engine._lu_solve, engine.mosfet_eval
 
     def counted_solve(*args):
         calls["solve"] += 1
@@ -626,7 +627,7 @@ def test_stats_count_the_run(offset, options, monkeypatch):
         calls["eval"] += 1
         return mosfet_eval(*args)
 
-    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(engine, "_lu_solve", counted_solve)
     monkeypatch.setattr(engine, "mosfet_eval", counted_eval)
     res = transient(net, opt, initial_voltages=initial)
     stats = res.stats
@@ -637,6 +638,77 @@ def test_stats_count_the_run(offset, options, monkeypatch):
     assert stats.step_halvings == len(res.time) - len(axis)
     assert (stats.step_halvings > 0) == bool(options)
     assert 0 < stats.steps_without_solve < stats.points - 1
+
+
+@functools.cache
+def _pfd_newton_systems():
+    """Every (Jacobian, residual) pair the engine solves in the first
+    nanosecond of the default PFD, from its DC solve on."""
+    import pfdsim.engine as engine
+
+    systems = []
+    solve = engine._lu_solve
+
+    def recorded(a, b):
+        systems.append((a.copy(), b.copy()))
+        return solve(a, b)
+
+    engine._lu_solve = recorded
+    try:
+        transient(build_pfd(), SimOptions(t_stop=1e-9))
+    finally:
+        engine._lu_solve = solve
+    return systems
+
+
+class TestLuSolve:
+    """`engine._lu_solve` calls numpy's private LAPACK gufunc directly; it
+    must stay bit-equal to `np.linalg.solve` and fail the same way."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-15.0, 3.0))
+    def test_equals_numpy_solve_on_well_conditioned_systems(self, seed, log_scale):
+        from pfdsim.engine import _lu_solve
+
+        rng = np.random.default_rng(seed)
+        a = 10.0 ** log_scale * (rng.uniform(-1.0, 1.0, (16, 16)) + 16.0 * np.eye(16))
+        b = rng.uniform(-1.0, 1.0, 16) * 10.0 ** rng.uniform(-12.0, 0.0)
+        assert _lu_solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(index=st.integers(0, 10**6))
+    def test_equals_numpy_solve_on_pfd_jacobians(self, index):
+        from pfdsim.engine import _lu_solve
+
+        systems = _pfd_newton_systems()
+        a, b = systems[index % len(systems)]
+        assert a.shape == (16, 16)
+        assert _lu_solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+
+    @pytest.mark.parametrize("a", [np.zeros((16, 16)), np.ones((16, 16)),
+                                   np.diag(np.arange(16.0))])
+    def test_singular_raises_without_warning(self, a):
+        from pfdsim.engine import _lu_solve
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                _lu_solve(a, np.ones(16))
+
+    def test_singular_jacobian_ends_in_solver_error(self, monkeypatch):
+        """Every Newton solve singular: each step fails, is halved down to
+        the limit, and the run stops with a SolverError at a time and node."""
+        from pfdsim.engine import _Kernel
+
+        net = build_pfd()
+        initial = dc_operating_point(net)
+        monkeypatch.setattr(_Kernel, "jacobian", lambda k, p, ev: np.zeros((k.c.n, k.c.n)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="transient Newton failed") as err:
+                transient(net, SimOptions(t_stop=1e-9), initial_voltages=initial)
+        assert 0.0 < err.value.time <= 1e-9
+        assert err.value.node in _compile(net, SimOptions().gmin).node_names
 
 
 class TestNanInputs:

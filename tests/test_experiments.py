@@ -3,6 +3,7 @@ and report rendering. Heavy searches (dead zone, f_max) run once in the
 acceptance suite; here we exercise the cheap logic and reuse the shared
 simulation fixtures."""
 
+import concurrent.futures
 import json
 import math
 from contextlib import contextmanager
@@ -62,11 +63,13 @@ def _no_simulation(*args, **kwargs):
     (measure_fmax, {"f_lo": math.nan}),
     (measure_fmax, {"f_hi": math.nan}),
     (measure_fmax, {"offset_fraction": math.nan}),
+    (measure_dead_zone, {"tol": math.inf}),
+    (measure_fmax, {"tol_rel": math.inf}),
 ])
 def test_search_rejects_nan_before_simulating(search, kwargs, monkeypatch):
-    """A NaN tolerance or bracket end is refused, not bisected: with NaN
-    the stop test `hi - lo > tol` is false at once, and the dead-zone
-    search reported search_hi after one probe."""
+    """A NaN or infinite tolerance or a NaN bracket end is refused, not
+    bisected: with either, the stop test `hi - lo > tol` is false at once,
+    and the search reported a bracket end after one probe."""
     monkeypatch.setattr(experiments, "simulate_point", _no_simulation)
     with pytest.raises(ValueError):
         search(DesignPoint(), **kwargs)
@@ -263,7 +266,7 @@ class TestWidthSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(experiments, "_sweep_worker", lambda task: task[0].width)
         widths = width_sweep(steps=2, jobs=5000)
         assert seen == [2]
