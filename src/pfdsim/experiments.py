@@ -15,17 +15,20 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from pfdsim.devices import DEFAULT_CONFIG, STANDARD_CORNERS, CornerSet, ModelConfig
-from pfdsim.engine import SimOptions, SimStats, TransientResult, Waveform, transient
+from pfdsim.engine import SimOptions, SimStats, TransientResult, transient
 from pfdsim.measure import (
     Decision,
     MeasurementError,
+    PulseTable,
     average_power,
     classify_decision,
     high_time,
     mutual_exclusion_overlap,
+    per_period_decisions,
+    pulse_table,
     rise_time,
 )
-from pfdsim.netlist import build_pfd
+from pfdsim.netlist import build_pfd, input_delays
 
 SETTLE_PERIODS = 2  # start-up stretch excluded from the power window
 
@@ -66,24 +69,21 @@ class ExperimentReport:
     avg_power: float
     up_rise_time: float | None
     mutual_exclusion_overlap: float
-    dead_zone: float | None = None
-    f_max: float | None = None
 
     def to_dict(self) -> dict:
         return report_row(self.point, decision=self.decision.value, avg_power=self.avg_power,
                           up_rise_time=self.up_rise_time,
-                          mutual_exclusion_overlap=self.mutual_exclusion_overlap,
-                          dead_zone=self.dead_zone, f_max=self.f_max)
+                          mutual_exclusion_overlap=self.mutual_exclusion_overlap)
 
 
 def stimulus_time(point: DesignPoint, periods: int = SETTLE_PERIODS,
                   frequency_b: float | None = None) -> float:
-    """End of the lead-in (period/4 + |offset|) plus `periods` periods of
-    the slower input; by default the settle start, where measurement
-    windows begin."""
+    """End of the lead-in (the later input's first rising edge) plus
+    `periods` periods of the slower input; by default the settle start,
+    where measurement windows begin."""
     period = point.period
     slow = max(period, 1.0 / frequency_b) if frequency_b else period
-    return 0.25 * period + abs(point.offset) + periods * slow
+    return max(input_delays(period, point.offset)) + periods * slow
 
 
 def simulate_point(
@@ -111,30 +111,30 @@ def simulate_point(
     return transient(net, replace(options or SimOptions(), t_stop=t_stop))
 
 
-def report_from_result(
-    point: DesignPoint,
-    result: TransientResult,
-    models: ModelConfig = DEFAULT_CONFIG,
-    frequency_b: float | None = None,
-) -> ExperimentReport:
-    vdd = models.vdd
-    up = result.voltage("UP")
-    dn = result.voltage("DN")
-    decision = classify_decision(up, dn, vdd=vdd)
+def pulse_table_for(point: DesignPoint, result: TransientResult,
+                    models: ModelConfig = DEFAULT_CONFIG) -> PulseTable:
+    """The run's pulse table, periods counted from A's first rising edge."""
+    return pulse_table(result.voltage("UP"), result.voltage("DN"), vdd=models.vdd,
+                       anchor=input_delays(point.period, point.offset)[0],
+                       period=point.period)
+
+
+def report_from_result(point: DesignPoint, result: TransientResult,
+                       models: ModelConfig = DEFAULT_CONFIG,
+                       frequency_b: float | None = None) -> ExperimentReport:
+    return _report(point, result, pulse_table_for(point, result, models), models, frequency_b)
+
+
+def _report(point, result, table, models, frequency_b=None) -> ExperimentReport:
     window = (stimulus_time(point, frequency_b=frequency_b), float(result.time[-1]))
-    power = average_power(result.supply_current(), vdd, window)
+    power = average_power(result.supply_current(), models.vdd, window)
     try:
-        up_rise = rise_time(up, 0.0, vdd)
+        up_rise = rise_time(result.voltage("UP"), 0.0, models.vdd)
     except MeasurementError:
         up_rise = None
-    overlap = mutual_exclusion_overlap(up, dn, 0.5 * vdd)
-    return ExperimentReport(
-        point=point,
-        decision=decision,
-        avg_power=power,
-        up_rise_time=up_rise,
-        mutual_exclusion_overlap=overlap,
-    )
+    return ExperimentReport(point=point, decision=classify_decision(table), avg_power=power,
+                            up_rise_time=up_rise,
+                            mutual_exclusion_overlap=mutual_exclusion_overlap(table))
 
 
 def run_offset_experiment(
@@ -150,7 +150,7 @@ def run_offset_experiment(
 
 def _decision_at(point: DesignPoint, n_periods, models, options) -> Decision:
     result = simulate_point(point, n_periods, models, options)
-    return classify_decision(result.voltage("UP"), result.voltage("DN"), vdd=models.vdd)
+    return classify_decision(pulse_table_for(point, result, models))
 
 
 def _bisect(passes, good: float, bad: float, unresolved) -> float:
@@ -181,8 +181,9 @@ def measure_dead_zone(
     """Smallest offset classified correctly in both lead directions, by
     bisection of [search_lo, search_hi] down to tol or to float resolution.
     The two polarities share one search, so the result is the larger of
-    the two thresholds. search_hi must pass; search_lo is taken to fail and
-    is never run, and no failing offset may lie above a passing one."""
+    the two thresholds. search_hi must pass and search_lo must fail (at 0
+    it is one circuit, so it is not run); no failing offset may lie above a
+    passing one."""
     if not 0 < tol < math.inf:  # NaN fails too
         raise ValueError("tol must be finite and > 0")
     if not 0 <= search_lo < search_hi:
@@ -199,6 +200,9 @@ def measure_dead_zone(
         raise ExperimentError(
             f"no lock window found: wrong decision at search_hi = {search_hi:g} s"
         )
+    if search_lo > 0 and passes(search_lo):
+        raise ExperimentError(f"dead zone below the bracket: search_lo = {search_lo:g} s "
+                              "already passes")
     return _bisect(passes, search_hi, search_lo, lambda hi, lo: hi - lo > tol)
 
 
@@ -297,28 +301,6 @@ def corner_sweep(
     return reports
 
 
-def per_period_decisions(
-    point: DesignPoint,
-    result: TransientResult,
-    models: ModelConfig = DEFAULT_CONFIG,
-) -> list[Decision]:
-    """Classification of each full stimulus period, anchored at the first
-    rising edge of the leading input."""
-    period = point.period
-    t_first = 0.25 * period + max(0.0, -point.offset)
-    up = result.voltage("UP")
-    dn = result.voltage("DN")
-    out = []
-    k = 0
-    while t_first + (k + 1) * period <= result.time[-1] + 1e-15 * period:
-        m = (up.t >= t_first + k * period) & (up.t < t_first + (k + 1) * period)
-        out.append(classify_decision(Waveform(up.t[m], up.v[m]),
-                                     Waveform(dn.t[m], dn.v[m]),
-                                     vdd=models.vdd))
-        k += 1
-    return out
-
-
 def half_period_test(
     point: DesignPoint,
     n_periods: int = 20,
@@ -332,15 +314,15 @@ def half_period_test(
     sign = 1.0 if point.offset >= 0 else -1.0
     p = replace(point, offset=sign * 0.5 * point.period)
     result = simulate_point(p, n_periods, models, options)
-    decisions = per_period_decisions(p, result, models)
-    tail = decisions[-min(10, max(1, n_periods // 2)):]
+    table = pulse_table_for(p, result, models)
+    tail = per_period_decisions(table)[-min(10, max(1, n_periods // 2)):]
     expected = Decision.LEAD_A if sign > 0 else Decision.LEAD_B
     if any(d is not expected for d in tail):
         raise ExperimentError(
             "half-period classification unstable: tail decisions "
             f"{[d.value for d in tail]}, expected steady {expected.value}"
         )
-    report = report_from_result(p, result, models)
+    report = _report(p, result, table, models)
     report.decision = expected
     return report, result
 
@@ -359,18 +341,13 @@ def frequency_mismatch_test(
         raise ExperimentError("equal frequencies: use run_offset_experiment instead")
     p = replace(point, frequency=f_ref, offset=0.0)
     result = simulate_point(p, n_periods, models, options, frequency_b=f_fb)
-    vdd = models.vdd
-    up_ht = high_time(result.voltage("UP"), 0.5 * vdd)
-    dn_ht = high_time(result.voltage("DN"), 0.5 * vdd)
-    if f_fb < f_ref and not up_ht > dn_ht:
+    table = pulse_table_for(p, result, models)
+    up_ht, dn_ht = high_time(table.up), high_time(table.dn)
+    lead = "UP" if f_fb < f_ref else "DN"
+    if not (up_ht > dn_ht if lead == "UP" else dn_ht > up_ht):
         raise ExperimentError(
-            f"expected UP high-time to dominate (up {up_ht:g} s vs dn {dn_ht:g} s)"
-        )
-    if f_fb > f_ref and not dn_ht > up_ht:
-        raise ExperimentError(
-            f"expected DN high-time to dominate (up {up_ht:g} s vs dn {dn_ht:g} s)"
-        )
-    report = report_from_result(p, result, models, frequency_b=f_fb)
+            f"expected {lead} high-time to dominate (up {up_ht:g} s vs dn {dn_ht:g} s)")
+    report = _report(p, result, table, models, frequency_b=f_fb)
     report.decision = Decision.LEAD_A if up_ht > dn_ht else Decision.LEAD_B
     return report, result
 

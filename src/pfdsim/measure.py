@@ -1,8 +1,9 @@
-"""Waveform post-processing: edge timing, pulse detection, lead/lag
-classification, mutual-exclusion overlap, and average power.
+"""Waveform post-processing: edge timing, average power, and the pulse
+table of a run's UP and DN outputs that every lead/lag decision, overlap
+and high time is read from. A pulse is a stretch at or above 0.5*vdd.
 
-All threshold crossings are linearly interpolated between samples so
-measurement results do not inherit the integrator's step granularity.
+Threshold crossings are linearly interpolated between samples, so
+results do not inherit the integrator's step granularity.
 """
 
 from __future__ import annotations
@@ -38,103 +39,117 @@ class PulseEvent:
         return self.end - self.start
 
 
-def _cross_time(t0, t1, v0, v1, level) -> float:
-    if v1 == v0:
-        return float(t0)
-    return float(t0 + (level - v0) * (t1 - t0) / (v1 - v0))
+def _crossings(t: np.ndarray, v: np.ndarray, above: np.ndarray, level: float):
+    """Where the mask `above` (v against `level`) flips: the index of the
+    sample after each flip, and the interpolated crossing time."""
+    k = np.flatnonzero(above[1:] != above[:-1])
+    return k + 1, t[k] + (level - v[k]) * (t[k + 1] - t[k]) / (v[k + 1] - v[k])
 
 
-def _first_crossing(w: Waveform, level: float, rising: bool, start_index: int = 0):
-    v = w.v
-    for k in range(max(start_index, 1), len(v)):
-        if rising and v[k - 1] < level <= v[k]:
-            return k, _cross_time(w.t[k - 1], w.t[k], v[k - 1], v[k], level)
-        if not rising and v[k - 1] > level >= v[k]:
-            return k, _cross_time(w.t[k - 1], w.t[k], v[k - 1], v[k], level)
-    return None, None
+def _transition_time(w: Waveform, v_low: float, v_high: float, fractions, rising: bool):
+    """Time from the first crossing of the first fraction of the swing to
+    the next crossing of the second, both in one direction: v[k-1] < level
+    <= v[k] when rising, v[k-1] > level >= v[k] when falling."""
+    k, times = 0, []
+    for f in fractions:
+        level = v_low + f * (v_high - v_low)
+        above = w.v >= level if rising else w.v > level
+        ks, when = _crossings(w.t, w.v, above, level)
+        hit = np.flatnonzero((above[ks] == rising) & (ks >= k))
+        if not hit.size:
+            raise MeasurementError(f"no qualifying transition ({f:.0%} level never crossed)")
+        k = ks[hit[0]]
+        times.append(when[hit[0]])
+    return float(times[1] - times[0])
 
 
 def rise_time(w: Waveform, v_low: float, v_high: float) -> float:
     """10%-to-90% time of the first rising transition between the levels."""
-    span = v_high - v_low
-    lo, hi = v_low + 0.1 * span, v_low + 0.9 * span
-    k10, t10 = _first_crossing(w, lo, rising=True)
-    if k10 is None:
-        raise MeasurementError("no qualifying transition (10% level never crossed)")
-    k90, t90 = _first_crossing(w, hi, rising=True, start_index=k10)
-    if k90 is None:
-        raise MeasurementError("no qualifying transition (90% level never crossed)")
-    return float(t90 - t10)
+    return _transition_time(w, v_low, v_high, (0.1, 0.9), rising=True)
 
 
 def fall_time(w: Waveform, v_low: float, v_high: float) -> float:
     """90%-to-10% time of the first falling transition between the levels."""
-    span = v_high - v_low
-    lo, hi = v_low + 0.1 * span, v_low + 0.9 * span
-    k90, t90 = _first_crossing(w, hi, rising=False)
-    if k90 is None:
-        raise MeasurementError("no qualifying transition (90% level never crossed)")
-    k10, t10 = _first_crossing(w, lo, rising=False, start_index=k90)
-    if k10 is None:
-        raise MeasurementError("no qualifying transition (10% level never crossed)")
-    return float(t10 - t90)
+    return _transition_time(w, v_low, v_high, (0.9, 0.1), rising=False)
 
 
-def detect_pulses(w: Waveform, threshold: float) -> list[PulseEvent]:
-    """Maximal intervals with v >= threshold, crossings interpolated.
-
-    Intervals clipped by the waveform ends still count as events.
-    """
-    v = np.asarray(w.v)
-    t = np.asarray(w.t)
-    above = v >= threshold
-    if not above.any():
-        return []
-    edges = np.flatnonzero(np.diff(above.astype(np.int8)))
-    starts: list[float] = []
-    ends: list[float] = []
-    if above[0]:
-        starts.append(float(t[0]))
-    for k in edges:
-        if above[k + 1]:
-            starts.append(_cross_time(t[k], t[k + 1], v[k], v[k + 1], threshold))
-        else:
-            ends.append(_cross_time(t[k], t[k + 1], v[k], v[k + 1], threshold))
-    if above[-1]:
-        ends.append(float(t[-1]))
-    events = []
-    for s, e in zip(starts, ends):
-        inside = (t >= s) & (t <= e)
-        peak = float(v[inside].max()) if inside.any() else threshold
-        events.append(PulseEvent(start=s, end=e, peak=max(peak, threshold)))
-    return events
+def detect_pulses(w: Waveform, vdd: float) -> list[PulseEvent]:
+    """Maximal intervals with v >= 0.5*vdd, crossings interpolated, each
+    with its highest sample. Intervals clipped by the waveform ends still
+    count as events."""
+    threshold = 0.5 * vdd
+    above = w.v >= threshold
+    k, when = _crossings(w.t, w.v, above, threshold)
+    rising = above[k]
+    starts, ends, first = when[rising], when[~rising], k[rising]
+    if above[:1].any():  # an empty waveform has no pulses
+        starts, first = np.concatenate((w.t[:1], starts)), np.concatenate(([0], first))
+    if above[-1:].any():
+        ends = np.concatenate((ends, w.t[-1:]))
+    # a slice from one pulse's first sample to the next also holds samples below
+    peaks = np.maximum.reduceat(w.v, first)
+    return [PulseEvent(start=float(s), end=float(e), peak=float(p))
+            for s, e, p in zip(starts, ends, peaks)]
 
 
-def high_time(w: Waveform, threshold: float) -> float:
-    """Total time spent at or above the threshold."""
-    return sum(ev.duration for ev in detect_pulses(w, threshold))
+@dataclass(frozen=True)
+class PulseTable:
+    """One run's UP and DN, each scanned once: every pulse, and the highest
+    sample of each in each full period from the anchor (-inf when a period
+    holds no sample)."""
+
+    vdd: float
+    up: list[PulseEvent]
+    dn: list[PulseEvent]
+    period_peaks: np.ndarray  # rows UP and DN, one column per period
 
 
-def classify_decision(up: Waveform, dn: Waveform, *, vdd: float) -> Decision:
-    """LeadA when only UP carries a full-swing pulse, LeadB when only DN
-    does, Undetermined otherwise. A pulse is a stretch at or above 0.5*vdd;
-    it is full-swing when it peaks at 0.8*vdd or more."""
-    threshold, min_peak = 0.5 * vdd, 0.8 * vdd
-    up_real = [ev for ev in detect_pulses(up, threshold) if ev.peak >= min_peak]
-    dn_real = [ev for ev in detect_pulses(dn, threshold) if ev.peak >= min_peak]
-    if up_real and not dn_real:
-        return Decision.LEAD_A
-    if dn_real and not up_real:
-        return Decision.LEAD_B
-    return Decision.UNDETERMINED
+def pulse_table(up: Waveform, dn: Waveform, *, vdd: float, anchor: float,
+                period: float) -> PulseTable:
+    """The table of UP and DN on one time axis; its periods are [anchor +
+    k*period, anchor + (k+1)*period), each ending by the run's end."""
+    t_end = up.t[-1] + 1e-15 * period
+    n = 0
+    while anchor + (n + 1) * period <= t_end:
+        n += 1
+    cuts = np.searchsorted(up.t, anchor + np.arange(n + 1) * period)
+    held = cuts[:-1] < cuts[1:]
+    peaks = np.full((2, n), -np.inf)
+    for row, w in zip(peaks, (up, dn)):
+        row[held] = np.maximum.reduceat(w.v[:cuts[-1]], cuts[:-1][held])
+    return PulseTable(vdd, detect_pulses(up, vdd), detect_pulses(dn, vdd), peaks)
 
 
-def mutual_exclusion_overlap(up: Waveform, dn: Waveform, threshold: float) -> float:
-    """Total duration with both waveforms simultaneously >= threshold."""
+def _decide(up_peak: float, dn_peak: float, vdd: float) -> Decision:
+    up_full, dn_full = up_peak >= 0.8 * vdd, dn_peak >= 0.8 * vdd
+    if up_full == dn_full:
+        return Decision.UNDETERMINED
+    return Decision.LEAD_A if up_full else Decision.LEAD_B
+
+
+def classify_decision(table: PulseTable) -> Decision:
+    """The whole run's decision: LeadA when only UP carries a full-swing
+    pulse, LeadB when only DN does, Undetermined otherwise."""
+    up, dn = (max((ev.peak for ev in p), default=-np.inf) for p in (table.up, table.dn))
+    return _decide(up, dn, table.vdd)
+
+
+def per_period_decisions(table: PulseTable) -> list[Decision]:
+    """The decision of each full period, by the same rule: a period holds a
+    full-swing pulse exactly when one of its samples reaches 0.8*vdd."""
+    return [_decide(u, d, table.vdd) for u, d in table.period_peaks.T]
+
+
+def high_time(pulses: list[PulseEvent]) -> float:
+    """Total duration of the pulses (time at or above 0.5*vdd)."""
+    return sum(ev.duration for ev in pulses)
+
+
+def mutual_exclusion_overlap(table: PulseTable) -> float:
+    """Total duration with UP and DN both at or above 0.5*vdd."""
     total = 0.0
-    dn_events = detect_pulses(dn, threshold)
-    for a in detect_pulses(up, threshold):
-        for b in dn_events:
+    for a in table.up:
+        for b in table.dn:
             total += max(0.0, min(a.end, b.end) - max(a.start, b.start))
     return float(total)
 
@@ -150,5 +165,5 @@ def average_power(supply: Waveform, vdd: float, window: tuple[float, float]) -> 
     inside = (supply.t > t0) & (supply.t < t1)
     ts = np.concatenate(([t0], supply.t[inside], [t1]))
     vs = np.concatenate(([supply.at(t0)], supply.v[inside], [supply.at(t1)]))
-    return vdd * float(np.trapezoid(vs, ts)) / (t1 - t0)
-
+    # np.trapezoid's sum written out, as numpy 1.x has no np.trapezoid
+    return vdd * float((np.diff(ts) * (vs[1:] + vs[:-1]) / 2.0).sum()) / (t1 - t0)

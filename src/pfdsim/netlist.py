@@ -269,6 +269,13 @@ def default_pulse(frequency: float, vdd: float, delay: float) -> PulseSpec:
     )
 
 
+def input_delays(period: float, offset: float) -> tuple[float, float]:
+    """First rising edges of the PFD inputs A and B: a quarter period in, the
+    lagging one delayed by |offset| (a positive offset delays B: A leads)."""
+    base = 0.25 * period
+    return base + max(0.0, -offset), base + max(0.0, offset)
+
+
 def build_pfd(
     width: float = 260e-9,
     length: float = 100e-9,
@@ -303,9 +310,7 @@ def build_pfd(
     for n in ("VDD", "A", "B", "X", "Y", "UP", "DN", "X.m", "X.n", "Y.m", "Y.n"):
         net.add_node(n)
 
-    base_delay = 0.25 * period
-    delay_a = base_delay + max(0.0, -offset)
-    delay_b = base_delay + max(0.0, offset)
+    delay_a, delay_b = input_delays(period, offset)
     spec_a = default_pulse(frequency, models.vdd, delay_a)
     spec_b = default_pulse(frequency_b if frequency_b is not None else frequency,
                            models.vdd, delay_b)

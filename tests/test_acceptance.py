@@ -27,10 +27,10 @@ from pfdsim.experiments import (
     half_period_test,
     measure_dead_zone,
     measure_fmax,
-    per_period_decisions,
+    pulse_table_for,
     report_from_result,
 )
-from pfdsim.measure import Decision, mutual_exclusion_overlap
+from pfdsim.measure import Decision, mutual_exclusion_overlap, per_period_decisions
 from pfdsim.netlist import build_pfd
 
 REPO = Path(__file__).resolve().parent.parent
@@ -151,8 +151,7 @@ def test_criterion_4_mutual_exclusion(grid_runs):
     with criterion(4, "UP/DN overlap <= 5% of the period across the offset grid"):
         period = 1e-9
         for off, (point, result) in grid_runs.items():
-            overlap = mutual_exclusion_overlap(result.voltage("UP"),
-                                               result.voltage("DN"), 0.5 * VDD)
+            overlap = mutual_exclusion_overlap(pulse_table_for(point, result))
             assert overlap <= 0.05 * period, f"offset {off}: overlap {overlap}"
 
 
@@ -170,7 +169,7 @@ def test_criterion_6_half_period():
     with criterion(6, "T/2 offset: stable, correct classification over final periods"):
         report, result = half_period_test(DesignPoint(), n_periods=20)
         assert report.decision is Decision.LEAD_A
-        decisions = per_period_decisions(DesignPoint(offset=0.5e-9), result)
+        decisions = per_period_decisions(pulse_table_for(DesignPoint(offset=0.5e-9), result))
         assert len(decisions) >= 20
         assert all(d is Decision.LEAD_A for d in decisions[-10:])
 
@@ -219,8 +218,7 @@ def test_criterion_10_cli_reproducibility(tmp_path):
         fast = ["--periods", "3"]
         invocations = {
             "transient": ["transient", *fast, "--plot"],
-            "deadzone": ["deadzone", *fast, "--search-lo", "25e-12",
-                         "--search-hi", "100e-12", "--tol", "25e-12"],
+            "deadzone": ["deadzone", *fast, "--search-hi", "100e-12", "--tol", "25e-12"],
             "halfperiod": ["halfperiod", "--periods", "6"],
             "fmax": ["fmax", *fast, "--f-lo", "0.8e9", "--f-hi", "1.6e9",
                      "--tol-rel", "0.5"],

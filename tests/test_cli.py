@@ -181,11 +181,19 @@ class TestTransientCommand:
 class TestSearchCommands:
     def test_deadzone_reports_seconds(self, tmp_path):
         out = tmp_path / "o"
-        rc = main(["deadzone", "--search-lo", "25e-12", "--search-hi", "100e-12",
+        rc = main(["deadzone", "--search-hi", "100e-12",
                    "--tol", "25e-12", "--out", str(out), *FAST])
         assert rc == 0
         dz = read_json(out)["rows"][0]["dead_zone"]
         assert 0 < dz <= 100e-12
+
+    def test_deadzone_passing_search_lo_exit_3(self, tmp_path, capsys):
+        """A bracket whose low end already passes holds no dead-zone edge:
+        the search used to report a bisection point inside it."""
+        rc = main(["deadzone", "--search-lo", "25e-12", "--search-hi", "100e-12",
+                   "--tol", "25e-12", "--periods", "1", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "search_lo = 2.5e-11 s already passes" in capsys.readouterr().err
 
     def test_fmax_reports_hertz(self, tmp_path):
         out = tmp_path / "o"
@@ -233,7 +241,7 @@ class TestReportCommand:
     def test_merges_rows(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["transient", "--out", str(a), *FAST]) == 0
-        assert main(["deadzone", "--search-lo", "25e-12", "--search-hi", "100e-12",
+        assert main(["deadzone", "--search-hi", "100e-12",
                      "--tol", "50e-12", "--out", str(b), *FAST]) == 0
         out = tmp_path / "sum"
         rc = main(["report", str(a / "report.json"), str(b / "report.json"),

@@ -7,14 +7,15 @@ import concurrent.futures
 import json
 import math
 from contextlib import contextmanager
-from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pfdsim.experiments as experiments
+from pfdsim.devices import DEFAULT_CONFIG
 from pfdsim.experiments import (
     _COLUMNS,
     DesignPoint,
@@ -24,12 +25,12 @@ from pfdsim.experiments import (
     half_period_test,
     measure_dead_zone,
     measure_fmax,
-    per_period_decisions,
+    pulse_table_for,
     report_from_result,
     report_row,
     width_sweep,
 )
-from pfdsim.measure import Decision
+from pfdsim.measure import Decision, per_period_decisions
 
 
 class TestDesignPoint:
@@ -108,7 +109,7 @@ class TestOffsetExperiment:
         from pfdsim.measure import detect_pulses
 
         _, result = grid_runs[100e-12]
-        events = detect_pulses(result.voltage("UP"), 0.6)
+        events = detect_pulses(result.voltage("UP"), vdd=1.2)
         assert len(events) >= 8
         starts = [ev.start for ev in events]
         for a, b in zip(starts, starts[1:]):
@@ -145,22 +146,23 @@ MAX_STUB_RUNS = 10_000
 
 @contextmanager
 def stubbed_decisions(decide):
-    """Replace simulation and classification with `decide(point)`; yields the
-    list of simulated points and fails on run MAX_STUB_RUNS + 1, so a
-    search that never ends fails instead of hanging."""
+    """Replace simulation, the pulse table and classification with
+    `decide(point)`; yields the list of simulated points and fails on run
+    MAX_STUB_RUNS + 1, so a search that never ends fails instead of hanging."""
     runs = []
 
     def simulate(point, *args, **kwargs):
         if len(runs) == MAX_STUB_RUNS:
             raise AssertionError(f"search still running after {MAX_STUB_RUNS} runs")
         runs.append(point)
-        return SimpleNamespace(voltage=lambda name: point)
+        return point
 
-    def classify(up, dn, *, vdd):
-        return decide(up)
+    def table(point, result, models):
+        return result
 
     with mock.patch.object(experiments, "simulate_point", simulate), \
-            mock.patch.object(experiments, "classify_decision", classify):
+            mock.patch.object(experiments, "pulse_table_for", table), \
+            mock.patch.object(experiments, "classify_decision", decide):
         yield runs
 
 
@@ -220,6 +222,60 @@ class TestSearchTermination:
         with stubbed_decisions(lock_up_to(5e9)):
             fm = measure_fmax(DesignPoint(), tol_rel=1e-17)
         assert fm == 5e9
+
+    def test_passing_search_lo_is_refused(self):
+        with stubbed_decisions(lead_beyond(10e-12)) as runs:
+            with pytest.raises(ExperimentError, match="search_lo = 2.5e-11 s already passes"):
+                measure_dead_zone(DesignPoint(), search_lo=25e-12, search_hi=100e-12)
+        assert [p.offset for p in runs] == [100e-12, -100e-12, 25e-12, -25e-12]
+
+    def test_failing_search_lo_is_probed_first(self):
+        with stubbed_decisions(lead_beyond(40e-12)) as runs:
+            dz = measure_dead_zone(DesignPoint(), search_lo=25e-12, search_hi=100e-12,
+                                   tol=1e-12)
+        assert 40e-12 <= dz <= 41e-12
+        assert runs[2].offset == 25e-12
+
+    def test_zero_search_lo_is_not_run(self):
+        """At 0 both probes are one circuit, which cannot lead both ways."""
+        with stubbed_decisions(lead_beyond(0.0)) as runs:
+            measure_dead_zone(DesignPoint(), tol=50e-12)
+        assert all(p.offset != 0 for p in runs)
+
+
+class TestOneScanPerOutput:
+    """Each run's UP and DN are scanned once each: one detect_pulses call
+    per output, whatever the experiment reads from them."""
+
+    @pytest.fixture
+    def scans(self, grid_runs, monkeypatch):
+        import pfdsim.measure as measure
+
+        point, result = grid_runs[100e-12]
+        monkeypatch.setattr(experiments, "simulate_point", lambda *args, **kwargs: result)
+        calls = []
+        detect = measure.detect_pulses
+
+        def counted(w, *args, **kwargs):
+            calls.append(w.v)
+            return detect(w, *args, **kwargs)
+
+        monkeypatch.setattr(measure, "detect_pulses", counted)
+        return point, result, calls
+
+    @pytest.mark.parametrize("experiment", [
+        lambda point, result: report_from_result(point, result),
+        lambda point, result: half_period_test(point, n_periods=10),
+        lambda point, result: frequency_mismatch_test(1e9, 0.8e9, n_periods=10),
+        lambda point, result: experiments._decision_at(point, 10, DEFAULT_CONFIG, None),
+    ], ids=["report_from_result", "half_period_test", "frequency_mismatch_test",
+            "_decision_at"])
+    def test_one_scan_per_output(self, scans, experiment):
+        point, result, calls = scans
+        experiment(point, result)
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], result.voltage("UP").v)
+        assert np.array_equal(calls[1], result.voltage("DN").v)
 
 
 class TestWidthSweep:
@@ -315,8 +371,7 @@ class TestHalfPeriod:
     def test_stable_and_correct(self):
         report, result = half_period_test(DesignPoint(), n_periods=8)
         assert report.decision is Decision.LEAD_A
-        decs = per_period_decisions(
-            DesignPoint(offset=0.5e-9), result)
+        decs = per_period_decisions(pulse_table_for(DesignPoint(offset=0.5e-9), result))
         assert all(d is Decision.LEAD_A for d in decs[-4:])
         # outputs stay mutually exclusive even at the widest offset
         assert report.mutual_exclusion_overlap <= 0.05 * 1e-9

@@ -1,8 +1,12 @@
 """Netlist construction, validation, and text-format round trips."""
 
-import pytest
+from dataclasses import replace
 
-from pfdsim.devices import DEFAULT_CONFIG
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pfdsim.devices import DEFAULT_CONFIG, STANDARD_CORNERS
 from pfdsim.netlist import (
     Capacitor,
     DcSource,
@@ -15,6 +19,8 @@ from pfdsim.netlist import (
     build_nor2,
     build_pfd,
     from_lines,
+    load,
+    save,
     to_lines,
 )
 
@@ -230,3 +236,76 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(NetlistError, match="unknown record"):
             from_lines("inductor L1 a b 1e-9\n")
+
+
+def positive(lo, hi):
+    return st.floats(min_value=lo, max_value=hi)
+
+
+@st.composite
+def pfd_netlists(draw):
+    """The canonical PFD at drawn geometry, corner, stimulus and loads, plus
+    drawn resistors between its nodes (the one device kind it lacks)."""
+    frequency = draw(positive(1e8, 2e10))
+    net = build_pfd(
+        width=draw(positive(50e-9, 2e-6)),
+        length=draw(positive(30e-9, 1e-6)),
+        corner=DEFAULT_CONFIG.corner(draw(st.sampled_from(list(STANDARD_CORNERS)))),
+        load_cap=draw(positive(1e-17, 1e-12)),
+        frequency=frequency,
+        offset=draw(st.floats(min_value=-0.99, max_value=0.99)) / frequency,
+        frequency_b=draw(st.none() | positive(1e8, 2e10)),
+        internal_cap=draw(positive(1e-17, 1e-12)),
+    )
+    ends = st.sampled_from(net.nodes)
+    for i, (a, b, ohms) in enumerate(draw(st.lists(st.tuples(ends, ends, positive(1e-3, 1e9)),
+                                                   max_size=4))):
+        net.add(Resistor(f"R{i}", a=a, b=b, ohms=ohms))
+    return net
+
+
+@st.composite
+def pulse_specs(draw):
+    """A stimulus and a stop time, both in periods of a drawn length."""
+    period = draw(positive(1e-12, 1e-6))
+    spec = PulseSpec(v_low=0.0, v_high=1.0, delay=draw(positive(0.0, 3.0)) * period,
+                     rise=draw(positive(1e-3, 0.3)) * period,
+                     fall=draw(positive(1e-3, 0.3)) * period,
+                     width=draw(positive(0.0, 0.3)) * period, period=period)
+    return spec, draw(positive(0.0, 8.0)) * period
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(net=pfd_netlists())
+    def test_text_round_trip(self, net, tmp_path):
+        assert from_lines(to_lines(net)) == net
+        path = tmp_path / "pfd.net"
+        save(net, path)
+        assert load(path) == net
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=pulse_specs())
+    def test_breakpoints_one_per_corner(self, drawn):
+        spec, t_stop = drawn
+        bps = spec.breakpoints(t_stop)
+        assert bps == sorted(bps)
+        assert all(0.0 <= t <= t_stop for t in bps)
+        corners = (0.0, spec.rise, spec.rise + spec.width, spec.rise + spec.width + spec.fall)
+        every = [spec.delay + k * spec.period + c
+                 for k in range(int(t_stop / spec.period) + 2) for c in corners]
+        assert bps == [t for t in every if 0.0 <= t <= t_stop]
+
+    @settings(max_examples=100, deadline=None)
+    @given(frequency=positive(1e8, 2e10), fraction=st.floats(min_value=0.0, max_value=0.99),
+           width=positive(50e-9, 2e-6))
+    def test_negative_offset_swaps_the_inputs(self, frequency, fraction, width):
+        offset = fraction / frequency
+        pos = build_pfd(width=width, frequency=frequency, offset=offset)
+        neg = build_pfd(width=width, frequency=frequency, offset=-offset)
+        spec = {d.name: d.spec for d in pos.devices if isinstance(d, PulseSource)}
+        other = {"VA": "VB", "VB": "VA"}
+        swapped = [replace(d, spec=spec[other[d.name]]) if d.name in other else d
+                   for d in pos.devices]
+        assert neg == Netlist(pos.ground, pos.nodes, swapped, pos.probes)
