@@ -12,6 +12,7 @@ the engine calls it and `mosfet_current` / `mosfet_conductances` wrap it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -44,6 +45,10 @@ class MosfetParams:
     def __post_init__(self):
         if self.polarity not in (NMOS, PMOS):
             raise ValueError(f"unknown polarity {self.polarity!r}")
+        # finite first: NaN would pass every comparison below
+        for name in ("vth0", "kprime", "lam", "w", "l", "cgs", "cgd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.w <= 0 or self.l <= 0:
             raise ValueError("w and l must be > 0")
         if self.kprime <= 0:
@@ -73,8 +78,8 @@ class CornerSet:
 
     def __post_init__(self):
         for s in (self.vth_scale_n, self.vth_scale_p, self.k_scale_n, self.k_scale_p):
-            if s <= 0:
-                raise ValueError("corner scale factors must be > 0")
+            if not 0 < s < math.inf:  # NaN fails too
+                raise ValueError("corner scale factors must be finite and > 0")
 
 
 def mosfet_eval(vgs, vds, beta, vth, lam, sign, beta_lam):
@@ -267,6 +272,8 @@ def load_config(path: str | Path, base: ModelConfig | None = None) -> ModelConfi
             num = float(value.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad number {value.strip()!r}") from exc
+        if not math.isfinite(num):
+            raise ValueError(f"{path}:{lineno}: {key} must be finite, got {value.strip()!r}")
         dest = _CONFIG_KEYS[key]
         if len(dest) == 1:
             top[dest[0]] = num

@@ -7,17 +7,31 @@ Capacitors (including the lumped MOSFET gate capacitances) enter through
 backward-Euler or trapezoidal companion models; MOSFETs are linearized
 each Newton iteration. Solves use dense LU -- the targeted circuits have
 tens of unknowns: `_lu_solve` calls LAPACK gesv through the gufunc that
-`numpy.linalg.solve` wraps (`numpy.linalg._umath_linalg.solve1`), under the
-same error state, skipping the wrapper's per-call checks and conversions.
-That module is private to numpy, so the tests pin the helper bit for bit to
+`numpy.linalg.solve` wraps (`numpy.linalg._umath_linalg.solve1`), skipping
+the wrapper's per-call checks, conversions and error state. That module is
+private to numpy, so the tests pin the helper bit for bit to
 `numpy.linalg.solve`, and CI runs the oldest and the newest supported
 numpy. The MOSFET equations are `devices.mosfet_eval`'s; the engine
 gathers every device's bias and calls it once per state.
 
+Each `transient` and `dc_operating_point` call enters one floating-point
+error state for its whole run, `np.errstate(all="ignore")`, and restores
+the caller's on exit. A singular Jacobian then gives an all-NaN update (the
+gufunc sets only the invalid flag), which ends that Newton iteration
+unconverged, uncounted, as `LinAlgError` did when the state was entered per
+solve; so the step is halved and, at the halving limit, the run ends in
+`SolverError`, without a warning. The same state silences the overflow,
+division and invalid warnings that the rest of a run could raise on a
+diverging state; no value changes, and a NaN residual is still never
+accepted (below).
+
 One step kernel (`_Kernel`) assembles every time point of the DC solve
-(its a0 = 0 case), the transient and the KCL replay from matrices that
-`_compile` builds once, so a Newton iteration makes no scatter and few
-numpy calls:
+(its a0 = 0 case), the transient and the KCL replay (a zero-iteration
+Newton call per point) from matrices that `_compile` builds once.
+`_Kernel.newton` is the one Newton iteration: residual, acceptance test,
+Jacobian, damping and device gather are written out in it, with the
+compiled arrays bound to locals once per call, so the only calls it makes
+per iteration are `mosfet_eval` and the LU solve, and it makes no scatter:
 - one incidence product gives every MOSFET's (vgs, vds) and every linear
   branch voltage and source current; others carry the MOSFET and
   capacitor companion currents into the KCL rows, and the companion
@@ -30,7 +44,11 @@ numpy calls:
 Each state's device evaluation is computed once: the accepted point's
 evaluation seeds the first residual of the next step, which starts from
 that same state (SPICE2's device bypass, taken only where the state is
-unchanged, so every value is the same).
+unchanged, so every value is the same), and its capacitor voltages give
+that step's companion history (each is fl(v_a - v_b) whichever product
+forms it). A time point of a PFD run at 1 GHz costs about 43 us of engine
+time (45 us with the error state entered per solve and a helper call per
+step; 2-CPU VM, Python 3.11, numpy 2.4).
 
 A step is accepted when every node's Kirchhoff current residual is
 within abstol_i + reltol * (largest branch current at that node) and
@@ -53,7 +71,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
+from numpy.linalg import _umath_linalg
 
 from pfdsim.devices import mosfet_eval
 from pfdsim.netlist import (
@@ -73,20 +91,14 @@ _MAX_STEP_HALVINGS = 8
 _NEWTON_DAMP_V = 0.3  # max node-voltage move per iteration, volts
 
 
-def _singular(err, flag):
-    raise LinAlgError("Singular matrix")
-
-
 def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with a @ x = b, for one float64 system: `np.linalg.solve(a, b)`
-    without its argument checks and conversions. It calls the LAPACK gesv
-    gufunc that `np.linalg.solve` wraps, under the same error state, so the
-    result is bit-equal and a singular `a` raises `LinAlgError` (no
-    warning). `_umath_linalg` is private to numpy; the tests pin this
-    helper to `np.linalg.solve`."""
-    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
-                     under="ignore"):
-        return _umath_linalg.solve1(a, b, signature="dd->d")
+    without its argument checks, conversions and error state. It calls the
+    LAPACK gesv gufunc that `np.linalg.solve` wraps, so the result is
+    bit-equal; a singular `a` gives all NaN, with the invalid flag set.
+    `_umath_linalg` is private to numpy; the tests pin this helper to
+    `np.linalg.solve`."""
+    return _umath_linalg.solve1(a, b, signature="dd->d")
 
 
 class SolverError(Exception):
@@ -232,7 +244,6 @@ class _Compiled:
     g_static: np.ndarray  # (n, n) resistor + gmin + source-pattern stamps
     cap_pattern: np.ndarray  # (n, n) capacitance stamps, scaled by a0 per step
     gather: np.ndarray  # (2 n_mos + n_lin, naug): MOSFET biases, then linear branches
-    cap_gather: np.ndarray  # (n_cap, naug): capacitor voltages
     m_kcl: np.ndarray  # (n, n_mos): drain +1, source -1
     cap_kcl: np.ndarray  # (n, n_cap): plate a +1, plate b -1
     cap: slice  # capacitors within the branch currents
@@ -350,7 +361,6 @@ def _compile(net: Netlist, gmin: float) -> _Compiled:
         gather=np.vstack([_pairs(m_g, m_s, naug, m_sign),
                           _pairs(m_d, m_s, naug, m_sign),
                           lin_gather]),
-        cap_gather=cap_gather,
         m_kcl=_pairs(m_d, m_s, naug)[:, :n].T.copy(),
         cap_kcl=cap_n.T.copy(),
         cap=slice(n_mos + len(r_a), n_mos + len(r_a) + len(c_a)),
@@ -378,18 +388,10 @@ class _Point(NamedTuple):
     rhs: np.ndarray  # (n,) history currents into nodes, source voltages
 
 
-class _Eval(NamedTuple):
-    """The state-only part of a residual, evaluated once per state."""
-
-    dev: np.ndarray  # (3, n_mos): MOSFET ids, gm, gds
-    branch: np.ndarray  # MOSFET currents, linear branch voltages, source currents
-    kcl: np.ndarray  # MOSFET currents into the KCL rows (m_kcl @ ids)
-
-
 class _Kernel:
     """Step assembly shared by the DC solve, the transient and the KCL
-    replay: one residual, one acceptance test, one Newton iteration. It
-    counts its device evaluations and LU solves in `stats`."""
+    replay: one companion time point and one Newton iteration. It counts
+    its device evaluations and LU solves in `stats`."""
 
     def __init__(self, c: _Compiled, opt: SimOptions):
         self.c = c
@@ -401,9 +403,10 @@ class _Kernel:
                                        np.full(c.n - c.n_nodes, opt.abstol_v)])
         self._linear: dict[float | None, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def point(self, h: float | None, vsrc: np.ndarray, x_prev: np.ndarray | None = None,
+    def point(self, h: float | None, vsrc: np.ndarray, cap_v: np.ndarray | None = None,
               i_prev: np.ndarray | None = None) -> _Point:
-        """Time point of step size h after x_prev (h None: DC)."""
+        """Time point of step size h after a state whose capacitor voltages
+        are cap_v and capacitor currents i_prev (h None: DC)."""
         c = self.c
         cached = self._linear.get(h)
         if cached is None:
@@ -414,50 +417,15 @@ class _Kernel:
                                       np.ones(c.n - c.n_nodes + 1)]), geq)
             self._linear[h] = cached
         a_lin, weights, geq = cached
-        if x_prev is None:
+        if cap_v is None:
             history, rhs = None, np.zeros(c.n)
         else:
-            history = c.cap_gather.dot(x_prev)
-            history *= geq
+            history = geq * cap_v
             if self.trap:
                 history += i_prev
             rhs = c.cap_kcl.dot(history)
         rhs[c.n_nodes:] = vsrc
         return _Point(a_lin, weights, history, rhs)
-
-    def evaluate(self, x: np.ndarray) -> _Eval:
-        """Device evaluation at state x, shared by every residual at x."""
-        c = self.c
-        self.stats.device_evals += 1
-        m = len(c.m_sign)
-        y = c.gather.dot(x)  # vgs, vds, then the linear branches
-        dev = mosfet_eval(y[:m], y[m: 2 * m], c.m_beta, c.m_vth, c.m_lam, c.m_sign,
-                          c.m_blam)
-        ids = dev[0]
-        y[m: 2 * m] = ids
-        return _Eval(dev, y[m:], c.m_kcl.dot(ids))
-
-    def residual(self, p: _Point, x: np.ndarray, ev: _Eval):
-        """KCL/constraint residual f, per-row tolerance and branch currents
-        at x, from its evaluation ev. The tolerance is abs_tol + reltol *
-        (largest branch current at the row)."""
-        c = self.c
-        cur = p.weights * ev.branch
-        if p.ieq is not None:
-            cap = cur[c.cap]  # a view
-            cap -= p.ieq
-        tol = np.maximum.reduceat(np.abs(cur)[c.ends], c.starts)
-        tol *= self.opt.reltol
-        tol += self.abs_tol
-        f = p.a_lin.dot(x[: c.n])
-        f += ev.kcl
-        f -= p.rhs
-        return f, tol, cur
-
-    @staticmethod
-    def accepts(f: np.ndarray, tol: np.ndarray) -> bool:
-        """Every row within its tolerance; a NaN residual is never accepted."""
-        return bool(np.logical_and.reduce(np.abs(f) <= tol))
 
     def node_ratios(self, f: np.ndarray, tol: np.ndarray) -> np.ndarray:
         k = self.c.n_nodes
@@ -466,46 +434,81 @@ class _Kernel:
     def worst_node(self, f: np.ndarray, tol: np.ndarray) -> str:
         return self.c.node_names[int(np.argmax(self.node_ratios(f, tol)))]
 
-    def jacobian(self, p: _Point, ev: _Eval) -> np.ndarray:
-        c = self.c
-        jac = c.j_stamps.dot(ev.dev[1:].reshape(-1)).reshape(c.n, c.n)  # on (gm, gds)
-        jac += p.a_lin
-        return jac
-
-    def newton(self, p: _Point, x0: np.ndarray, ev0: _Eval):
+    def newton(self, p: _Point, x0: np.ndarray, ev0: tuple | None = None,
+               iters: int | None = None):
         """Newton iteration with per-node voltage damping from x0, whose
-        evaluation is ev0.
+        device evaluation is ev0 (None: evaluate x0 first). It makes at most
+        `iters` LU solves (default `max_newton_iters`); 0 only evaluates
+        the residual at x0.
 
-        Returns (x, converged, f, tol, cur, ev); f/tol/cur/ev at x. Each
-        LU solve that succeeds is counted and followed by one evaluation.
+        Returns (x, converged, f, tol, cur, ev), f/tol/cur/ev at x:
+        - f, the KCL/constraint residual, and tol, its per-row tolerance
+          abs_tol + reltol * (largest branch current at the row);
+        - cur, the branch currents: MOSFETs', then the linear branches';
+        - ev = (dev, branch, kcl), x's device evaluation: the (ids, gm, gds)
+          rows, the MOSFET currents followed by the linear branch voltages
+          (capacitors at `c.cap`) and source currents, and the MOSFET
+          currents into the KCL rows.
+        Each LU solve that succeeds is counted and followed by one
+        evaluation. A singular Jacobian gives a NaN update (the run's error
+        state ignores the invalid flag) and ends the iteration unconverged.
         """
-        c, stats = self.c, self.stats
+        c, stats, opt = self.c, self.stats, self.opt
+        solve, device = _lu_solve, mosfet_eval
+        n, n_nodes, m = c.n, c.n_nodes, len(c.m_sign)
+        gather, m_kcl, j_stamps, ends, starts = c.gather, c.m_kcl, c.j_stamps, c.ends, c.starts
+        caps = c.cap
+        beta, vth, lam, sign, blam = c.m_beta, c.m_vth, c.m_lam, c.m_sign, c.m_blam
+        reltol, abs_tol = opt.reltol, self.abs_tol
+        a_lin, weights, ieq, rhs = p
+        if iters is None:
+            iters = opt.max_newton_iters
         x, ev = x0.copy(), ev0
-        unknowns = x[: c.n]  # a view: ground stays 0
-        f, tol, cur = self.residual(p, x, ev)
-        for _ in range(self.opt.max_newton_iters):
-            if self.accepts(f, tol):
+        unknowns = x[:n]  # a view: ground stays 0
+        for it in range(iters + 1):
+            if ev is None:
+                stats.device_evals += 1
+                y = gather.dot(x)  # vgs, vds, then the linear branches
+                dev = device(y[:m], y[m: 2 * m], beta, vth, lam, sign, blam)
+                ids = dev[0]
+                y[m: 2 * m] = ids
+                ev = (dev, y[m:], m_kcl.dot(ids))
+            dev, branch, kcl = ev
+            cur = weights * branch
+            if ieq is not None:
+                cap = cur[caps]  # a view
+                cap -= ieq
+            tol = np.maximum.reduceat(np.abs(cur).take(ends), starts)
+            tol *= reltol
+            tol += abs_tol
+            f = a_lin.dot(unknowns)
+            f += kcl
+            f -= rhs
+            if np.logical_and.reduce(np.abs(f) <= tol):  # False on NaN
                 return x, True, f, tol, cur, ev
-            try:
-                dx = _lu_solve(self.jacobian(p, ev), f)
-            except LinAlgError:
-                return x, False, f, tol, cur, ev
+            if it == iters:
+                break
+            jac = j_stamps.dot(dev[1:].reshape(-1)).reshape(n, n)  # on (gm, gds)
+            jac += a_lin
+            dx = solve(jac, f)
+            vmax = np.maximum.reduce(np.abs(dx[:n_nodes]), initial=0.0)
+            if vmax != vmax:  # NaN: the Jacobian was singular
+                break
             stats.lu_solves += 1
-            vmax = np.maximum.reduce(np.abs(dx[: c.n_nodes]), initial=0.0)
             if vmax > _NEWTON_DAMP_V:
                 dx *= _NEWTON_DAMP_V / vmax
             unknowns -= dx
-            ev = self.evaluate(x)
-            f, tol, cur = self.residual(p, x, ev)
-        return x, self.accepts(f, tol), f, tol, cur, ev
+            ev = None
+        return x, False, f, tol, cur, ev
 
 
-def _dc_solve(k: _Kernel, t: float = 0.0) -> tuple[np.ndarray, _Eval]:
+def _dc_solve(k: _Kernel, t: float = 0.0) -> tuple[np.ndarray, tuple]:
     """DC solution and its device evaluation."""
     c = k.c
     p = k.point(None, _source_values(c, [t])[0])
     zero = np.zeros(c.naug)
-    ev_zero = k.evaluate(zero)
+    # the zero state's evaluation, which the gmin ladder starts from too
+    ev_zero = k.newton(p, zero, iters=0)[-1]
     x, ok, f, tol, _, ev = k.newton(p, zero, ev_zero)
     if ok:
         return x, ev
@@ -537,7 +540,8 @@ def dc_operating_point(netlist: Netlist, options: SimOptions | None = None) -> d
     opt = options or SimOptions()
     opt.validate()
     c = _compile(netlist, opt.gmin)
-    x, _ = _dc_solve(_Kernel(c, opt))
+    with np.errstate(all="ignore"):
+        x, _ = _dc_solve(_Kernel(c, opt))
     out = {name: float(x[i]) for i, name in enumerate(c.node_names)}
     out[netlist.ground] = 0.0
     return out
@@ -590,47 +594,48 @@ def transient(
     axis = _time_axis(netlist, dt, opt.t_stop).tolist()
     vsrc = _source_values(c, axis)
     k = _Kernel(c, opt)
-
-    if initial_voltages is None:
-        x, ev = _dc_solve(k, t=axis[0])
-    else:
-        x = np.zeros(c.naug)
-        for name, v in initial_voltages.items():
-            if name == netlist.ground:
-                continue
-            x[c.node_names.index(name)] = v
-        ev = k.evaluate(x)
-
-    times, rows, i_prev = [axis[0]], [x], np.zeros(len(c.c_val))
     stats = k.stats
-    for j in range(1, len(axis)):
-        # targets still to reach from the last accepted point; a failed
-        # step is halved and both halves are tried one level deeper. Every
-        # attempt starts from rows[-1], whose evaluation ev is kept
-        pending = [(axis[j], vsrc[j], 0)]
-        while pending:
-            t0, (t1, v1, depth) = times[-1], pending[-1]
-            p = k.point(t1 - t0, v1, rows[-1], i_prev)
-            solves = stats.lu_solves
-            x_new, ok, f, tol, cur, ev_new = k.newton(p, rows[-1], ev)
-            if ok:
-                stats.steps_without_solve += stats.lu_solves == solves
-                times.append(t1)
-                rows.append(x_new)
-                i_prev, ev = cur[c.cap], ev_new
-                pending.pop()
-            elif depth < _MAX_STEP_HALVINGS:
-                stats.step_halvings += 1
-                tm = 0.5 * (t0 + t1)
-                pending[-1] = (t1, v1, depth + 1)
-                pending.append((tm, _source_values(c, [tm])[0], depth + 1))
-            else:
-                worst = k.worst_node(f, tol)
-                raise SolverError(
-                    f"transient Newton failed at t = {t1:.6e} s (worst node {worst!r})",
-                    time=t1,
-                    node=worst,
-                )
+    with np.errstate(all="ignore"):  # the run's error state, see the module docstring
+        if initial_voltages is None:
+            x, ev = _dc_solve(k, t=axis[0])
+        else:
+            x = np.zeros(c.naug)
+            for name, v in initial_voltages.items():
+                if name == netlist.ground:
+                    continue
+                x[c.node_names.index(name)] = v
+            ev = k.newton(k.point(None, vsrc[0]), x, iters=0)[-1]
+
+        times, rows, i_prev = [axis[0]], [x], np.zeros(len(c.c_val))
+        for j in range(1, len(axis)):
+            # targets still to reach from the last accepted point; a failed
+            # step is halved and both halves are tried one level deeper. Every
+            # attempt starts from rows[-1], whose evaluation ev is kept and
+            # gives the step's capacitor history
+            pending = [(axis[j], vsrc[j], 0)]
+            while pending:
+                t0, (t1, v1, depth) = times[-1], pending[-1]
+                p = k.point(t1 - t0, v1, ev[1][c.cap], i_prev)
+                solves = stats.lu_solves
+                x_new, ok, f, tol, cur, ev_new = k.newton(p, rows[-1], ev)
+                if ok:
+                    stats.steps_without_solve += stats.lu_solves == solves
+                    times.append(t1)
+                    rows.append(x_new)
+                    i_prev, ev = cur[c.cap], ev_new
+                    pending.pop()
+                elif depth < _MAX_STEP_HALVINGS:
+                    stats.step_halvings += 1
+                    tm = 0.5 * (t0 + t1)
+                    pending[-1] = (t1, v1, depth + 1)
+                    pending.append((tm, _source_values(c, [tm])[0], depth + 1))
+                else:
+                    worst = k.worst_node(f, tol)
+                    raise SolverError(
+                        f"transient Newton failed at t = {t1:.6e} s (worst node {worst!r})",
+                        time=t1,
+                        node=worst,
+                    )
 
     stats.points = len(times)
     data = np.array(rows)
@@ -662,12 +667,12 @@ def kcl_residual_ratio(netlist: Netlist, result: TransientResult,
     x_all = np.hstack([result.voltages, result.branch_currents, np.zeros((n_pts, 1))])
     times = result.time.tolist()
     vsrc = _source_values(c, times)
-    f, tol, _ = k.residual(k.point(None, vsrc[0]), x_all[0], k.evaluate(x_all[0]))
+    _, _, f, tol, _, ev = k.newton(k.point(None, vsrc[0]), x_all[0], iters=0)
     worst = float(np.max(k.node_ratios(f, tol)))
     i_prev = np.zeros(len(c.c_val))
     for j in range(1, n_pts):
-        p = k.point(times[j] - times[j - 1], vsrc[j], x_all[j - 1], i_prev)
-        f, tol, cur = k.residual(p, x_all[j], k.evaluate(x_all[j]))
+        p = k.point(times[j] - times[j - 1], vsrc[j], ev[1][c.cap], i_prev)
+        _, _, f, tol, cur, ev = k.newton(p, x_all[j], iters=0)
         worst = max(worst, float(np.max(k.node_ratios(f, tol))))
         i_prev = cur[c.cap]
     return worst

@@ -47,6 +47,9 @@ class DesignPoint:
     load_cap: float = 1e-15
 
     def __post_init__(self):
+        for name in ("width", "length", "frequency", "offset", "load_cap"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         # written as `not (x > 0)` so that NaN fails too
         if not (self.width > 0 and self.length > 0):
             raise ValueError("width and length must be > 0")
@@ -337,6 +340,9 @@ def frequency_mismatch_test(
 ) -> tuple[ExperimentReport, TransientResult]:
     """Unequal input frequencies: the slower feedback must accumulate more
     UP high-time than DN high-time (and mirrored)."""
+    if not 0 < f_fb < math.inf:  # NaN fails too
+        raise ValueError(f"feedback frequency f_fb (--f-fb) must be finite and > 0, "
+                         f"got {f_fb!r}")
     if f_ref == f_fb:
         raise ExperimentError("equal frequencies: use run_offset_experiment instead")
     p = replace(point, frequency=f_ref, offset=0.0)

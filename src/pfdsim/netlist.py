@@ -7,6 +7,7 @@ as immutable, so one template can back any number of concurrent runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +33,11 @@ class PulseSpec:
     period: float
 
     def __post_init__(self):
+        # finite first: NaN would pass every comparison below, and a NaN
+        # period would never end `breakpoints`
+        for name, v in vars(self).items():
+            if not math.isfinite(v):
+                raise ValueError(f"pulse {name} must be finite, got {v!r}")
         if self.period <= 0:
             raise ValueError("period must be > 0")
         if self.rise <= 0 or self.fall <= 0:
@@ -192,10 +198,11 @@ class Netlist:
                 if n not in seen:
                     violations.append(f"device {d.name!r} references unknown node {n!r}")
         for d in self.devices:
-            if isinstance(d, Resistor) and d.ohms <= 0:
-                violations.append(f"resistor {d.name!r} must have ohms > 0")
-            if isinstance(d, Capacitor) and d.farads <= 0:
-                violations.append(f"capacitor {d.name!r} must have farads > 0")
+            # NaN fails these tests too
+            if isinstance(d, Resistor) and not 0 < d.ohms < math.inf:
+                violations.append(f"resistor {d.name!r} must have finite ohms > 0")
+            if isinstance(d, Capacitor) and not 0 < d.farads < math.inf:
+                violations.append(f"capacitor {d.name!r} must have finite farads > 0")
 
         # connectivity: every non-ground node reachable from ground through
         # device terminals (each device links all of its terminals)

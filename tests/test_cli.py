@@ -101,6 +101,11 @@ class TestUsageErrors:
         ["fmax", "--f-hi", "nan"],
         ["deadzone", "--tol", "inf"],
         ["fmax", "--tol-rel", "inf"],
+        ["transient", "--width=inf"],
+        ["transient", "--length=inf"],
+        ["transient", "--load-cap=inf"],
+        ["transient", "--freq=inf"],
+        ["transient", "--offset=-inf"],
     ])
     def test_nan_value_exits_1_before_simulation(self, argv, tmp_path, capsys,
                                                    monkeypatch):
@@ -109,6 +114,29 @@ class TestUsageErrors:
         assert main([*argv, "--out", str(out)]) == 1
         assert "pfdsim: error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("f_fb", ["nan", "0", "inf"])
+    def test_bad_f_fb_exits_1_naming_the_flag(self, f_fb, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "transient", _no_simulation)
+        out = tmp_path / "o"
+        assert main(["mismatch", "--f-fb", f_fb, "--periods", "3", "--out", str(out)]) == 1
+        assert "--f-fb" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["nmos.vth0 = nan", "nmos.kprime = inf"])
+    def test_nonfinite_calibration_exits_1_with_its_line(self, line, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(experiments, "transient", _no_simulation)
+        params = tmp_path / "bad.params"
+        params.write_text(f"vdd = 1.2\n{line}\n")
+        out = tmp_path / "o"
+        assert main(["transient", "--params", str(params), "--out", str(out)]) == 1
+        assert f"pfdsim: error: {params}:2: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mismatch_nan_f_fb_returns_quickly(self, tmp_path):
+        """Unpatched, end to end: the run that never ended exits 1 at once."""
+        assert main(["mismatch", "--f-fb", "nan", "--out", str(tmp_path / "o")]) == 1
 
     def test_t_stop_is_a_transient_only_flag(self, tmp_path, capsys):
         """Each subcommand accepts only the flags it reads; --t-stop is the

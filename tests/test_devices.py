@@ -7,6 +7,8 @@ closed forms.
 
 import math
 import random
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,6 +191,21 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             CornerSet(name="FF", vth_scale_n=0.0)
 
+    @pytest.mark.parametrize("field", ["vth0", "kprime", "lam", "w", "l", "cgs", "cgd"])
+    @pytest.mark.parametrize("polarity", ["nmos", "pmos"])
+    def test_rejects_nan(self, polarity, field):
+        """NaN passed the old `<=` checks of every field."""
+        p = DEFAULT_CONFIG.mosfet(polarity, 260e-9, 100e-9)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            replace(p, **{field: math.nan})
+
+    @pytest.mark.parametrize("field", ["vth_scale_n", "vth_scale_p", "k_scale_n",
+                                       "k_scale_p"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite_corner_scale(self, field, value):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            CornerSet(name="FF", **{field: value})
+
 
 class TestConfigFile:
     def test_defaults(self):
@@ -221,6 +238,15 @@ class TestConfigFile:
         path = tmp_path / "cal.params"
         path.write_text("vdd = fast\n")
         with pytest.raises(ValueError, match="bad number"):
+            load_config(path)
+
+    @pytest.mark.parametrize("line", ["nmos.vth0 = nan", "nmos.kprime = inf",
+                                      "vdd = -inf", "corner.fast.k_scale = NaN"])
+    def test_nonfinite_number_rejected(self, tmp_path, line):
+        """Refused with the file and line, before any device is built."""
+        path = tmp_path / "cal.params"
+        path.write_text(f"# calibration\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: ") + ".* must be finite"):
             load_config(path)
 
     def test_corner_table_from_scales(self):

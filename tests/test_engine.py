@@ -488,6 +488,26 @@ def _compiled_pfd():
     return c, ref_index(net, c, opt.gmin), _dc_solve(_Kernel(c, opt))[0]
 
 
+def kernel_state(kern, pt, x):
+    """(accepted, f, tol, jacobian) of the engine's Newton iteration at
+    state x: a zero-iteration `newton` call gives the verdict, residual and
+    tolerance; the Jacobian is the matrix its first LU solve receives, taken
+    from a kernel whose tolerance (abs_tol = -inf) accepts no state."""
+    import pfdsim.engine as engine
+
+    _, accepted, f, tol, _, _ = kern.newton(pt, x, iters=0)
+    never = engine._Kernel(kern.c, replace(kern.opt, abstol_i=-math.inf,
+                                           abstol_v=-math.inf))
+    solved = []
+    solve = engine._lu_solve
+    engine._lu_solve = lambda a, b: solved.append(a.copy()) or solve(a, b)
+    try:
+        never.newton(pt, x, iters=1)
+    finally:
+        engine._lu_solve = solve
+    return accepted, f, tol, solved[0]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     step=st.sampled_from([None, ("trapezoidal", 0.5e-12), ("backward_euler", 0.5e-12),
@@ -522,12 +542,10 @@ def test_kernel_matches_scatter_reference(step, log_dx, t, seed):
     else:
         x_prev = near_dc(rng.uniform(-6.0, 0.0))
         i_prev = 1e-5 * rng.uniform(-1.0, 1.0, len(r.c_a))
-        pt = kern.point(h, vsrc, x_prev, i_prev)
+        pt = kern.point(h, vsrc, x_prev[r.c_a] - x_prev[r.c_b], i_prev)
         ref = ref_point(r, opt, h, vsrc, x_prev, i_prev)
 
-    ev = kern.evaluate(x)
-    f, tol, _ = kern.residual(pt, x, ev)
-    jac = kern.jacobian(pt, ev)
+    accepted, f, tol, jac = kernel_state(kern, pt, x)
     f_ref, scale_ref, jac_ref, f_mag, jac_mag = ref_residual(r, ref, x)
 
     assert np.array_equal(tol, ref_tolerance(r, opt, scale_ref))
@@ -535,7 +553,7 @@ def test_kernel_matches_scatter_reference(step, log_dx, t, seed):
     assert np.all(np.abs(jac - jac_ref) <= 1e-12 * jac_mag)
     verdict, worst = ref_converged(r, opt, f_ref, scale_ref)
     if abs(worst - 1.0) > 1e-9:
-        assert kern.accepts(f, tol) == verdict
+        assert accepted == verdict
 
 
 ONE_PERIOD_RUNS = pytest.mark.parametrize("offset,options", [
@@ -579,11 +597,226 @@ def test_reused_evaluation_is_bit_identical(offset, options, monkeypatch):
     reused = transient(net, opt, initial_voltages=initial)
     newton = _Kernel.newton
     monkeypatch.setattr(_Kernel, "newton",
-                        lambda k, p, x0, ev0: newton(k, p, x0, k.evaluate(x0)))
+                        lambda k, p, x0, ev0=None, iters=None: newton(k, p, x0, None, iters))
     fresh = transient(net, opt, initial_voltages=initial)
     assert np.array_equal(reused.time, fresh.time)
     assert np.array_equal(reused.voltages, fresh.voltages)
     assert np.array_equal(reused.branch_currents, fresh.branch_currents)
+
+
+# ---------------------------------------------------------------------------
+# Reference Newton loop: the step kernel as it was before the iteration was
+# written out in one method (separate point / evaluate / residual / accepts /
+# jacobian helpers, capacitor history from its own incidence product, the
+# error state entered per solve through np.linalg.solve). Every float and
+# every count of the engine must equal it.
+# ---------------------------------------------------------------------------
+
+class RefKernel:
+    def __init__(self, net, opt):
+        from pfdsim.engine import SimStats, _pairs
+
+        self.c = c = _compile(net, opt.gmin)
+        r = ref_index(net, c, opt.gmin)
+        self.cap_gather = _pairs(r.c_a, r.c_b, c.naug)
+        self.opt = opt
+        self.stats = SimStats()
+        self.a0_num = 1.0 if opt.integrator == "backward_euler" else 2.0
+        self.trap = opt.integrator == "trapezoidal"
+        self.abs_tol = np.concatenate([np.full(c.n_nodes, opt.abstol_i),
+                                       np.full(c.n - c.n_nodes, opt.abstol_v)])
+
+    def point(self, h, vsrc, x_prev=None, i_prev=None):
+        c = self.c
+        a0 = 0.0 if h is None else self.a0_num / h
+        geq = a0 * c.c_val
+        a_lin = c.g_static + a0 * c.cap_pattern
+        weights = np.concatenate([np.ones(len(c.m_sign)), c.r_g, geq,
+                                  np.ones(c.n - c.n_nodes + 1)])
+        if x_prev is None:
+            history, rhs = None, np.zeros(c.n)
+        else:
+            history = self.cap_gather.dot(x_prev)
+            history *= geq
+            if self.trap:
+                history += i_prev
+            rhs = c.cap_kcl.dot(history)
+        rhs[c.n_nodes:] = vsrc
+        return a_lin, weights, history, rhs
+
+    def evaluate(self, x):
+        from pfdsim.devices import mosfet_eval
+
+        c = self.c
+        self.stats.device_evals += 1
+        m = len(c.m_sign)
+        y = c.gather.dot(x)
+        dev = mosfet_eval(y[:m], y[m: 2 * m], c.m_beta, c.m_vth, c.m_lam, c.m_sign,
+                          c.m_blam)
+        ids = dev[0]
+        y[m: 2 * m] = ids
+        return dev, y[m:], c.m_kcl.dot(ids)
+
+    def residual(self, p, x, ev):
+        c = self.c
+        a_lin, weights, ieq, rhs = p
+        cur = weights * ev[1]
+        if ieq is not None:
+            cap = cur[c.cap]
+            cap -= ieq
+        tol = np.maximum.reduceat(np.abs(cur)[c.ends], c.starts)
+        tol *= self.opt.reltol
+        tol += self.abs_tol
+        f = a_lin.dot(x[: c.n])
+        f += ev[2]
+        f -= rhs
+        return f, tol, cur
+
+    @staticmethod
+    def accepts(f, tol):
+        return bool(np.logical_and.reduce(np.abs(f) <= tol))
+
+    def jacobian(self, p, ev):
+        c = self.c
+        jac = c.j_stamps.dot(ev[0][1:].reshape(-1)).reshape(c.n, c.n)
+        jac += p[0]
+        return jac
+
+    def newton(self, p, x0, ev0):
+        from pfdsim.engine import _NEWTON_DAMP_V
+
+        c, stats = self.c, self.stats
+        x, ev = x0.copy(), ev0
+        unknowns = x[: c.n]
+        f, tol, cur = self.residual(p, x, ev)
+        for _ in range(self.opt.max_newton_iters):
+            if self.accepts(f, tol):
+                return x, True, f, tol, cur, ev
+            try:
+                dx = np.linalg.solve(self.jacobian(p, ev), f)
+            except np.linalg.LinAlgError:
+                return x, False, f, tol, cur, ev
+            stats.lu_solves += 1
+            vmax = np.maximum.reduce(np.abs(dx[: c.n_nodes]), initial=0.0)
+            if vmax > _NEWTON_DAMP_V:
+                dx *= _NEWTON_DAMP_V / vmax
+            unknowns -= dx
+            ev = self.evaluate(x)
+            f, tol, cur = self.residual(p, x, ev)
+        return x, self.accepts(f, tol), f, tol, cur, ev
+
+    def dc_solve(self):
+        from pfdsim.engine import _GMIN_LADDER_START, _source_values
+
+        c = self.c
+        a_lin, weights, ieq, rhs = p = self.point(None, _source_values(c, [0.0])[0])
+        zero = np.zeros(c.naug)
+        ev_zero = self.evaluate(zero)
+        x, ok, _, _, _, ev = self.newton(p, zero, ev_zero)
+        self.gmin_ladder = not ok
+        if ok:
+            return x, ev
+        ladder, g = [], _GMIN_LADDER_START
+        while g > max(self.opt.gmin, 1e-15):
+            ladder.append(g)
+            g /= 10.0
+        ladder.append(0.0)
+        shunt = np.diag((np.arange(c.n) < c.n_nodes).astype(float))
+        x, ev = zero, ev_zero
+        for g in ladder:
+            x, ok, _, _, _, ev = self.newton((a_lin + g * shunt, weights, ieq, rhs), x, ev)
+            assert ok
+        return x, ev
+
+    def transient(self, net, initial=None):
+        from pfdsim.engine import (
+            _MAX_STEP_HALVINGS,
+            _resolve_dt,
+            _source_values,
+            _time_axis,
+        )
+
+        c, opt, stats = self.c, self.opt, self.stats
+        axis = _time_axis(net, _resolve_dt(net, opt), opt.t_stop).tolist()
+        vsrc = _source_values(c, axis)
+        if initial is None:
+            x, ev = self.dc_solve()
+        else:
+            x = np.zeros(c.naug)
+            x[: c.n_nodes] = [initial[name] for name in c.node_names]
+            ev = self.evaluate(x)
+        times, rows, i_prev = [axis[0]], [x], np.zeros(len(c.c_val))
+        for j in range(1, len(axis)):
+            pending = [(axis[j], vsrc[j], 0)]
+            while pending:
+                t0, (t1, v1, depth) = times[-1], pending[-1]
+                p = self.point(t1 - t0, v1, rows[-1], i_prev)
+                solves = stats.lu_solves
+                x_new, ok, _, _, cur, ev_new = self.newton(p, rows[-1], ev)
+                if ok:
+                    stats.steps_without_solve += stats.lu_solves == solves
+                    times.append(t1)
+                    rows.append(x_new)
+                    i_prev, ev = cur[c.cap], ev_new
+                    pending.pop()
+                else:
+                    assert depth < _MAX_STEP_HALVINGS
+                    stats.step_halvings += 1
+                    tm = 0.5 * (t0 + t1)
+                    pending[-1] = (t1, v1, depth + 1)
+                    pending.append((tm, _source_values(c, [tm])[0], depth + 1))
+        stats.points = len(times)
+        data = np.array(rows)
+        return np.array(times), data[:, : c.n_nodes], data[:, c.n_nodes: c.n]
+
+
+@ONE_PERIOD_RUNS
+def test_transient_bit_identical_to_reference_loop(offset, options):
+    """Time axis, voltages and branch currents byte for byte, and every
+    SimStats counter, against the reference loop (including the halving
+    path of the third run)."""
+    net, opt, initial = one_period_run(offset, options)
+    res = transient(net, opt, initial_voltages=initial)
+    ref = RefKernel(net, opt)
+    times, volts, currents = ref.transient(net, initial)
+    assert res.time.tobytes() == times.tobytes()
+    assert res.voltages.tobytes() == volts.tobytes()
+    assert res.branch_currents.tobytes() == currents.tobytes()
+    assert res.stats == ref.stats
+
+
+def floating_stack():
+    """Series cutoff devices leave an internal node on gmin only."""
+    nm = DEFAULT_CONFIG.mosfet("nmos", 260e-9, 100e-9)
+    net = Netlist()
+    net.add_node("0")
+    for n in ("VDD", "mid"):
+        net.add_node(n)
+    net.add(DcSource("VS", plus="VDD", minus="0", volts=1.2))
+    net.add(Mosfet("M1", drain="mid", gate="0", source="VDD", params=nm))
+    net.add(Mosfet("M2", drain="mid", gate="0", source="0", params=nm))
+    return net
+
+
+@pytest.mark.parametrize("net,gmin,ladder", [
+    (build_pfd(), 1e-12, False),
+    # without gmin the floating node's Jacobian row is zero at the zero
+    # state: the first solve is singular and the gmin ladder takes over
+    (floating_stack(), 0.0, True),
+], ids=["pfd", "singular_then_gmin_ladder"])
+def test_dc_solve_bit_identical_to_reference_loop(net, gmin, ladder):
+    """The DC solution, its device evaluation and the counts, byte for byte."""
+    from pfdsim.engine import _dc_solve, _Kernel
+
+    opt = SimOptions(gmin=gmin)
+    kern, ref = _Kernel(_compile(net, opt.gmin), opt), RefKernel(net, opt)
+    with np.errstate(all="ignore"):
+        x, ev = _dc_solve(kern)
+    x_ref, ev_ref = ref.dc_solve()
+    assert ref.gmin_ladder == ladder
+    assert x.tobytes() == x_ref.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(ev, ev_ref))
+    assert kern.stats == ref.stats
 
 
 def test_one_device_evaluation_per_newton_iterate(monkeypatch):
@@ -687,22 +920,44 @@ class TestLuSolve:
 
     @pytest.mark.parametrize("a", [np.zeros((16, 16)), np.ones((16, 16)),
                                    np.diag(np.arange(16.0))])
-    def test_singular_raises_without_warning(self, a):
+    def test_singular_gives_nan_without_warning(self, a):
+        """In a run's error state (np.errstate(all="ignore")) a singular
+        system gives an all-NaN solution, which the Newton iteration reads
+        as a failed solve, and no warning; np.linalg.solve raises."""
         from pfdsim.engine import _lu_solve
 
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, np.ones(16))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(np.linalg.LinAlgError):
-                _lu_solve(a, np.ones(16))
+            with np.errstate(all="ignore"):
+                x = _lu_solve(a, np.ones(16))
+        assert np.isnan(x).all()
+
+    def test_run_error_state_is_restored(self):
+        """transient and dc_operating_point enter their error state once per
+        run and hand the caller's back, also when the run raises."""
+        net = build_pfd()
+        with np.errstate(divide="raise", over="warn", invalid="print", under="ignore"):
+            caller = np.geterr()
+            dc_operating_point(net)
+            assert np.geterr() == caller
+            transient(net, SimOptions(t_stop=0.3e-9))
+            assert np.geterr() == caller
+            with pytest.raises(SolverError):
+                transient(net, SimOptions(t_stop=0.3e-9),
+                          initial_voltages={**dc_operating_point(net), "UP": math.nan})
+            assert np.geterr() == caller
 
     def test_singular_jacobian_ends_in_solver_error(self, monkeypatch):
         """Every Newton solve singular: each step fails, is halved down to
         the limit, and the run stops with a SolverError at a time and node."""
-        from pfdsim.engine import _Kernel
+        import pfdsim.engine as engine
 
         net = build_pfd()
         initial = dc_operating_point(net)
-        monkeypatch.setattr(_Kernel, "jacobian", lambda k, p, ev: np.zeros((k.c.n, k.c.n)))
+        solve = engine._lu_solve
+        monkeypatch.setattr(engine, "_lu_solve", lambda a, b: solve(np.zeros_like(a), b))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match="transient Newton failed") as err:
@@ -723,11 +978,20 @@ class TestNanInputs:
             transient(net, SimOptions(t_stop=0.3e-9), initial_voltages=initial)
 
     def test_nan_is_not_accepted(self):
-        from pfdsim.engine import _Kernel
+        """At the PFD's DC point the iteration accepts the state as is; the
+        same state with one NaN residual row (finite tolerances) is not."""
+        from pfdsim.engine import _dc_solve, _Kernel, _source_values
 
-        f = np.array([0.0, math.nan])
-        assert not _Kernel.accepts(f, np.ones(2))
-        assert _Kernel.accepts(np.zeros(2), np.ones(2))
+        c = _compile(build_pfd(), SimOptions().gmin)
+        kern = _Kernel(c, SimOptions())
+        x, _ = _dc_solve(kern)
+        p = kern.point(None, _source_values(c, [0.0])[0])
+        _, accepted, _, tol, _, _ = kern.newton(p, x, iters=0)
+        assert accepted and np.isfinite(tol).all()
+        rhs = p.rhs.copy()
+        rhs[c.n_nodes - 1] = math.nan
+        _, accepted, f, tol, _, _ = kern.newton(p._replace(rhs=rhs), x, iters=0)
+        assert not accepted and np.isnan(f).any() and np.isfinite(tol).all()
 
 
 class TestOptionsAndErrors:

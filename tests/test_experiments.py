@@ -51,6 +51,14 @@ class TestDesignPoint:
         with pytest.raises(ValueError):
             DesignPoint(**{field: math.nan})
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["width", "length", "frequency", "offset", "load_cap"])
+    def test_infinite_rejected_naming_the_field(self, field, value):
+        """An infinite width, length or load passed `> 0` and reached the
+        solver; an infinite frequency failed only as an offset error."""
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            DesignPoint(**{field: value})
+
 
 def _no_simulation(*args, **kwargs):
     raise AssertionError("simulated despite an invalid argument")
@@ -397,6 +405,14 @@ class TestFrequencyMismatch:
     def test_equal_frequencies_rejected(self):
         with pytest.raises(ExperimentError, match="equal frequencies"):
             frequency_mismatch_test(1e9, 1e9)
+
+    @pytest.mark.parametrize("f_fb", [math.nan, 0.0, -1e9, math.inf])
+    def test_bad_feedback_frequency_rejected_before_simulating(self, f_fb, monkeypatch):
+        """A NaN f_fb made a NaN input period, on which the time axis never
+        ended; 0 divided by zero and inf failed as a pulse period error."""
+        monkeypatch.setattr(experiments, "simulate_point", _no_simulation)
+        with pytest.raises(ValueError, match="--f-fb"):
+            frequency_mismatch_test(1e9, f_fb)
 
 
 class TestGenerateReport:

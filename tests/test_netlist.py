@@ -1,5 +1,6 @@
 """Netlist construction, validation, and text-format round trips."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -18,6 +19,7 @@ from pfdsim.netlist import (
     Resistor,
     build_nor2,
     build_pfd,
+    default_pulse,
     from_lines,
     load,
     save,
@@ -107,6 +109,19 @@ class TestValidate:
         assert any("CBAD" in v for v in out)
 
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_resistor_reported(self, value):
+        net = simple_net()
+        net.devices.append(Resistor("RBAD", a="a", b="0", ohms=value))
+        assert any("RBAD" in v and "finite ohms" in v for v in net.validate())
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_capacitor_reported(self, value):
+        net = simple_net()
+        net.devices.append(Capacitor("CBAD", a="a", b="0", farads=value))
+        assert any("CBAD" in v and "finite farads" in v for v in net.validate())
+
+
 class TestPulseSpec:
     def test_value_profile(self):
         s = PulseSpec(v_low=0.0, v_high=1.0, delay=1e-9, rise=1e-10,
@@ -125,6 +140,21 @@ class TestPulseSpec:
             PulseSpec(0, 1, 0, rise=0.0, fall=1e-10, width=1e-10, period=1e-9)
         with pytest.raises(ValueError):
             PulseSpec(0, 1, 0, rise=5e-10, fall=5e-10, width=5e-10, period=1e-9)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["v_low", "v_high", "delay", "rise", "fall", "width",
+                                       "period"])
+    def test_nonfinite_value_rejected(self, field, value):
+        """A NaN period passed the old `<=` checks and `breakpoints` never
+        returned; every field must now be finite."""
+        values = dict(v_low=0.0, v_high=1.0, delay=1e-10, rise=1e-11, fall=1e-11,
+                      width=4e-10, period=1e-9)
+        with pytest.raises(ValueError, match=f"pulse {field} must be finite"):
+            PulseSpec(**{**values, field: value})
+
+    def test_default_pulse_rejects_nan_frequency(self):
+        with pytest.raises(ValueError, match="pulse rise must be finite"):
+            default_pulse(math.nan, 1.2, 0.0)
 
     def test_breakpoints_cover_corners(self):
         s = PulseSpec(v_low=0.0, v_high=1.0, delay=2e-10, rise=1e-10,
