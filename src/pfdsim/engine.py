@@ -18,19 +18,28 @@ Each `transient` and `dc_operating_point` call enters one floating-point
 error state for its whole run, `np.errstate(all="ignore")`, and restores
 the caller's on exit. A singular Jacobian then gives an all-NaN update (the
 gufunc sets only the invalid flag), which ends that Newton iteration
-unconverged, uncounted, as `LinAlgError` did when the state was entered per
-solve; so the step is halved and, at the halving limit, the run ends in
-`SolverError`, without a warning. The same state silences the overflow,
-division and invalid warnings that the rest of a run could raise on a
-diverging state; no value changes, and a NaN residual is still never
-accepted (below).
+unconverged and uncounted; so the step is halved and, at the halving
+limit, the run ends in `SolverError`, without a warning. The same state
+silences the overflow, division and invalid warnings that the rest of a
+run could raise on a diverging state; no value changes, and a NaN
+residual is still never accepted (below).
 
-One step kernel (`_Kernel`) assembles every time point of the DC solve
-(its a0 = 0 case), the transient and the KCL replay (a zero-iteration
-Newton call per point) from matrices that `_compile` builds once.
+Each run (`transient`, `dc_operating_point`, `kcl_residual_ratio`) builds
+one step kernel, `_Kernel(netlist, options)`, which validates both and
+assembles every time point of the DC solve (its a0 = 0 case), the
+transient and the KCL replay (a zero-iteration Newton call per point).
+Its constant matrices all come from signed branch incidence rows A, +1 at
+a branch's plus node and -1 at its minus node (the modified nodal
+approach of Ho, Ruehli and Brennan, IEEE TCAS 22(6), 1975): MOSFET gate
+(g - s) and channel (d - s) rows, resistor and capacitor rows, source
+rows. The static and capacitance blocks are A^T diag(g) A products, the
+KCL maps of the MOSFET and capacitor currents are transposes of their
+rows, the tolerance segments are the rows' nonzero pattern, and the
+MOSFET Jacobian stamps are the outer products channel x gate (on gm) and
+channel x channel (on gds).
 `_Kernel.newton` is the one Newton iteration: residual, acceptance test,
 Jacobian, damping and device gather are written out in it, with the
-compiled arrays bound to locals once per call, so the only calls it makes
+kernel's arrays bound to locals once per call, so the only calls it makes
 per iteration are `mosfet_eval` and the LU solve, and it makes no scatter:
 - one incidence product gives every MOSFET's (vgs, vds) and every linear
   branch voltage and source current; others carry the MOSFET and
@@ -39,16 +48,15 @@ per iteration are `mosfet_eval` and the LU solve, and it makes no scatter:
 - the per-node tolerance is abs_tol + reltol * a `np.maximum.reduceat`
   over a node-sorted gather of branch-current magnitudes, so it is exact;
 - the Jacobian is built in the reduced, ground-free system: the linear
-  block, cached per step size, plus one product of a precomputed
-  (n * n, 2 n_mos) stamp matrix with the conductances (gm, gds).
+  block, cached per step size, plus one product of the (n * n, 2 n_mos)
+  stamp matrix with the conductances (gm, gds).
 Each state's device evaluation is computed once: the accepted point's
 evaluation seeds the first residual of the next step, which starts from
 that same state (SPICE2's device bypass, taken only where the state is
 unchanged, so every value is the same), and its capacitor voltages give
 that step's companion history (each is fl(v_a - v_b) whichever product
 forms it). A time point of a PFD run at 1 GHz costs about 43 us of engine
-time (45 us with the error state entered per solve and a helper call per
-step; 2-CPU VM, Python 3.11, numpy 2.4).
+time (2-CPU VM, Python 3.11, numpy 2.4).
 
 A step is accepted when every node's Kirchhoff current residual is
 within abstol_i + reltol * (largest branch current at that node) and
@@ -211,169 +219,10 @@ class TransientResult:
         return buf.getvalue()
 
 
-# --------------------------------------------------------------------------
-# Compilation: netlist -> index arrays and kernel matrices
-# --------------------------------------------------------------------------
-
-@dataclass
-class _Compiled:
-    """The step kernel's constant matrices.
-
-    State vectors have naug = n + 1 entries: node voltages, source branch
-    currents, then ground (index n, always 0). The n equations are the node
-    KCL rows, then one voltage constraint per source. The kernel's branch
-    currents are the MOSFETs', then the linear branches': resistors,
-    capacitors, sources, and one zero entry. `gather @ x` gives every
-    MOSFET's sign*(vg - vs), then its sign*(vd - vs), then the linear
-    branches' voltages and source currents (and the zero entry).
-    """
-
-    n_nodes: int
-    n: int
-    naug: int
-    node_names: list[str]
-    sources: list[DcSource | PulseSource]
-    supply: str | None
-    r_g: np.ndarray
-    c_val: np.ndarray
-    m_beta: np.ndarray
-    m_vth: np.ndarray
-    m_lam: np.ndarray
-    m_sign: np.ndarray
-    m_blam: np.ndarray  # beta * lambda
-    g_static: np.ndarray  # (n, n) resistor + gmin + source-pattern stamps
-    cap_pattern: np.ndarray  # (n, n) capacitance stamps, scaled by a0 per step
-    gather: np.ndarray  # (2 n_mos + n_lin, naug): MOSFET biases, then linear branches
-    m_kcl: np.ndarray  # (n, n_mos): drain +1, source -1
-    cap_kcl: np.ndarray  # (n, n_cap): plate a +1, plate b -1
-    cap: slice  # capacitors within the branch currents
-    ends: np.ndarray  # branch-current index of each branch end, sorted by row
-    starts: np.ndarray  # first entry of each row in ends
-    j_stamps: np.ndarray  # (n * n, 2 n_mos): the MOSFET Jacobian stamps on (gm, gds)
-
-
-def _pairs(plus, minus, size: int, weight=None) -> np.ndarray:
-    """One row per pair: +weight in column plus, -weight in column minus."""
-    w = np.ones(len(plus)) if weight is None else weight
-    mat = np.zeros((len(plus), size))
-    rows = np.arange(len(plus))
-    np.add.at(mat, (rows, plus), w)
-    np.add.at(mat, (rows, minus), -w)
-    return mat
-
-
-def _compile(net: Netlist, gmin: float) -> _Compiled:
-    violations = net.validate()
-    if violations:
-        raise SolverError("invalid netlist: " + "; ".join(violations))
-
-    node_names = [n for n in net.nodes if n != net.ground]
-    n_nodes = len(node_names)
-    sources = net.sources()
-    n = n_nodes + len(sources)
-    naug = n + 1
-    index = {name: i for i, name in enumerate(node_names)}
-    index[net.ground] = n
-
-    r_ab, r_g, c_ab, c_val, m_list = [], [], [], [], []
-    for d in net.devices:
-        if isinstance(d, Resistor):
-            r_ab.append((index[d.a], index[d.b]))
-            r_g.append(1.0 / d.ohms)
-        elif isinstance(d, Capacitor):
-            c_ab.append((index[d.a], index[d.b]))
-            c_val.append(d.farads)
-        elif isinstance(d, Mosfet):
-            m_list.append(d)
-            # lumped gate capacitances become ordinary capacitors
-            for cval, other in ((d.params.cgs, d.source), (d.params.cgd, d.drain)):
-                if cval > 0:
-                    c_ab.append((index[d.gate], index[other]))
-                    c_val.append(cval)
-    supply = next((s.name for s in sources if isinstance(s, DcSource)), None)
-
-    def ints(values):
-        return np.array(values, dtype=np.intp)
-
-    (r_a, r_b), (c_a, c_b) = (ints(ab).reshape(-1, 2).T for ab in (r_ab, c_ab))
-    s_p, s_m = (ints([index[getattr(s, t)] for s in sources]) for t in ("plus", "minus"))
-    m_d, m_g, m_s = (ints([index[getattr(m, t)] for m in m_list])
-                     for t in ("drain", "gate", "source"))
-    m_sign = np.array([1.0 if m.params.polarity == "nmos" else -1.0 for m in m_list])
-    r_g, c_val = np.array(r_g), np.array(c_val)
-
-    res_gather = _pairs(r_a, r_b, naug)
-    cap_gather = _pairs(c_a, c_b, naug)
-    src_pattern = _pairs(s_p, s_m, naug)[:, :n]
-    res_n, cap_n = res_gather[:, :n], cap_gather[:, :n]
-    g_static = res_n.T @ (r_g[:, None] * res_n)
-    g_static[n_nodes:] += src_pattern
-    g_static[:, n_nodes:] += src_pattern.T
-    g_static[:n_nodes, :n_nodes] += gmin * np.eye(n_nodes)
-    lin_gather = np.vstack([
-        res_gather,
-        cap_gather,
-        np.eye(naug)[n_nodes:n],  # source branch currents
-        np.zeros((1, naug)),  # pads every row's scale segment with a 0
-    ])
-
-    # Branch ends per equation row; each row also holds the zero entry, so
-    # source rows (and bare nodes) get a scale of 0.
-    plus = np.concatenate([m_d, r_a, c_a, s_p]).tolist()
-    minus = np.concatenate([m_s, r_b, c_b, s_m]).tolist()
-    row_ends: list[list[int]] = [[len(plus)] for _ in range(naug)]
-    for k, (a, b) in enumerate(zip(plus, minus)):
-        row_ends[a].append(k)
-        row_ends[b].append(k)
-    ends, starts = [], []
-    for seg in row_ends[:n]:  # ground row dropped
-        starts.append(len(ends))
-        ends.extend(seg)
-
-    # MOSFET Jacobian stamps (row, col, d/dgm, d/dgds), ground-free ones only
-    n_mos = len(m_list)
-    j_stamps = np.zeros((n, n, 2 * n_mos))
-    for k, (d, g, s) in enumerate(zip(m_d.tolist(), m_g.tolist(), m_s.tolist())):
-        for row, col, cg, cd in ((d, g, 1, 0), (d, d, 0, 1), (d, s, -1, -1),
-                                 (s, g, -1, 0), (s, d, 0, -1), (s, s, 1, 1)):
-            if row < n and col < n:
-                j_stamps[row, col, k] += cg
-                j_stamps[row, col, n_mos + k] += cd
-    m_beta = np.array([m.params.beta for m in m_list])
-    m_lam = np.array([m.params.lam for m in m_list])
-
-    return _Compiled(
-        n_nodes=n_nodes,
-        n=n,
-        naug=naug,
-        node_names=node_names,
-        sources=sources,
-        supply=supply,
-        r_g=r_g,
-        c_val=c_val,
-        m_beta=m_beta,
-        m_vth=np.array([abs(m.params.vth0) for m in m_list]),
-        m_lam=m_lam,
-        m_sign=m_sign,
-        m_blam=m_beta * m_lam,
-        g_static=g_static,
-        cap_pattern=cap_n.T @ (c_val[:, None] * cap_n),
-        gather=np.vstack([_pairs(m_g, m_s, naug, m_sign),
-                          _pairs(m_d, m_s, naug, m_sign),
-                          lin_gather]),
-        m_kcl=_pairs(m_d, m_s, naug)[:, :n].T.copy(),
-        cap_kcl=cap_n.T.copy(),
-        cap=slice(n_mos + len(r_a), n_mos + len(r_a) + len(c_a)),
-        ends=ints(ends),
-        starts=ints(starts),
-        j_stamps=j_stamps.reshape(n * n, 2 * n_mos),
-    )
-
-
-def _source_values(c: _Compiled, times: list[float]) -> np.ndarray:
+def _source_values(k: _Kernel, times: list[float]) -> np.ndarray:
     """Source voltages, shape (len(times), n_sources)."""
-    out = np.empty((len(times), len(c.sources)))
-    for j, src in enumerate(c.sources):
+    out = np.empty((len(times), len(k.sources)))
+    for j, src in enumerate(k.sources):
         out[:, j] = (src.volts if isinstance(src, DcSource)
                      else np.fromiter(map(src.spec.value, times), float, len(times)))
     return out
@@ -391,48 +240,139 @@ class _Point(NamedTuple):
 class _Kernel:
     """Step assembly shared by the DC solve, the transient and the KCL
     replay: one companion time point and one Newton iteration. It counts
-    its device evaluations and LU solves in `stats`."""
+    its device evaluations and LU solves in `stats`.
 
-    def __init__(self, c: _Compiled, opt: SimOptions):
-        self.c = c
+    State vectors have naug = n + 1 entries: node voltages, source branch
+    currents, then ground (index n, always 0). The n equations are the node
+    KCL rows, then one voltage constraint per source. The branch currents
+    are the MOSFETs', then the linear branches': resistors, capacitors (the
+    lumped gate capacitances interleaved in device order), sources, and one
+    zero entry. Every constant matrix comes from signed incidence rows
+    (+1 at a branch's plus node, -1 at its minus node): `gather @ x` gives
+    every MOSFET's sign*(vg - vs), then its sign*(vd - vs), then the linear
+    branches' voltages and source currents (and the zero entry).
+    """
+
+    def __init__(self, net: Netlist, opt: SimOptions):
+        opt.validate()
+        violations = net.validate()
+        if violations:
+            raise SolverError("invalid netlist: " + "; ".join(violations))
         self.opt = opt
         self.stats = SimStats()
+        self.node_names = [name for name in net.nodes if name != net.ground]
+        self.sources = net.sources()
+        self.supply = next((s.name for s in self.sources if isinstance(s, DcSource)), None)
+        self.n_nodes = n_nodes = len(self.node_names)
+        self.n = n = n_nodes + len(self.sources)
+        self.naug = naug = n + 1
+        index = {name: i for i, name in enumerate(self.node_names)}
+        index[net.ground] = n
+
+        def incidence(branches, weight=None) -> np.ndarray:
+            """One row per (plus, minus) branch: +weight in column plus,
+            -weight in column minus (weight 1 by default; a sign set here,
+            not multiplied in later, leaves no -0.0 entry)."""
+            ab = np.array([(index[a], index[b]) for a, b in branches],
+                          dtype=np.intp).reshape(-1, 2)
+            w = np.ones(len(ab)) if weight is None else weight
+            rows = np.zeros((len(ab), naug))
+            k = np.arange(len(ab))
+            np.add.at(rows, (k, ab[:, 0]), w)
+            np.add.at(rows, (k, ab[:, 1]), -w)
+            return rows
+
+        res, r_g, caps, c_val, mos = [], [], [], [], []
+        for d in net.devices:
+            if isinstance(d, Resistor):
+                res.append((d.a, d.b))
+                r_g.append(1.0 / d.ohms)
+            elif isinstance(d, Capacitor):
+                caps.append((d.a, d.b))
+                c_val.append(d.farads)
+            elif isinstance(d, Mosfet):
+                mos.append(d)
+                # lumped gate capacitances become ordinary capacitors
+                for cval, other in ((d.params.cgs, d.source), (d.params.cgd, d.drain)):
+                    if cval > 0:
+                        caps.append((d.gate, other))
+                        c_val.append(cval)
+        m = len(mos)
+        self.r_g, self.c_val = np.array(r_g), np.array(c_val)
+        self.m_sign = np.array([1.0 if d.params.polarity == "nmos" else -1.0 for d in mos])
+        self.m_beta = np.array([d.params.beta for d in mos])
+        self.m_vth = np.array([abs(d.params.vth0) for d in mos])
+        self.m_lam = np.array([d.params.lam for d in mos])
+        self.m_blam = self.m_beta * self.m_lam
+
+        # MOSFET gate rows (g - s), then channel rows (d - s)
+        bias = [(d.gate, d.source) for d in mos] + [(d.drain, d.source) for d in mos]
+        mos_rows = incidence(bias)[:, :n]
+        chan = mos_rows[m:]
+        res_rows, cap_rows = incidence(res), incidence(caps)
+        src_rows = incidence([(s.plus, s.minus) for s in self.sources])[:, :n]
+        res_n, cap_n = res_rows[:, :n], cap_rows[:, :n]
+
+        self.g_static = res_n.T @ (self.r_g[:, None] * res_n)  # resistors, sources, gmin
+        self.g_static[n_nodes:] += src_rows
+        self.g_static[:, n_nodes:] += src_rows.T
+        self.g_static[:n_nodes, :n_nodes] += opt.gmin * np.eye(n_nodes)
+        self.cap_pattern = cap_n.T @ (self.c_val[:, None] * cap_n)  # scaled by a0 per step
+        self.gather = np.vstack([
+            incidence(bias, np.concatenate([self.m_sign, self.m_sign])),
+            res_rows,
+            cap_rows,
+            np.eye(naug)[n_nodes:n],  # source branch currents
+            np.zeros((1, naug)),  # pads every row's tolerance segment with a 0
+        ])
+        self.m_kcl = chan.T.copy()  # (n, m): drain +1, source -1
+        self.cap_kcl = cap_n.T.copy()
+        self.cap = slice(m + len(res), m + len(res) + len(caps))
+        # Branch ends per equation row, sorted by row; each row also holds
+        # the zero entry, so source rows (and bare nodes) get a scale of 0.
+        pattern = np.vstack([chan, res_n, cap_n, src_rows, np.ones((1, n))])
+        row, self.ends = np.nonzero(pattern.T)
+        self.starts = np.searchsorted(row, np.arange(n))
+        # MOSFET Jacobian stamps on (gm, gds): chan (x) gate and chan (x) chan,
+        # in C order (a matrix-vector product sums in an order set by the layout)
+        self.j_stamps = np.einsum("ki,lkj->ijlk", chan, mos_rows.reshape(2, m, n),
+                                  order="C").reshape(n * n, 2 * m)
+
         self.a0_num = 1.0 if opt.integrator == BACKWARD_EULER else 2.0
         self.trap = opt.integrator == TRAPEZOIDAL
-        self.abs_tol = np.concatenate([np.full(c.n_nodes, opt.abstol_i),
-                                       np.full(c.n - c.n_nodes, opt.abstol_v)])
+        self.abs_tol = np.concatenate([np.full(n_nodes, opt.abstol_i),
+                                       np.full(n - n_nodes, opt.abstol_v)])
         self._linear: dict[float | None, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def point(self, h: float | None, vsrc: np.ndarray, cap_v: np.ndarray | None = None,
               i_prev: np.ndarray | None = None) -> _Point:
         """Time point of step size h after a state whose capacitor voltages
         are cap_v and capacitor currents i_prev (h None: DC)."""
-        c = self.c
         cached = self._linear.get(h)
         if cached is None:
             a0 = 0.0 if h is None else self.a0_num / h
-            geq = a0 * c.c_val
-            cached = (c.g_static + a0 * c.cap_pattern,
-                      np.concatenate([np.ones(len(c.m_sign)), c.r_g, geq,
-                                      np.ones(c.n - c.n_nodes + 1)]), geq)
+            geq = a0 * self.c_val
+            cached = (self.g_static + a0 * self.cap_pattern,
+                      np.concatenate([np.ones(len(self.m_sign)), self.r_g, geq,
+                                      np.ones(self.n - self.n_nodes + 1)]), geq)
             self._linear[h] = cached
         a_lin, weights, geq = cached
         if cap_v is None:
-            history, rhs = None, np.zeros(c.n)
+            history, rhs = None, np.zeros(self.n)
         else:
             history = geq * cap_v
             if self.trap:
                 history += i_prev
-            rhs = c.cap_kcl.dot(history)
-        rhs[c.n_nodes:] = vsrc
+            rhs = self.cap_kcl.dot(history)
+        rhs[self.n_nodes:] = vsrc
         return _Point(a_lin, weights, history, rhs)
 
     def node_ratios(self, f: np.ndarray, tol: np.ndarray) -> np.ndarray:
-        k = self.c.n_nodes
+        k = self.n_nodes
         return np.abs(f[:k]) / tol[:k]
 
     def worst_node(self, f: np.ndarray, tol: np.ndarray) -> str:
-        return self.c.node_names[int(np.argmax(self.node_ratios(f, tol)))]
+        return self.node_names[int(np.argmax(self.node_ratios(f, tol)))]
 
     def newton(self, p: _Point, x0: np.ndarray, ev0: tuple | None = None,
                iters: int | None = None):
@@ -447,18 +387,18 @@ class _Kernel:
         - cur, the branch currents: MOSFETs', then the linear branches';
         - ev = (dev, branch, kcl), x's device evaluation: the (ids, gm, gds)
           rows, the MOSFET currents followed by the linear branch voltages
-          (capacitors at `c.cap`) and source currents, and the MOSFET
+          (capacitors at `cap`) and source currents, and the MOSFET
           currents into the KCL rows.
         Each LU solve that succeeds is counted and followed by one
         evaluation. A singular Jacobian gives a NaN update (the run's error
         state ignores the invalid flag) and ends the iteration unconverged.
         """
-        c, stats, opt = self.c, self.stats, self.opt
+        stats, opt = self.stats, self.opt
         solve, device = _lu_solve, mosfet_eval
-        n, n_nodes, m = c.n, c.n_nodes, len(c.m_sign)
-        gather, m_kcl, j_stamps, ends, starts = c.gather, c.m_kcl, c.j_stamps, c.ends, c.starts
-        caps = c.cap
-        beta, vth, lam, sign, blam = c.m_beta, c.m_vth, c.m_lam, c.m_sign, c.m_blam
+        n, n_nodes, m = self.n, self.n_nodes, len(self.m_sign)
+        gather, m_kcl, j_stamps = self.gather, self.m_kcl, self.j_stamps
+        ends, starts, caps = self.ends, self.starts, self.cap
+        beta, vth, lam, sign, blam = self.m_beta, self.m_vth, self.m_lam, self.m_sign, self.m_blam
         reltol, abs_tol = opt.reltol, self.abs_tol
         a_lin, weights, ieq, rhs = p
         if iters is None:
@@ -504,9 +444,8 @@ class _Kernel:
 
 def _dc_solve(k: _Kernel, t: float = 0.0) -> tuple[np.ndarray, tuple]:
     """DC solution and its device evaluation."""
-    c = k.c
-    p = k.point(None, _source_values(c, [t])[0])
-    zero = np.zeros(c.naug)
+    p = k.point(None, _source_values(k, [t])[0])
+    zero = np.zeros(k.naug)
     # the zero state's evaluation, which the gmin ladder starts from too
     ev_zero = k.newton(p, zero, iters=0)[-1]
     x, ok, f, tol, _, ev = k.newton(p, zero, ev_zero)
@@ -520,7 +459,7 @@ def _dc_solve(k: _Kernel, t: float = 0.0) -> tuple[np.ndarray, tuple]:
         ladder.append(g)
         g /= 10.0
     ladder.append(0.0)
-    shunt = np.diag((np.arange(c.n) < c.n_nodes).astype(float))
+    shunt = np.diag((np.arange(k.n) < k.n_nodes).astype(float))
     x, ev = zero, ev_zero
     for g in ladder:
         x, ok, f, tol, _, ev = k.newton(p._replace(a_lin=p.a_lin + g * shunt), x, ev)
@@ -537,12 +476,10 @@ def _dc_solve(k: _Kernel, t: float = 0.0) -> tuple[np.ndarray, tuple]:
 
 def dc_operating_point(netlist: Netlist, options: SimOptions | None = None) -> dict[str, float]:
     """Newton DC solve; returns node-name -> voltage (ground included)."""
-    opt = options or SimOptions()
-    opt.validate()
-    c = _compile(netlist, opt.gmin)
+    k = _Kernel(netlist, options or SimOptions())
     with np.errstate(all="ignore"):
-        x, _ = _dc_solve(_Kernel(c, opt))
-    out = {name: float(x[i]) for i, name in enumerate(c.node_names)}
+        x, _ = _dc_solve(k)
+    out = {name: float(x[i]) for i, name in enumerate(k.node_names)}
     out[netlist.ground] = 0.0
     return out
 
@@ -584,29 +521,27 @@ def transient(
     voltages) to t_stop. Pulse-source corner times are exact time points;
     a non-convergent step is bisected up to 8 times before raising."""
     opt = options
-    opt.validate()
     if opt.t_stop is None:
         raise ValueError("t_stop is required")
-    c = _compile(netlist, opt.gmin)
+    k = _Kernel(netlist, opt)
     dt = _resolve_dt(netlist, opt)
     if not opt.t_stop > dt:
         raise ValueError("t_stop must exceed dt")
     axis = _time_axis(netlist, dt, opt.t_stop).tolist()
-    vsrc = _source_values(c, axis)
-    k = _Kernel(c, opt)
+    vsrc = _source_values(k, axis)
     stats = k.stats
     with np.errstate(all="ignore"):  # the run's error state, see the module docstring
         if initial_voltages is None:
             x, ev = _dc_solve(k, t=axis[0])
         else:
-            x = np.zeros(c.naug)
+            x = np.zeros(k.naug)
             for name, v in initial_voltages.items():
                 if name == netlist.ground:
                     continue
-                x[c.node_names.index(name)] = v
+                x[k.node_names.index(name)] = v
             ev = k.newton(k.point(None, vsrc[0]), x, iters=0)[-1]
 
-        times, rows, i_prev = [axis[0]], [x], np.zeros(len(c.c_val))
+        times, rows, i_prev = [axis[0]], [x], np.zeros(len(k.c_val))
         for j in range(1, len(axis)):
             # targets still to reach from the last accepted point; a failed
             # step is halved and both halves are tried one level deeper. Every
@@ -615,20 +550,20 @@ def transient(
             pending = [(axis[j], vsrc[j], 0)]
             while pending:
                 t0, (t1, v1, depth) = times[-1], pending[-1]
-                p = k.point(t1 - t0, v1, ev[1][c.cap], i_prev)
+                p = k.point(t1 - t0, v1, ev[1][k.cap], i_prev)
                 solves = stats.lu_solves
                 x_new, ok, f, tol, cur, ev_new = k.newton(p, rows[-1], ev)
                 if ok:
                     stats.steps_without_solve += stats.lu_solves == solves
                     times.append(t1)
                     rows.append(x_new)
-                    i_prev, ev = cur[c.cap], ev_new
+                    i_prev, ev = cur[k.cap], ev_new
                     pending.pop()
                 elif depth < _MAX_STEP_HALVINGS:
                     stats.step_halvings += 1
                     tm = 0.5 * (t0 + t1)
                     pending[-1] = (t1, v1, depth + 1)
-                    pending.append((tm, _source_values(c, [tm])[0], depth + 1))
+                    pending.append((tm, _source_values(k, [tm])[0], depth + 1))
                 else:
                     worst = k.worst_node(f, tol)
                     raise SolverError(
@@ -641,12 +576,12 @@ def transient(
     data = np.array(rows)
     return TransientResult(
         time=np.array(times),
-        node_names=c.node_names,
-        voltages=data[:, : c.n_nodes],
-        source_names=[s.name for s in c.sources],
-        branch_currents=data[:, c.n_nodes : c.n],
+        node_names=k.node_names,
+        voltages=data[:, : k.n_nodes],
+        source_names=[s.name for s in k.sources],
+        branch_currents=data[:, k.n_nodes : k.n],
         probes=dict(netlist.probes),
-        supply_source=c.supply,
+        supply_source=k.supply,
         stats=stats,
     )
 
@@ -660,19 +595,17 @@ def kcl_residual_ratio(netlist: Netlist, result: TransientResult,
     companion state is replayed from the stored solution through the
     transient's own step kernel.
     """
-    opt = options
-    c = _compile(netlist, opt.gmin)
-    k = _Kernel(c, opt)
+    k = _Kernel(netlist, options)
     n_pts = len(result.time)
     x_all = np.hstack([result.voltages, result.branch_currents, np.zeros((n_pts, 1))])
     times = result.time.tolist()
-    vsrc = _source_values(c, times)
+    vsrc = _source_values(k, times)
     _, _, f, tol, _, ev = k.newton(k.point(None, vsrc[0]), x_all[0], iters=0)
     worst = float(np.max(k.node_ratios(f, tol)))
-    i_prev = np.zeros(len(c.c_val))
+    i_prev = np.zeros(len(k.c_val))
     for j in range(1, n_pts):
-        p = k.point(times[j] - times[j - 1], vsrc[j], ev[1][c.cap], i_prev)
+        p = k.point(times[j] - times[j - 1], vsrc[j], ev[1][k.cap], i_prev)
         _, _, f, tol, cur, ev = k.newton(p, x_all[j], iters=0)
         worst = max(worst, float(np.max(k.node_ratios(f, tol))))
-        i_prev = cur[c.cap]
+        i_prev = cur[k.cap]
     return worst

@@ -116,9 +116,12 @@ def simulate_point(
 
 def pulse_table_for(point: DesignPoint, result: TransientResult,
                     models: ModelConfig = DEFAULT_CONFIG) -> PulseTable:
-    """The run's pulse table, periods counted from A's first rising edge."""
+    """The run's pulse table, periods counted from the leading input's first
+    rising edge (A's when the offset is >= 0, B's when it is negative), so
+    the leading output's pulses start at the same phase of their period
+    whichever input leads."""
     return pulse_table(result.voltage("UP"), result.voltage("DN"), vdd=models.vdd,
-                       anchor=input_delays(point.period, point.offset)[0],
+                       anchor=min(input_delays(point.period, point.offset)),
                        period=point.period)
 
 

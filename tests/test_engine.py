@@ -6,6 +6,7 @@ companion models against charge-conservation and convergence-order
 properties.
 """
 
+import copy
 import functools
 import math
 import warnings
@@ -21,7 +22,7 @@ from pfdsim.devices import DEFAULT_CONFIG, MosfetParams
 from pfdsim.engine import (
     SimOptions,
     SolverError,
-    _compile,
+    _Kernel,
     dc_operating_point,
     kcl_residual_ratio,
     transient,
@@ -54,6 +55,19 @@ def rc_lowpass(r=1e3, c=1e-12) -> Netlist:
     net.add(Resistor("R1", a="in", b="out", ohms=r))
     net.add(Capacitor("C1", a="out", b="0", farads=c))
     net.add_probe("out", "out")
+    return net
+
+
+def floating_stack():
+    """Series cutoff devices leave an internal node on gmin only."""
+    nm = DEFAULT_CONFIG.mosfet("nmos", 260e-9, 100e-9)
+    net = Netlist()
+    net.add_node("0")
+    for n in ("VDD", "mid"):
+        net.add_node(n)
+    net.add(DcSource("VS", plus="VDD", minus="0", volts=1.2))
+    net.add(Mosfet("M1", drain="mid", gate="0", source="VDD", params=nm))
+    net.add(Mosfet("M2", drain="mid", gate="0", source="0", params=nm))
     return net
 
 
@@ -133,18 +147,23 @@ class TestDcOperatingPoint:
             else:
                 assert v["o"] < 0.1 * vdd, (a, b, v["o"])
 
-    def test_gmin_stepping_recovers_floating_stack(self):
-        """Series cutoff devices leave an internal node on gmin only."""
-        nm = DEFAULT_CONFIG.mosfet("nmos", 260e-9, 100e-9)
-        net = Netlist()
-        net.add_node("0")
-        for n in ("VDD", "mid"):
-            net.add_node(n)
-        net.add(DcSource("VS", plus="VDD", minus="0", volts=1.2))
-        net.add(Mosfet("M1", drain="mid", gate="0", source="VDD", params=nm))
-        net.add(Mosfet("M2", drain="mid", gate="0", source="0", params=nm))
-        v = dc_operating_point(net)
+    def test_gmin_stepping_recovers_floating_stack(self, monkeypatch):
+        """Without gmin the floating node's Jacobian row is zero at the zero
+        state, so plain Newton fails and the gmin ladder finds the point: one
+        Newton call per ladder pass after the failed one, the last accepted."""
+        calls = []
+        newton = _Kernel.newton
+
+        def recorded(k, p, x0, ev0=None, iters=None):
+            out = newton(k, p, x0, ev0, iters)
+            calls.append((iters, out[1]))
+            return out
+
+        monkeypatch.setattr(_Kernel, "newton", recorded)
+        v = dc_operating_point(floating_stack(), SimOptions(gmin=0.0))
         assert math.isfinite(v["mid"])
+        assert calls[1] == (None, False)  # plain Newton from the zero state
+        assert len(calls) > 3 and calls[-1] == (None, True)
 
 
 class TestTransientRc:
@@ -312,6 +331,128 @@ def ref_mosfet(r, x):
     return ids, flip * gm_core, np.where(swap, gm_core + gds_core, gds_core)
 
 
+def ref_pairs(plus, minus, size, weight=None):
+    """One row per pair: +weight in column plus, -weight in column minus."""
+    w = np.ones(len(plus)) if weight is None else weight
+    mat = np.zeros((len(plus), size))
+    rows = np.arange(len(plus))
+    np.add.at(mat, (rows, plus), w)
+    np.add.at(mat, (rows, minus), -w)
+    return mat
+
+
+def ref_compile(net, gmin):
+    """The step kernel's constant matrices as they were built before the
+    kernel derived them from one branch incidence: one index table per
+    matrix, the tolerance segments and the Jacobian stamps from loops."""
+    node_names = [n for n in net.nodes if n != net.ground]
+    n_nodes = len(node_names)
+    sources = net.sources()
+    n = n_nodes + len(sources)
+    naug = n + 1
+    index = {name: i for i, name in enumerate(node_names)}
+    index[net.ground] = n
+
+    r_ab, r_g, c_ab, c_val, m_list = [], [], [], [], []
+    for d in net.devices:
+        if isinstance(d, Resistor):
+            r_ab.append((index[d.a], index[d.b]))
+            r_g.append(1.0 / d.ohms)
+        elif isinstance(d, Capacitor):
+            c_ab.append((index[d.a], index[d.b]))
+            c_val.append(d.farads)
+        elif isinstance(d, Mosfet):
+            m_list.append(d)
+            for cval, other in ((d.params.cgs, d.source), (d.params.cgd, d.drain)):
+                if cval > 0:
+                    c_ab.append((index[d.gate], index[other]))
+                    c_val.append(cval)
+    supply = next((s.name for s in sources if isinstance(s, DcSource)), None)
+
+    def ints(values):
+        return np.array(values, dtype=np.intp)
+
+    (r_a, r_b), (c_a, c_b) = (ints(ab).reshape(-1, 2).T for ab in (r_ab, c_ab))
+    s_p, s_m = (ints([index[getattr(s, t)] for s in sources]) for t in ("plus", "minus"))
+    m_d, m_g, m_s = (ints([index[getattr(m, t)] for m in m_list])
+                     for t in ("drain", "gate", "source"))
+    m_sign = np.array([1.0 if m.params.polarity == "nmos" else -1.0 for m in m_list])
+    r_g, c_val = np.array(r_g), np.array(c_val)
+
+    res_gather = ref_pairs(r_a, r_b, naug)
+    cap_gather = ref_pairs(c_a, c_b, naug)
+    src_pattern = ref_pairs(s_p, s_m, naug)[:, :n]
+    res_n, cap_n = res_gather[:, :n], cap_gather[:, :n]
+    g_static = res_n.T @ (r_g[:, None] * res_n)
+    g_static[n_nodes:] += src_pattern
+    g_static[:, n_nodes:] += src_pattern.T
+    g_static[:n_nodes, :n_nodes] += gmin * np.eye(n_nodes)
+    lin_gather = np.vstack([res_gather, cap_gather, np.eye(naug)[n_nodes:n],
+                            np.zeros((1, naug))])
+
+    plus = np.concatenate([m_d, r_a, c_a, s_p]).tolist()
+    minus = np.concatenate([m_s, r_b, c_b, s_m]).tolist()
+    row_ends = [[len(plus)] for _ in range(naug)]
+    for k, (a, b) in enumerate(zip(plus, minus)):
+        row_ends[a].append(k)
+        row_ends[b].append(k)
+    ends, starts = [], []
+    for seg in row_ends[:n]:
+        starts.append(len(ends))
+        ends.extend(seg)
+
+    n_mos = len(m_list)
+    j_stamps = np.zeros((n, n, 2 * n_mos))
+    for k, (d, g, s) in enumerate(zip(m_d.tolist(), m_g.tolist(), m_s.tolist())):
+        for row, col, cg, cd in ((d, g, 1, 0), (d, d, 0, 1), (d, s, -1, -1),
+                                 (s, g, -1, 0), (s, d, 0, -1), (s, s, 1, 1)):
+            if row < n and col < n:
+                j_stamps[row, col, k] += cg
+                j_stamps[row, col, n_mos + k] += cd
+    m_beta = np.array([m.params.beta for m in m_list])
+    m_lam = np.array([m.params.lam for m in m_list])
+    return SimpleNamespace(
+        n_nodes=n_nodes, n=n, naug=naug, node_names=node_names, sources=sources,
+        supply=supply, r_g=r_g, c_val=c_val, m_beta=m_beta,
+        m_vth=np.array([abs(m.params.vth0) for m in m_list]), m_lam=m_lam, m_sign=m_sign,
+        m_blam=m_beta * m_lam, g_static=g_static, cap_pattern=cap_n.T @ (c_val[:, None] * cap_n),
+        gather=np.vstack([ref_pairs(m_g, m_s, naug, m_sign), ref_pairs(m_d, m_s, naug, m_sign),
+                          lin_gather]),
+        m_kcl=ref_pairs(m_d, m_s, naug)[:, :n].T.copy(), cap_kcl=cap_n.T.copy(),
+        cap=slice(n_mos + len(r_a), n_mos + len(r_a) + len(c_a)),
+        ends=ints(ends), starts=ints(starts), j_stamps=j_stamps.reshape(n * n, 2 * n_mos))
+
+
+@pytest.mark.parametrize("make_net,gmin", [
+    (build_pfd, 1e-12), (build_pfd, 0.0), (floating_stack, 1e-12),
+    (rc_lowpass, 1e-12),
+], ids=["pfd", "pfd_gmin0", "floating_stack", "rc"])
+def test_kernel_matrices_equal_reference(make_net, gmin):
+    """Every matrix the kernel derives from its branch incidence equals the
+    reference build byte for byte, in the same memory order (a matrix-vector
+    product sums in an order that follows the layout); the tolerance
+    segments hold the same branch ends per row."""
+    net = make_net()
+    ref = ref_compile(net, gmin)
+    kern = _Kernel(net, SimOptions(gmin=gmin))
+    for name, want in vars(ref).items():
+        if name in ("ends", "starts"):
+            continue
+        got = getattr(kern, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+            assert got.flags.c_contiguous == want.flags.c_contiguous, name
+        else:
+            assert got == want, name
+
+    def segments(k):
+        return [set(seg.tolist()) for seg in np.split(k.ends, k.starts[1:])]
+
+    assert kern.ends.dtype == ref.ends.dtype
+    assert segments(kern) == segments(ref)
+
+
 def ref_index(net, c, gmin):
     """The netlist as state-vector indices, in device order (ground is n),
     and its stamped static and capacitance matrices."""
@@ -429,7 +570,7 @@ def ref_transient(net, opt, initial=None):
     DC point or from initial node voltages."""
     from pfdsim.engine import _MAX_STEP_HALVINGS, _NEWTON_DAMP_V, _resolve_dt, _time_axis
 
-    c = _compile(net, opt.gmin)
+    c = ref_compile(net, opt.gmin)
     r = ref_index(net, c, opt.gmin)
     keep, _ = ref_rows(r)
     axis = _time_axis(net, _resolve_dt(net, opt), opt.t_stop)
@@ -480,24 +621,25 @@ def ref_transient(net, opt, initial=None):
 
 @functools.cache
 def _compiled_pfd():
-    from pfdsim.engine import _dc_solve, _Kernel
+    from pfdsim.engine import _dc_solve
 
     opt = SimOptions()
     net = build_pfd()
-    c = _compile(net, opt.gmin)
-    return c, ref_index(net, c, opt.gmin), _dc_solve(_Kernel(c, opt))[0]
+    c = ref_compile(net, opt.gmin)
+    return c, ref_index(net, c, opt.gmin), _dc_solve(_Kernel(net, opt))[0]
 
 
 def kernel_state(kern, pt, x):
     """(accepted, f, tol, jacobian) of the engine's Newton iteration at
     state x: a zero-iteration `newton` call gives the verdict, residual and
     tolerance; the Jacobian is the matrix its first LU solve receives, taken
-    from a kernel whose tolerance (abs_tol = -inf) accepts no state."""
+    from a copy of the kernel whose tolerance (abs_tol = -inf) accepts no
+    state."""
     import pfdsim.engine as engine
 
     _, accepted, f, tol, _, _ = kern.newton(pt, x, iters=0)
-    never = engine._Kernel(kern.c, replace(kern.opt, abstol_i=-math.inf,
-                                           abstol_v=-math.inf))
+    never = copy.copy(kern)
+    never.abs_tol = np.full_like(kern.abs_tol, -math.inf)
     solved = []
     solve = engine._lu_solve
     engine._lu_solve = lambda a, b: solved.append(a.copy()) or solve(a, b)
@@ -520,13 +662,13 @@ def test_kernel_matches_scatter_reference(step, log_dx, t, seed):
     """f, tolerance, Jacobian and converged verdict of the step kernel
     against the scatter-based reference, at states drawn around the PFD's
     DC point (log_dx sets the distance, so both verdicts occur)."""
-    from pfdsim.engine import _Kernel, _source_values
+    from pfdsim.engine import _source_values
 
     c, r, x_dc = _compiled_pfd()
     rng = np.random.default_rng(seed)
     opt = SimOptions() if step is None else SimOptions(integrator=step[0])
     h = None if step is None else step[1]
-    kern = _Kernel(c, opt)
+    kern = _Kernel(build_pfd(), opt)
 
     def near_dc(exponent):
         x = x_dc + 10.0 ** exponent * rng.uniform(-1.0, 1.0, c.naug)
@@ -536,7 +678,7 @@ def test_kernel_matches_scatter_reference(step, log_dx, t, seed):
         return x
 
     x = near_dc(log_dx)
-    vsrc = _source_values(c, [t])[0]
+    vsrc = _source_values(kern, [t])[0]
     if h is None:
         pt, ref = kern.point(None, vsrc), ref_point(r, opt, None, vsrc)
     else:
@@ -591,8 +733,6 @@ def test_reused_evaluation_is_bit_identical(offset, options, monkeypatch):
     """Seeding each step with the accepted point's evaluation changes no
     float: the same run with every Newton start evaluated afresh gives
     identical arrays (including after failed, halved attempts)."""
-    from pfdsim.engine import _Kernel
-
     net, opt, initial = one_period_run(offset, options)
     reused = transient(net, opt, initial_voltages=initial)
     newton = _Kernel.newton
@@ -614,11 +754,11 @@ def test_reused_evaluation_is_bit_identical(offset, options, monkeypatch):
 
 class RefKernel:
     def __init__(self, net, opt):
-        from pfdsim.engine import SimStats, _pairs
+        from pfdsim.engine import SimStats
 
-        self.c = c = _compile(net, opt.gmin)
+        self.c = c = ref_compile(net, opt.gmin)
         r = ref_index(net, c, opt.gmin)
-        self.cap_gather = _pairs(r.c_a, r.c_b, c.naug)
+        self.cap_gather = ref_pairs(r.c_a, r.c_b, c.naug)
         self.opt = opt
         self.stats = SimStats()
         self.a0_num = 1.0 if opt.integrator == "backward_euler" else 2.0
@@ -785,19 +925,6 @@ def test_transient_bit_identical_to_reference_loop(offset, options):
     assert res.stats == ref.stats
 
 
-def floating_stack():
-    """Series cutoff devices leave an internal node on gmin only."""
-    nm = DEFAULT_CONFIG.mosfet("nmos", 260e-9, 100e-9)
-    net = Netlist()
-    net.add_node("0")
-    for n in ("VDD", "mid"):
-        net.add_node(n)
-    net.add(DcSource("VS", plus="VDD", minus="0", volts=1.2))
-    net.add(Mosfet("M1", drain="mid", gate="0", source="VDD", params=nm))
-    net.add(Mosfet("M2", drain="mid", gate="0", source="0", params=nm))
-    return net
-
-
 @pytest.mark.parametrize("net,gmin,ladder", [
     (build_pfd(), 1e-12, False),
     # without gmin the floating node's Jacobian row is zero at the zero
@@ -806,10 +933,10 @@ def floating_stack():
 ], ids=["pfd", "singular_then_gmin_ladder"])
 def test_dc_solve_bit_identical_to_reference_loop(net, gmin, ladder):
     """The DC solution, its device evaluation and the counts, byte for byte."""
-    from pfdsim.engine import _dc_solve, _Kernel
+    from pfdsim.engine import _dc_solve
 
     opt = SimOptions(gmin=gmin)
-    kern, ref = _Kernel(_compile(net, opt.gmin), opt), RefKernel(net, opt)
+    kern, ref = _Kernel(net, opt), RefKernel(net, opt)
     with np.errstate(all="ignore"):
         x, ev = _dc_solve(kern)
     x_ref, ev_ref = ref.dc_solve()
@@ -963,7 +1090,7 @@ class TestLuSolve:
             with pytest.raises(SolverError, match="transient Newton failed") as err:
                 transient(net, SimOptions(t_stop=1e-9), initial_voltages=initial)
         assert 0.0 < err.value.time <= 1e-9
-        assert err.value.node in _compile(net, SimOptions().gmin).node_names
+        assert err.value.node in _Kernel(net, SimOptions()).node_names
 
 
 class TestNanInputs:
@@ -980,16 +1107,15 @@ class TestNanInputs:
     def test_nan_is_not_accepted(self):
         """At the PFD's DC point the iteration accepts the state as is; the
         same state with one NaN residual row (finite tolerances) is not."""
-        from pfdsim.engine import _dc_solve, _Kernel, _source_values
+        from pfdsim.engine import _dc_solve, _source_values
 
-        c = _compile(build_pfd(), SimOptions().gmin)
-        kern = _Kernel(c, SimOptions())
+        kern = _Kernel(build_pfd(), SimOptions())
         x, _ = _dc_solve(kern)
-        p = kern.point(None, _source_values(c, [0.0])[0])
+        p = kern.point(None, _source_values(kern, [0.0])[0])
         _, accepted, _, tol, _, _ = kern.newton(p, x, iters=0)
         assert accepted and np.isfinite(tol).all()
         rhs = p.rhs.copy()
-        rhs[c.n_nodes - 1] = math.nan
+        rhs[kern.n_nodes - 1] = math.nan
         _, accepted, f, tol, _, _ = kern.newton(p._replace(rhs=rhs), x, iters=0)
         assert not accepted and np.isnan(f).any() and np.isfinite(tol).all()
 
@@ -1011,6 +1137,15 @@ class TestOptionsAndErrors:
             SimOptions(integrator="gear2").validate()
         with pytest.raises(ValueError):
             SimOptions(max_newton_iters=0).validate()
+
+    @pytest.mark.parametrize("change", [{"reltol": -1.0}, {"integrator": "gear2"},
+                                        {"reltol": math.nan}])
+    def test_kcl_replay_validates_options(self, lead_a_run, change):
+        """The KCL replay rejects the options the run itself would: a
+        negative or NaN reltol, an unknown integrator."""
+        net, opt, res = lead_a_run
+        with pytest.raises(ValueError):
+            kcl_residual_ratio(net, res, replace(opt, **change))
 
     def test_transient_requires_t_stop(self):
         with pytest.raises(ValueError, match="t_stop"):

@@ -375,6 +375,25 @@ class TestFmaxTrend:
         assert f_chosen >= f_narrow
 
 
+class TestPulseTableFor:
+    def test_leading_pulses_start_at_the_same_phase_either_way(self, grid_runs):
+        """Periods are cut at the leading input's first rising edge: UP's
+        pulses at +100 ps and DN's at -100 ps start early in their period,
+        at mirrored phases. Cut at A's edge, each DN pulse at -100 ps would
+        start 0.045 periods before its cut and straddle two periods."""
+        phases = {}
+        for offset, lead in ((100e-12, "up"), (-100e-12, "dn")):
+            point, result = grid_runs[offset]
+            with mock.patch.object(experiments, "pulse_table",
+                                   wraps=experiments.pulse_table) as spy:
+                table = pulse_table_for(point, result)
+            cut = spy.call_args.kwargs["anchor"]
+            starts = [ev.start for ev in getattr(table, lead) if ev.peak >= 0.8 * table.vdd]
+            phases[lead] = (np.array(starts) - cut) / point.period % 1.0
+            assert len(starts) >= 8 and np.all((phases[lead] > 0.0) & (phases[lead] < 0.1))
+        assert abs(np.median(phases["up"]) - np.median(phases["dn"])) < 0.01
+
+
 class TestHalfPeriod:
     def test_stable_and_correct(self):
         report, result = half_period_test(DesignPoint(), n_periods=8)
