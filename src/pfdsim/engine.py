@@ -55,8 +55,30 @@ evaluation seeds the first residual of the next step, which starts from
 that same state (SPICE2's device bypass, taken only where the state is
 unchanged, so every value is the same), and its capacitor voltages give
 that step's companion history (each is fl(v_a - v_b) whichever product
-forms it). A time point of a PFD run at 1 GHz costs about 43 us of engine
-time (2-CPU VM, Python 3.11, numpy 2.4).
+forms it).
+
+`transient` skips the steps that provably repeat a held state (SPICE2's
+bypass rule again: recompute nothing that has not changed). A step is a
+deterministic function of its size h, its source row and the state it
+starts from: x, x's evaluation and the capacitor currents i_prev. When an
+axis step (not a halved one) is accepted before any LU solve and its new
+capacitor currents are bytewise i_prev, that state is a fixed point of h
+under the step's source row, and h is recorded. While the source rows
+stay bitwise equal, a later step whose h is recorded appends the same
+state without a Newton call; it still counts as a step without a solve.
+A source change, a step that needs a solve and a halved step clear the
+record. Before the first input edge of a PFD run this leaves one Newton
+call per distinct step size (13 for the 500 steps of a 1 GHz run). A
+trapezoidal capacitor current that has flowed flips sign at each step
+accepted without a solve, so trapezoidal runs rarely hold after their
+first edge; backward-Euler ones do wherever a node settles.
+`PulseSpec.values` computes a source's column on the whole time axis at
+once. A time point of a PFD run at 1 GHz costs 53-63 us of engine time,
+about 1 us less than without the hold (`engine.host_us_per_point` of the
+benchmark's `lead_lag` trace, three alternating runs per side on one
+2-CPU VM, Python 3.11, numpy 2.4; that run holds 5% of its steps). The
+code without the hold read 43 us and 107-112 us on that VM at other
+times, so only figures measured together compare.
 
 A step is accepted when every node's Kirchhoff current residual is
 within abstol_i + reltol * (largest branch current at that node) and
@@ -219,12 +241,12 @@ class TransientResult:
         return buf.getvalue()
 
 
-def _source_values(k: _Kernel, times: list[float]) -> np.ndarray:
-    """Source voltages, shape (len(times), n_sources)."""
-    out = np.empty((len(times), len(k.sources)))
+def _source_values(k: _Kernel, times) -> np.ndarray:
+    """Source voltages at a sequence of times, shape (len(times), n_sources)."""
+    t = np.asarray(times, dtype=float)
+    out = np.empty((len(t), len(k.sources)))
     for j, src in enumerate(k.sources):
-        out[:, j] = (src.volts if isinstance(src, DcSource)
-                     else np.fromiter(map(src.spec.value, times), float, len(times)))
+        out[:, j] = src.volts if isinstance(src, DcSource) else src.spec.values(t)
     return out
 
 
@@ -527,9 +549,13 @@ def transient(
     dt = _resolve_dt(netlist, opt)
     if not opt.t_stop > dt:
         raise ValueError("t_stop must exceed dt")
-    axis = _time_axis(netlist, dt, opt.t_stop).tolist()
+    axis = _time_axis(netlist, dt, opt.t_stop)
     vsrc = _source_values(k, axis)
-    stats = k.stats
+    # same[j]: the source row of axis[j] is bitwise that of axis[j - 1]
+    bits = vsrc.view(np.uint64)
+    same = [False] + (bits[1:] == bits[:-1]).all(axis=1).tolist()
+    axis = axis.tolist()
+    stats, point, newton, cap = k.stats, k.point, k.newton, k.cap
     with np.errstate(all="ignore"):  # the run's error state, see the module docstring
         if initial_voltages is None:
             x, ev = _dc_solve(k, t=axis[0])
@@ -542,7 +568,19 @@ def transient(
             ev = k.newton(k.point(None, vsrc[0]), x, iters=0)[-1]
 
         times, rows, i_prev = [axis[0]], [x], np.zeros(len(k.c_val))
+        # step sizes h whose step from rows[-1] (with ev and i_prev) under
+        # the current source row is known to return that same state
+        held = set()
         for j in range(1, len(axis)):
+            if not same[j]:
+                held.clear()
+            elif axis[j] - times[-1] in held:
+                # the step that put h in `held` again: same h, source row,
+                # x, ev and i_prev, so the same accepted state, with no solve
+                stats.steps_without_solve += 1
+                times.append(axis[j])
+                rows.append(rows[-1])
+                continue
             # targets still to reach from the last accepted point; a failed
             # step is halved and both halves are tried one level deeper. Every
             # attempt starts from rows[-1], whose evaluation ev is kept and
@@ -550,16 +588,27 @@ def transient(
             pending = [(axis[j], vsrc[j], 0)]
             while pending:
                 t0, (t1, v1, depth) = times[-1], pending[-1]
-                p = k.point(t1 - t0, v1, ev[1][k.cap], i_prev)
+                h = t1 - t0
                 solves = stats.lu_solves
-                x_new, ok, f, tol, cur, ev_new = k.newton(p, rows[-1], ev)
+                x_new, ok, f, tol, cur, ev_new = newton(point(h, v1, ev[1][cap], i_prev),
+                                                        rows[-1], ev)
                 if ok:
-                    stats.steps_without_solve += stats.lu_solves == solves
+                    i_new = cur[cap]
+                    no_solve = stats.lu_solves == solves
+                    stats.steps_without_solve += no_solve
+                    # a fixed point of h: an axis step, accepted before any
+                    # solve, whose capacitor currents repeat (a later step
+                    # uses h only under this same source row)
+                    if no_solve and depth == 0 and i_new.tobytes() == i_prev.tobytes():
+                        held.add(h)
+                    else:
+                        held.clear()
                     times.append(t1)
                     rows.append(x_new)
-                    i_prev, ev = cur[k.cap], ev_new
+                    i_prev, ev = i_new, ev_new
                     pending.pop()
                 elif depth < _MAX_STEP_HALVINGS:
+                    held.clear()
                     stats.step_halvings += 1
                     tm = 0.5 * (t0 + t1)
                     pending[-1] = (t1, v1, depth + 1)

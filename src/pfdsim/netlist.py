@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from pfdsim.devices import DEFAULT_CONFIG, CornerSet, ModelConfig, MosfetParams, NMOS, PMOS, apply_corner
 
 GROUND = "0"
@@ -58,6 +60,21 @@ class PulseSpec:
         if tau < self.fall:
             return self.v_high + (self.v_low - self.v_high) * tau / self.fall
         return self.v_low
+
+    def values(self, t: np.ndarray) -> np.ndarray:
+        """`value` at every time of the float array t, with the same
+        arithmetic elementwise (`np.remainder` computes Python's float `%`),
+        so each entry is bit-equal to `value` of that time."""
+        t = np.asarray(t, dtype=float)
+        tau = np.remainder(t - self.delay, self.period)
+        tau_fall = tau - self.rise - self.width
+        out = np.where(tau_fall < self.fall,
+                       self.v_high + (self.v_low - self.v_high) * tau_fall / self.fall,
+                       self.v_low)
+        out = np.where(tau - self.rise < self.width, self.v_high, out)
+        out = np.where(tau < self.rise,
+                       self.v_low + (self.v_high - self.v_low) * tau / self.rise, out)
+        return np.where(t < self.delay, self.v_low, out)
 
     def breakpoints(self, t_stop: float) -> list[float]:
         """Waveform corner times in [0, t_stop]."""
@@ -138,6 +155,9 @@ class PulseSource:
 
 Device = Mosfet | Resistor | Capacitor | DcSource | PulseSource
 
+_BRANCH_KINDS = {Resistor: "resistor", Capacitor: "capacitor",
+                 DcSource: "source", PulseSource: "pulse source"}
+
 
 @dataclass
 class Subcircuit:
@@ -203,6 +223,11 @@ class Netlist:
                 violations.append(f"resistor {d.name!r} must have finite ohms > 0")
             if isinstance(d, Capacitor) and not 0 < d.farads < math.inf:
                 violations.append(f"capacitor {d.name!r} must have finite farads > 0")
+            # a branch from a node to itself carries no current, and a
+            # source's constraint row would be all zero
+            kind = _BRANCH_KINDS.get(type(d))
+            if kind and d.nodes[0] == d.nodes[1]:
+                violations.append(f"{kind} {d.name!r} connects node {d.nodes[0]!r} to itself")
 
         # connectivity: every non-ground node reachable from ground through
         # device terminals (each device links all of its terminals)

@@ -1000,6 +1000,94 @@ def test_stats_count_the_run(offset, options, monkeypatch):
     assert 0 < stats.steps_without_solve < stats.points - 1
 
 
+def newton_source_rows(monkeypatch, name):
+    """Patch `_Kernel.newton` to record the value of source `name` in each
+    call's right-hand side, in call order; returns that list."""
+    rows = []
+    newton = _Kernel.newton
+
+    def recorded(k, p, x0, ev0=None, iters=None):
+        rows.append(float(p[3][k.n_nodes + [s.name for s in k.sources].index(name)]))
+        return newton(k, p, x0, ev0, iters)
+
+    monkeypatch.setattr(_Kernel, "newton", recorded)
+    return rows
+
+
+@pytest.mark.parametrize("offset", [25e-12, -25e-12])
+def test_hold_skips_quiescent_steps(offset, monkeypatch):
+    """On the 1-period default PFD the 500 steps up to the first input edge
+    (0.25 ns) repeat the DC state: all but a few, one per distinct step
+    size, are held without a `_Kernel.newton` call, and each still counts
+    as a step without a solve."""
+    net, opt, initial = one_period_run(offset, {})
+    lead = "VA" if offset > 0 else "VB"
+    values = newton_source_rows(monkeypatch, lead)
+    res = transient(net, opt, initial_voltages=initial)
+    before_edge = values.index(next(v for v in values if v != values[0]))
+    assert before_edge <= 20  # DC solve included; 502 without the hold
+    assert res.stats.steps_without_solve == 500
+    assert res.stats.step_halvings == 0
+
+
+def pulsed_rc(lowpass: bool) -> tuple[Netlist, PulseSpec]:
+    """A pulse source VIN (edges at 100 and 510 ps of a 1 ns period) driving
+    R1 into `out`. lowpass: C1 from out to ground, an RC low-pass with a
+    10 ps time constant. Otherwise R2 ties out to a DC-held node `vdd`
+    decoupled by C2, whose voltage, and so C2's current, never moves."""
+    spec = PulseSpec(v_low=0.0, v_high=1.0, delay=100e-12, rise=10e-12, fall=10e-12,
+                     width=400e-12, period=1e-9)
+    net = Netlist()
+    for node in ("0", "in", "out"):
+        net.add_node(node)
+    net.add(PulseSource("VIN", plus="in", minus="0", spec=spec))
+    net.add(Resistor("R1", a="in", b="out", ohms=1e3))
+    if lowpass:
+        net.add(Capacitor("C1", a="out", b="0", farads=10e-15))
+    else:
+        net.add_node("vdd")
+        net.add(DcSource("VDD", plus="vdd", minus="0", volts=1.2))
+        net.add(Resistor("R2", a="out", b="vdd", ohms=1e3))
+        net.add(Capacitor("C2", a="vdd", b="0", farads=1e-12))
+    return net, spec
+
+
+@pytest.mark.parametrize("integrator,lowpass,reenters", [
+    ("backward_euler", True, True),
+    ("backward_euler", False, True),
+    ("trapezoidal", False, True),
+    # a trapezoidal companion current that has flowed rings: each step
+    # without a solve flips its sign, so no later step repeats the state
+    ("trapezoidal", True, False),
+])
+def test_hold_enters_leaves_and_reenters(integrator, lowpass, reenters, monkeypatch):
+    """A pulse-driven RC circuit: the hold skips steps before the first
+    edge, every step of a ramp calls Newton, and after the edges steps are
+    held again where the state repeats exactly. Times, voltages, branch
+    currents and SimStats equal the reference loop, which holds nothing."""
+    net, spec = pulsed_rc(lowpass)
+    opt = SimOptions(t_stop=1e-9, integrator=integrator)
+    values = newton_source_rows(monkeypatch, "VIN")
+    res = transient(net, opt)
+    ref = RefKernel(net, opt)
+    times, volts, currents = ref.transient(net)
+    assert res.time.tobytes() == times.tobytes()
+    assert res.voltages.tobytes() == volts.tobytes()
+    assert res.branch_currents.tobytes() == currents.tobytes()
+    assert res.stats == ref.stats and res.stats.step_halvings == 0
+
+    t, v = res.time[1:], spec.values(res.time[1:])
+    ramp = (v != spec.v_low) & (v != spec.v_high)
+    after = t > spec.delay + spec.rise + spec.width + spec.fall
+    first_edge = next(i for i, x in enumerate(values) if x != spec.v_low)
+    last_high = len(values) - values[::-1].index(spec.v_high)
+    held_before = np.sum(t <= spec.delay) - (first_edge - 2)  # 2 DC-solve calls
+    held_after = np.sum(after) - values[last_high:].count(spec.v_low)
+    assert held_before > 150  # enters
+    assert sum(spec.v_low < x < spec.v_high for x in values) == np.sum(ramp)  # leaves
+    assert (held_after > 0) == reenters
+
+
 @functools.cache
 def _pfd_newton_systems():
     """Every (Jacobian, residual) pair the engine solves in the first

@@ -3,11 +3,13 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pfdsim.devices import DEFAULT_CONFIG, STANDARD_CORNERS
+from pfdsim.engine import SolverError, dc_operating_point
 from pfdsim.netlist import (
     Capacitor,
     DcSource,
@@ -122,7 +124,68 @@ class TestValidate:
         assert any("CBAD" in v and "finite farads" in v for v in net.validate())
 
 
+    @pytest.mark.parametrize("device,kind", [
+        (DcSource("VBAD", plus="a", minus="a", volts=1.0), "source"),
+        (PulseSource("VBAD", plus="b", minus="b", spec=default_pulse(1e9, 1.0, 0.0)),
+         "pulse source"),
+        (Resistor("RBAD", a="a", b="a", ohms=1e3), "resistor"),
+        (Capacitor("CBAD", a="0", b="0", farads=1e-15), "capacitor"),
+    ], ids=["dc_source", "pulse_source", "resistor", "capacitor"])
+    def test_branch_from_a_node_to_itself_reported(self, device, kind):
+        """A shorted source used to end in 'DC operating point did not
+        converge'; a shorted resistor or capacitor was accepted silently."""
+        net = simple_net()
+        net.add(device)
+        out = net.validate()
+        assert f"{kind} {device.name!r} connects node {device.nodes[0]!r} to itself" in out
+        with pytest.raises(SolverError, match=f"invalid netlist: .*{device.name}"):
+            dc_operating_point(net)
+
+
+@st.composite
+def valid_pulse_specs(draw):
+    """Valid PulseSpecs: edges and width over six decades, period just above
+    to 20x their sum, delay from -2 to 5 periods."""
+    scale = 10.0 ** draw(st.integers(-13, -7))
+    rise, fall, width = (scale * draw(st.floats(1e-3, 1.0)) for _ in range(3))
+    period = (rise + width + fall) * draw(st.floats(1.0001, 20.0))
+    level = st.floats(-5.0, 5.0, allow_subnormal=False)
+    return PulseSpec(v_low=draw(level), v_high=draw(level),
+                     delay=period * draw(st.floats(-2.0, 5.0)), rise=rise, fall=fall,
+                     width=width, period=period)
+
+
+@st.composite
+def pulse_times(draw, spec):
+    """Times that reach every branch of `value`: breakpoints and their
+    neighbouring floats, times before the delay, exact multiples of the
+    period (from 0 and from the delay), and times many periods out."""
+    p, d = spec.period, spec.delay
+    corners = spec.breakpoints(d + 2 * p) or [max(d, 0.0)]
+    periods = st.integers(0, 10**6)
+    near = st.sampled_from([-math.inf, 0.0, math.inf])
+    kinds = st.one_of(
+        st.tuples(st.sampled_from(corners), near).map(lambda c: float(np.nextafter(*c))),
+        st.tuples(st.sampled_from(corners), periods).map(lambda c: c[0] + c[1] * p),
+        st.floats(d - 10 * p, d),
+        periods.map(lambda k: k * p),
+        periods.map(lambda k: d + k * p),
+        st.floats(0.0, 1e6 * p),
+    )
+    return draw(st.lists(kinds, min_size=1, max_size=40))
+
+
 class TestPulseSpec:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_values_bit_equal_to_value(self, data):
+        """The vectorised `values` gives every time the float `value` gives it:
+        `np.remainder` computes Python's float `%`."""
+        spec = data.draw(valid_pulse_specs())
+        times = data.draw(pulse_times(spec))
+        scalar = np.fromiter(map(spec.value, times), float, len(times))
+        assert spec.values(np.array(times)).tobytes() == scalar.tobytes()
+
     def test_value_profile(self):
         s = PulseSpec(v_low=0.0, v_high=1.0, delay=1e-9, rise=1e-10,
                       fall=1e-10, width=3e-10, period=1e-9)
