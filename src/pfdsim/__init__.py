@@ -1,12 +1,15 @@
 """Transistor-level transient simulator and characterization harness for a
-precharge-style phase frequency detector."""
+precharge-style phase frequency detector.
+
+`__all__` holds the names README's "Library API sketch" documents a use
+for; internal steps of those (pulse detection, corner scaling, the NOR2
+subcircuit) stay in their modules."""
 
 from pfdsim.devices import (
     DEFAULT_CONFIG,
     CornerSet,
     ModelConfig,
     MosfetParams,
-    apply_corner,
     load_config,
     mosfet_conductances,
     mosfet_current,
@@ -25,7 +28,6 @@ from pfdsim.experiments import (
     ExperimentReport,
     corner_sweep,
     frequency_mismatch_test,
-    generate_report,
     half_period_test,
     measure_dead_zone,
     measure_fmax,
@@ -38,13 +40,11 @@ from pfdsim.measure import (
     PulseEvent,
     average_power,
     classify_decision,
-    detect_pulses,
-    fall_time,
     mutual_exclusion_overlap,
     pulse_table,
     rise_time,
 )
-from pfdsim.netlist import Netlist, NetlistError, PulseSpec, build_nor2, build_pfd
+from pfdsim.netlist import Netlist, NetlistError, PulseSpec, build_pfd
 
 __all__ = [
     "DEFAULT_CONFIG",
@@ -64,17 +64,12 @@ __all__ = [
     "SolverError",
     "TransientResult",
     "Waveform",
-    "apply_corner",
     "average_power",
-    "build_nor2",
     "build_pfd",
     "classify_decision",
     "corner_sweep",
     "dc_operating_point",
-    "detect_pulses",
-    "fall_time",
     "frequency_mismatch_test",
-    "generate_report",
     "half_period_test",
     "load_config",
     "measure_dead_zone",

@@ -184,9 +184,9 @@ def _write(args, rows: list[dict], waves: TransientResult | None = None,
            plots: tuple = (), stats: SimStats | None = None) -> None:
     """Write the report files, any waves and, with --plot, the waves' and
     sweep charts under --out."""
+    json_text, table = render_rows(rows, stats)  # before mkdir: a bad row writes nothing
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    json_text, table = render_rows(rows, stats)
     (outdir / "report.json").write_text(json_text + "\n")
     (outdir / "summary.txt").write_text(table)
     if waves is not None:
@@ -281,8 +281,14 @@ def cmd_corners(args, point, models, options) -> _Output:
 def cmd_report(args) -> None:
     rows = []
     for path in args.inputs:
-        data = json.loads(Path(path).read_text())
-        rows.extend(data["rows"])
+        try:
+            data = json.loads(Path(path).read_text())
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: not a JSON file: {exc}") from None
+        file_rows = data.get("rows") if isinstance(data, dict) else None
+        if not (isinstance(file_rows, list) and all(isinstance(r, dict) for r in file_rows)):
+            raise ValueError(f'{path}: expected a JSON object whose "rows" is a list of objects')
+        rows.extend(file_rows)
     if not rows:
         raise ValueError("the input reports hold no rows; report needs at least 1")
     _write(args, rows)
@@ -312,8 +318,6 @@ def main(argv: list[str] | None = None) -> int:
         else:
             _run(args, _EXPERIMENTS[args.command])
         return 0
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else _EXIT_USAGE
     except (ValueError, NetlistError, OSError, KeyError) as exc:
         print(f"pfdsim: error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

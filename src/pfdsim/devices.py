@@ -224,9 +224,6 @@ class ModelConfig:
             scales[f"k_scale_{polarity}"] = k
         return CornerSet(name=name, **scales)
 
-    def corners(self) -> dict[str, CornerSet]:
-        return {n: self.corner(n) for n in STANDARD_CORNERS}
-
 
 DEFAULT_CONFIG = ModelConfig()
 
@@ -282,24 +279,3 @@ def load_config(path: str | Path, base: ModelConfig | None = None) -> ModelConfi
     nmos = replace(cfg.nmos, **proc["nmos"]) if proc["nmos"] else cfg.nmos
     pmos = replace(cfg.pmos, **proc["pmos"]) if proc["pmos"] else cfg.pmos
     return replace(cfg, nmos=nmos, pmos=pmos, **top)
-
-
-def dump_config(cfg: ModelConfig) -> str:
-    """Render a ModelConfig in the calibration-file format."""
-    lines = [f"vdd = {cfg.vdd!r}"]
-    for pol in ("nmos", "pmos"):
-        proc: ProcessParams = getattr(cfg, pol)
-        lines += [
-            f"{pol}.vth0 = {proc.vth0!r}",
-            f"{pol}.kprime = {proc.kprime!r}",
-            f"{pol}.lambda = {proc.lam!r}",
-            f"{pol}.cgs = {proc.cgs!r}",
-            f"{pol}.cgd = {proc.cgd!r}",
-        ]
-    lines += [
-        f"corner.fast.vth_scale = {cfg.fast_vth_scale!r}",
-        f"corner.fast.k_scale = {cfg.fast_k_scale!r}",
-        f"corner.slow.vth_scale = {cfg.slow_vth_scale!r}",
-        f"corner.slow.k_scale = {cfg.slow_k_scale!r}",
-    ]
-    return "\n".join(lines) + "\n"

@@ -1,101 +1,43 @@
 """Modified nodal analysis engine: DC operating point and fixed-step
-transient integration.
+transient integration. README's "Engine" section describes it; this
+docstring keeps the invariants the code relies on.
 
-Unknowns are the non-ground node voltages plus one branch current per
-voltage source; state vectors carry one more slot, for ground, held at 0.
-Capacitors (including the lumped MOSFET gate capacitances) enter through
-backward-Euler or trapezoidal companion models; MOSFETs are linearized
-each Newton iteration. Solves use dense LU -- the targeted circuits have
-tens of unknowns: `_lu_solve` calls LAPACK gesv through the gufunc that
-`numpy.linalg.solve` wraps (`numpy.linalg._umath_linalg.solve1`), skipping
-the wrapper's per-call checks, conversions and error state. That module is
-private to numpy, so the tests pin the helper bit for bit to
-`numpy.linalg.solve`, and CI runs the oldest and the newest supported
-numpy. The MOSFET equations are `devices.mosfet_eval`'s; the engine
-gathers every device's bias and calls it once per state.
-
-Each `transient` and `dc_operating_point` call enters one floating-point
-error state for its whole run, `np.errstate(all="ignore")`, and restores
-the caller's on exit. A singular Jacobian then gives an all-NaN update (the
-gufunc sets only the invalid flag), which ends that Newton iteration
-unconverged and uncounted; so the step is halved and, at the halving
-limit, the run ends in `SolverError`, without a warning. The same state
-silences the overflow, division and invalid warnings that the rest of a
-run could raise on a diverging state; no value changes, and a NaN
-residual is still never accepted (below).
-
-Each run (`transient`, `dc_operating_point`, `kcl_residual_ratio`) builds
-one step kernel, `_Kernel(netlist, options)`, which validates both and
-assembles every time point of the DC solve (its a0 = 0 case), the
-transient and the KCL replay (a zero-iteration Newton call per point).
-Its constant matrices all come from signed branch incidence rows A, +1 at
-a branch's plus node and -1 at its minus node (the modified nodal
-approach of Ho, Ruehli and Brennan, IEEE TCAS 22(6), 1975): MOSFET gate
-(g - s) and channel (d - s) rows, resistor and capacitor rows, source
-rows. The static and capacitance blocks are A^T diag(g) A products, the
-KCL maps of the MOSFET and capacitor currents are transposes of their
-rows, the tolerance segments are the rows' nonzero pattern, and the
-MOSFET Jacobian stamps are the outer products channel x gate (on gm) and
-channel x channel (on gds).
-`_Kernel.newton` is the one Newton iteration: residual, acceptance test,
-Jacobian, damping and device gather are written out in it, with the
-kernel's arrays bound to locals once per call, so the only calls it makes
-per iteration are `mosfet_eval` and the LU solve, and it makes no scatter:
-- one incidence product gives every MOSFET's (vgs, vds) and every linear
-  branch voltage and source current; others carry the MOSFET and
-  capacitor companion currents into the KCL rows, and the companion
-  history is subtracted from the capacitor currents alone;
-- the per-node tolerance is abs_tol + reltol * a `np.maximum.reduceat`
-  over a node-sorted gather of branch-current magnitudes, so it is exact;
-- the Jacobian is built in the reduced, ground-free system: the linear
-  block, cached per step size, plus one product of the (n * n, 2 n_mos)
-  stamp matrix with the conductances (gm, gds).
-Each state's device evaluation is computed once: the accepted point's
-evaluation seeds the first residual of the next step, which starts from
-that same state (SPICE2's device bypass, taken only where the state is
-unchanged, so every value is the same), and its capacitor voltages give
-that step's companion history (each is fl(v_a - v_b) whichever product
-forms it).
-
-`transient` skips the steps that provably repeat a held state (SPICE2's
-bypass rule again: recompute nothing that has not changed). A step is a
-deterministic function of its size h, its source row and the state it
-starts from: x, x's evaluation and the capacitor currents i_prev. When an
-axis step (not a halved one) is accepted before any LU solve and its new
-capacitor currents are bytewise i_prev, that state is a fixed point of h
-under the step's source row, and h is recorded. While the source rows
-stay bitwise equal, a later step whose h is recorded appends the same
-state without a Newton call; it still counts as a step without a solve.
-A source change, a step that needs a solve and a halved step clear the
-record. Before the first input edge of a PFD run this leaves one Newton
-call per distinct step size (13 for the 500 steps of a 1 GHz run). A
-trapezoidal capacitor current that has flowed flips sign at each step
-accepted without a solve, so trapezoidal runs rarely hold after their
-first edge; backward-Euler ones do wherever a node settles.
-`PulseSpec.values` computes a source's column on the whole time axis at
-once. A time point of a PFD run at 1 GHz costs 53-63 us of engine time,
-about 1 us less than without the hold (`engine.host_us_per_point` of the
-benchmark's `lead_lag` trace, three alternating runs per side on one
-2-CPU VM, Python 3.11, numpy 2.4; that run holds 5% of its steps). The
-code without the hold read 43 us and 107-112 us on that VM at other
-times, so only figures measured together compare.
-
-A step is accepted when every node's Kirchhoff current residual is
-within abstol_i + reltol * (largest branch current at that node) and
-every source branch satisfies its voltage constraint to abstol_v; one
-comparison, `(|f| <= tol).all()`, covers both and fails on NaN. The
-residual test runs before the first Newton update, so quiescent
-stretches where the previous solution still satisfies the tolerance
-advance without refactoring. Each run counts its work in `SimStats`
-(accepted points, LU solves, device evaluations, steps accepted without a
-solve, step halvings), returned as `TransientResult.stats`.
-`kcl_residual_ratio` replays the accepted points through the same kernel
-and arithmetic, so its ratio is at most 1 exactly when acceptance held.
+- Unknowns are the non-ground node voltages plus one branch current per
+  voltage source; state vectors carry one more slot, for ground, held at 0.
+- Each run (`transient`, `dc_operating_point`, `kcl_residual_ratio`) builds
+  one step kernel, `_Kernel(netlist, options)`, which validates both. Its
+  constant matrices all come from signed branch incidence rows (+1 at a
+  branch's plus node, -1 at its minus node; the modified nodal approach of
+  Ho, Ruehli and Brennan, IEEE TCAS 22(6), 1975).
+- `_Kernel.newton` is the one Newton iteration. Per iteration it calls only
+  `devices.mosfet_eval` and `_lu_solve`, which calls the LAPACK gesv gufunc
+  that `numpy.linalg.solve` wraps. That gufunc is private to numpy, so the
+  tests pin `_lu_solve` bit for bit to `numpy.linalg.solve`.
+- A step is accepted when `(|f| <= tol).all()`, with tol = abstol +
+  reltol * (largest branch current at the row). The comparison fails on
+  NaN, so a NaN residual is never accepted. The test runs before the first
+  Newton update, so a state that still satisfies it costs no LU solve.
+- Each state's device evaluation is computed once. The accepted point's
+  evaluation seeds the next step's first residual and gives its capacitor
+  history, so every value is the one a fresh evaluation would give.
+- `transient` appends a step without a Newton call only when it provably
+  repeats a held state: an axis step of size h was accepted without an LU
+  solve and left the capacitor currents bytewise unchanged, and the source
+  rows have stayed bitwise equal since. A source change, a step that needs
+  a solve and a halved step clear the record. Every float and counter is
+  the same as without the hold.
+- `transient` and `dc_operating_point` run in one floating-point error
+  state, `np.errstate(all="ignore")`, and restore the caller's on exit. A
+  singular Jacobian gives an all-NaN update, which ends that Newton
+  iteration unconverged; the step is halved and, at the halving limit, the
+  run ends in `SolverError`, without a warning.
+- `SimStats` counts each run's work; `kcl_residual_ratio` replays the
+  accepted points through the same kernel and arithmetic, so its ratio is
+  at most 1 exactly when acceptance held.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -219,26 +161,19 @@ class TransientResult:
         # positive = current delivered into the circuit
         return Waveform(self.time, -self.branch_currents[:, col])
 
-    def to_csv(self, target) -> None:
-        """Write `t,<probes...>,i_vdd` rows at full double precision."""
-        if isinstance(target, (str, Path)):
-            with open(target, "w") as fh:
-                self.to_csv(fh)
-            return
+    def to_csv(self, path: str | Path) -> None:
+        """Write `t,<probes...>,i_vdd` rows at full double precision to the
+        file at `path`."""
         names = list(self.probes)
         cols = [self.time] + [self.voltage(n).v for n in names]
         if self.supply_source:
             names.append("i_vdd")
             cols.append(self.supply_current().v)
-        target.write(",".join(["t"] + names) + "\n")
-        for k in range(0, len(self.time), 1024):  # blocks bound the Python floats alive
-            block = np.column_stack([col[k : k + 1024] for col in cols]).tolist()
-            target.writelines(",".join(map(repr, row)) + "\n" for row in block)
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+        with open(path, "w") as fh:
+            fh.write(",".join(["t"] + names) + "\n")
+            for k in range(0, len(self.time), 1024):  # blocks bound the Python floats alive
+                block = np.column_stack([col[k : k + 1024] for col in cols]).tolist()
+                fh.writelines(",".join(map(repr, row)) + "\n" for row in block)
 
 
 def _source_values(k: _Kernel, times) -> np.ndarray:
@@ -512,8 +447,6 @@ def _resolve_dt(net: Netlist, opt: SimOptions) -> float:
     periods = [d.spec.period for d in net.devices if isinstance(d, PulseSource)]
     if periods:
         return min(0.5e-12, min(periods) / 2000.0)
-    if opt.t_stop is None:
-        raise ValueError("t_stop is required")
     return opt.t_stop / 1000.0
 
 

@@ -126,9 +126,8 @@ def pulse_table_for(point: DesignPoint, result: TransientResult,
 
 
 def report_from_result(point: DesignPoint, result: TransientResult,
-                       models: ModelConfig = DEFAULT_CONFIG,
-                       frequency_b: float | None = None) -> ExperimentReport:
-    return _report(point, result, pulse_table_for(point, result, models), models, frequency_b)
+                       models: ModelConfig = DEFAULT_CONFIG) -> ExperimentReport:
+    return _report(point, result, pulse_table_for(point, result, models), models)
 
 
 def _report(point, result, table, models, frequency_b=None) -> ExperimentReport:
@@ -243,24 +242,20 @@ def measure_fmax(
     return _bisect(passes, f_lo, f_hi, lambda lo, hi: (hi - lo) / lo > tol_rel)
 
 
-def _sweep_worker(args) -> ExperimentReport:
-    point, n_periods, models, options = args
-    return run_offset_experiment(point, n_periods, models, options)
-
-
 def _run_points(points, n_periods, models, options, jobs) -> list[ExperimentReport]:
     """Reports in input order, from min(jobs, points) worker processes."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    tasks = [(p, n_periods, models, options) for p in points]
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(points))
     if workers <= 1:
-        return [_sweep_worker(t) for t in tasks]
+        return [run_offset_experiment(p, n_periods, models, options) for p in points]
     # imported here: the pool's modules are about a tenth of the CLI's import time
     from concurrent.futures import ProcessPoolExecutor
 
+    k = len(points)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_worker, tasks))
+        return list(pool.map(run_offset_experiment, points, [n_periods] * k,
+                             [models] * k, [options] * k))
 
 
 def width_sweep(
@@ -411,8 +406,3 @@ def render_rows(rows: list[dict], stats: SimStats | None = None) -> tuple[str, s
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
     return json_text, "\n".join(lines) + "\n"
-
-
-def generate_report(reports: list[ExperimentReport]) -> tuple[str, str]:
-    """Table-style summary over measured design points."""
-    return render_rows([r.to_dict() for r in reports])

@@ -1,4 +1,4 @@
-"""Waveform post-processing: edge timing, average power, and the pulse
+"""Waveform post-processing: rise time, average power, and the pulse
 table of a run's UP and DN outputs that every lead/lag decision, overlap
 and high time is read from. A pulse is a stretch at or above 0.5*vdd.
 
@@ -46,31 +46,21 @@ def _crossings(t: np.ndarray, v: np.ndarray, above: np.ndarray, level: float):
     return k + 1, t[k] + (level - v[k]) * (t[k + 1] - t[k]) / (v[k + 1] - v[k])
 
 
-def _transition_time(w: Waveform, v_low: float, v_high: float, fractions, rising: bool):
-    """Time from the first crossing of the first fraction of the swing to
-    the next crossing of the second, both in one direction: v[k-1] < level
-    <= v[k] when rising, v[k-1] > level >= v[k] when falling."""
+def rise_time(w: Waveform, v_low: float, v_high: float) -> float:
+    """10%-to-90% time of the first rising transition between the levels:
+    from the first upward crossing of the 10% level (v[k-1] < level <=
+    v[k]) to the next upward crossing of the 90% level."""
     k, times = 0, []
-    for f in fractions:
+    for f in (0.1, 0.9):
         level = v_low + f * (v_high - v_low)
-        above = w.v >= level if rising else w.v > level
+        above = w.v >= level
         ks, when = _crossings(w.t, w.v, above, level)
-        hit = np.flatnonzero((above[ks] == rising) & (ks >= k))
+        hit = np.flatnonzero(above[ks] & (ks >= k))
         if not hit.size:
             raise MeasurementError(f"no qualifying transition ({f:.0%} level never crossed)")
         k = ks[hit[0]]
         times.append(when[hit[0]])
     return float(times[1] - times[0])
-
-
-def rise_time(w: Waveform, v_low: float, v_high: float) -> float:
-    """10%-to-90% time of the first rising transition between the levels."""
-    return _transition_time(w, v_low, v_high, (0.1, 0.9), rising=True)
-
-
-def fall_time(w: Waveform, v_low: float, v_high: float) -> float:
-    """90%-to-10% time of the first falling transition between the levels."""
-    return _transition_time(w, v_low, v_high, (0.9, 0.1), rising=False)
 
 
 def detect_pulses(w: Waveform, vdd: float) -> list[PulseEvent]:

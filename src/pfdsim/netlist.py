@@ -48,6 +48,8 @@ class PulseSpec:
             raise ValueError("period must exceed rise + width + fall")
 
     def value(self, t: float) -> float:
+        """Source voltage at time t, one point at a time: the scalar
+        reference that `values` is pinned to, bit for bit, in the tests."""
         if t < self.delay:
             return self.v_low
         tau = (t - self.delay) % self.period

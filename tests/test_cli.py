@@ -160,6 +160,19 @@ class TestUsageErrors:
         assert main(["report", str(empty), "--out", str(tmp_path / "o")]) == 1
         assert "pfdsim: error: the input reports hold no rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"rows": [1]}', '{"rows": {"a": 1}}',
+                                      '{"nope": 1}', "not json"])
+    def test_report_malformed_input_exits_1_naming_the_file(self, text, tmp_path, capsys):
+        """Each input must be a JSON object whose "rows" is a list of
+        objects; otherwise report exits 1, names the file and writes
+        nothing."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "o"
+        assert main(["report", str(bad), "--out", str(out)]) == 1
+        assert f"pfdsim: error: {bad}: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTransientCommand:
     def test_writes_csv_and_report(self, tmp_path):

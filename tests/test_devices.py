@@ -16,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfdsim.devices import (
+    _CONFIG_KEYS,
     DEFAULT_CONFIG,
+    STANDARD_CORNERS,
     CornerSet,
     ModelConfig,
     MosfetParams,
     apply_corner,
-    dump_config,
     load_config,
     mosfet_conductances,
     mosfet_current,
@@ -207,6 +208,13 @@ class TestParamValidation:
             CornerSet(name="FF", **{field: value})
 
 
+def _field(cfg: ModelConfig, key: str) -> float:
+    """The ModelConfig value that calibration key `key` sets."""
+    for name in _CONFIG_KEYS[key]:
+        cfg = getattr(cfg, name)
+    return cfg
+
+
 class TestConfigFile:
     def test_defaults(self):
         cfg = ModelConfig()
@@ -215,10 +223,23 @@ class TestConfigFile:
         assert cfg.pmos.kprime == 80e-6
 
     def test_round_trip(self, tmp_path):
-        cfg = ModelConfig()
+        """Every calibration key, each set away from its default, lands in
+        its own field."""
+        values = {
+            "vdd": 1.05,
+            "nmos.vth0": 0.41, "nmos.kprime": 210e-6, "nmos.lambda": 0.07,
+            "nmos.cgs": 1.3e-16, "nmos.cgd": 0.7e-16,
+            "pmos.vth0": -0.38, "pmos.kprime": 95e-6, "pmos.lambda": 0.12,
+            "pmos.cgs": 1.9e-16, "pmos.cgd": 0.4e-16,
+            "corner.fast.vth_scale": 0.93, "corner.fast.k_scale": 1.21,
+            "corner.slow.vth_scale": 1.07, "corner.slow.k_scale": 0.81,
+        }
+        assert set(values) == set(_CONFIG_KEYS)
         path = tmp_path / "cal.params"
-        path.write_text(dump_config(cfg))
-        assert load_config(path) == cfg
+        path.write_text("".join(f"{k} = {v!r}\n" for k, v in values.items()))
+        cfg = load_config(path)
+        for key, value in values.items():
+            assert _field(cfg, key) == value != _field(DEFAULT_CONFIG, key), key
 
     def test_partial_override(self, tmp_path):
         path = tmp_path / "cal.params"
@@ -250,7 +271,7 @@ class TestConfigFile:
             load_config(path)
 
     def test_corner_table_from_scales(self):
-        corners = DEFAULT_CONFIG.corners()
+        corners = {n: DEFAULT_CONFIG.corner(n) for n in STANDARD_CORNERS}
         assert set(corners) == {"TT", "FF", "FS", "SF", "SS"}
         tt = corners["TT"]
         assert (tt.vth_scale_n, tt.vth_scale_p, tt.k_scale_n, tt.k_scale_p) == (1, 1, 1, 1)

@@ -1247,22 +1247,26 @@ class TestOptionsAndErrors:
 
 
 class TestCsvExport:
-    def test_round_trip_header_and_values(self):
+    def test_round_trip_header_and_values(self, tmp_path):
         res = transient(rc_lowpass(), SimOptions(dt=1e-11, t_stop=2e-10))
-        text = res.to_csv_text()
+        res.to_csv(tmp_path / "waves.csv")
+        text = (tmp_path / "waves.csv").read_text()
         lines = text.strip().split("\n")
         assert lines[0] == "t,out"
         t0, v0 = (float(x) for x in lines[1].split(","))
         assert t0 == 0.0 and v0 == 0.0
         assert len(lines) == len(res.time) + 1
 
-    def test_text_matches_per_row_writer(self):
+    def test_text_matches_per_row_writer(self, tmp_path):
         """The column-stacked writer emits the same bytes as formatting
-        each value with repr(float(...)) row by row."""
-        res = transient(rc_lowpass(), SimOptions(dt=1e-11, t_stop=2e-10))
+        each value with repr(float(...)) row by row, across its 1024-row
+        blocks."""
+        res = transient(rc_lowpass(), SimOptions(dt=1e-13, t_stop=2.5e-10))
         res.supply_source = "VIN"  # also exercise the i_vdd column
         cols = [res.time, res.voltage("out").v, res.supply_current().v]
         expected = "t,out,i_vdd\n" + "".join(
             ",".join(repr(float(col[k])) for col in cols) + "\n"
             for k in range(len(res.time)))
-        assert res.to_csv_text() == expected
+        assert len(res.time) > 2048
+        res.to_csv(tmp_path / "waves.csv")
+        assert (tmp_path / "waves.csv").read_bytes() == expected.encode()

@@ -21,11 +21,11 @@ from pfdsim.experiments import (
     DesignPoint,
     ExperimentError,
     frequency_mismatch_test,
-    generate_report,
     half_period_test,
     measure_dead_zone,
     measure_fmax,
     pulse_table_for,
+    render_rows,
     report_from_result,
     report_row,
     width_sweep,
@@ -327,11 +327,12 @@ class TestWidthSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(experiments, "_sweep_worker", lambda task: task[0].width)
+        monkeypatch.setattr(experiments, "run_offset_experiment",
+                            lambda point, n_periods, models, options: point.width)
         widths = width_sweep(steps=2, jobs=5000)
         assert seen == [2]
         assert widths == [120e-9, 310e-9]
@@ -435,8 +436,10 @@ class TestFrequencyMismatch:
 
 
 class TestGenerateReport:
+    """Report generation: `render_rows` over `ExperimentReport.to_dict` rows."""
+
     def test_single_row_populated(self, default_report):
-        json_text, table = generate_report([default_report])
+        json_text, table = render_rows([default_report.to_dict()])
         data = json.loads(json_text)
         assert len(data["rows"]) == 1
         row = data["rows"][0]
@@ -446,7 +449,7 @@ class TestGenerateReport:
         assert "avg_power" in table.splitlines()[0]
 
     def test_missing_metric_renders_dash(self, default_report):
-        json_text, table = generate_report([default_report])
+        json_text, table = render_rows([default_report.to_dict()])
         assert json.loads(json_text)["rows"][0]["f_max"] is None
         header, _, row = table.splitlines()[:3]
         cols = header.split()
@@ -454,7 +457,7 @@ class TestGenerateReport:
         assert cells[cols.index("f_max")] == "-"
 
     def test_text_and_json_numbers_identical(self, default_report):
-        json_text, table = generate_report([default_report])
+        json_text, table = render_rows([default_report.to_dict()])
         row = json.loads(json_text)["rows"][0]
         header = table.splitlines()[0].split()
         cells = table.splitlines()[2].split()
@@ -463,7 +466,7 @@ class TestGenerateReport:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            generate_report([])
+            render_rows([])
 
     def test_search_rows_carry_every_column(self):
         """Search rows come from the same column list as full reports; the

@@ -16,7 +16,6 @@ from pfdsim.measure import (
     average_power,
     classify_decision,
     detect_pulses,
-    fall_time,
     high_time,
     mutual_exclusion_overlap,
     per_period_decisions,
@@ -64,10 +63,6 @@ class TestRiseFallTime:
         w = Waveform(np.linspace(0, 1e-9, 50), np.full(50, 0.2))
         with pytest.raises(MeasurementError, match="no qualifying transition"):
             rise_time(w, 0.0, 1.0)
-
-    def test_fall_time_mirror(self):
-        w = ramp(0.0, 100e-12, 1.0, 0.0, pre=-10e-12, post=200e-12)
-        assert fall_time(w, 0.0, 1.0) == pytest.approx(80e-12, rel=1e-6)
 
     def test_shift_invariance(self):
         w1 = ramp(0.0, 100e-12, 0.0, 1.0, pre=-10e-12, post=200e-12)
@@ -241,24 +236,20 @@ def ref_cross_time(t0, t1, v0, v1, level) -> float:
     return float(t0 + (level - v0) * (t1 - t0) / (v1 - v0))
 
 
-def ref_first_crossing(w, level, rising, start_index=0):
+def ref_first_crossing(w, level, start_index=0):
     v = w.v
     for k in range(max(start_index, 1), len(v)):
-        if rising and v[k - 1] < level <= v[k]:
-            return k, ref_cross_time(w.t[k - 1], w.t[k], v[k - 1], v[k], level)
-        if not rising and v[k - 1] > level >= v[k]:
+        if v[k - 1] < level <= v[k]:
             return k, ref_cross_time(w.t[k - 1], w.t[k], v[k - 1], v[k], level)
     return None, None
 
 
-def ref_transition_time(w, v_low, v_high, rising):
+def ref_rise_time(w, v_low, v_high):
     span = v_high - v_low
-    lo, hi = v_low + 0.1 * span, v_low + 0.9 * span
-    first, second = (lo, hi) if rising else (hi, lo)
-    k1, t1 = ref_first_crossing(w, first, rising)
+    k1, t1 = ref_first_crossing(w, v_low + 0.1 * span)
     if k1 is None:
         raise MeasurementError("first level never crossed")
-    k2, t2 = ref_first_crossing(w, second, rising, start_index=k1)
+    k2, t2 = ref_first_crossing(w, v_low + 0.9 * span, start_index=k1)
     if k2 is None:
         raise MeasurementError("second level never crossed")
     return float(t2 - t1)
@@ -380,15 +371,14 @@ class TestPulseTableReference:
 
     @settings(max_examples=500, deadline=None)
     @given(run=runs())
-    def test_rise_and_fall_time_match_reference(self, run):
+    def test_rise_time_matches_reference(self, run):
         """Same time, or the same failure, including samples exactly at the
-        10% and 90% levels (a falling crossing needs v[k-1] > level >= v[k])."""
+        10% and 90% levels (a rising crossing needs v[k-1] < level <= v[k])."""
         for w in run[:2]:
-            for measure, rising in ((rise_time, True), (fall_time, False)):
-                try:
-                    expected = bits(ref_transition_time(w, 0.0, VDD, rising))
-                except MeasurementError:
-                    with pytest.raises(MeasurementError):
-                        measure(w, 0.0, VDD)
-                else:
-                    assert bits(measure(w, 0.0, VDD)) == expected
+            try:
+                expected = bits(ref_rise_time(w, 0.0, VDD))
+            except MeasurementError:
+                with pytest.raises(MeasurementError):
+                    rise_time(w, 0.0, VDD)
+            else:
+                assert bits(rise_time(w, 0.0, VDD)) == expected
