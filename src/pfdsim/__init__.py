@@ -2,12 +2,11 @@
 precharge-style phase frequency detector.
 
 `__all__` holds the names README's "Library API sketch" documents a use
-for; internal steps of those (pulse detection, corner scaling, the NOR2
-subcircuit) stay in their modules."""
+for; internal steps of those (pulse detection, the NOR2 subcircuit) stay in
+their modules."""
 
 from pfdsim.devices import (
     DEFAULT_CONFIG,
-    CornerSet,
     ModelConfig,
     MosfetParams,
     load_config,
@@ -48,7 +47,6 @@ from pfdsim.netlist import Netlist, NetlistError, PulseSpec, build_pfd
 
 __all__ = [
     "DEFAULT_CONFIG",
-    "CornerSet",
     "Decision",
     "DesignPoint",
     "ExperimentError",

@@ -131,15 +131,12 @@ def _models(args) -> ModelConfig:
     return load_config(args.params)
 
 
-def _point(args, models: ModelConfig) -> DesignPoint:
+def _point(args) -> DesignPoint:
     """A field whose flag the subcommand does not take keeps DesignPoint's
     default; the experiment sets it."""
     given = vars(args)
-    fields = {f: given[f] for f in ("width", "length", "frequency", "offset", "load_cap")
-              if f in given}
-    if "corner" in given:
-        fields["corner"] = models.corner(args.corner)
-    return DesignPoint(**fields)
+    return DesignPoint(**{f: given[f] for f in ("width", "length", "corner", "frequency",
+                                                "offset", "load_cap") if f in given})
 
 
 def _options(args) -> SimOptions:
@@ -210,7 +207,7 @@ def _run(args, experiment) -> None:
     models, design point and options, the run-length check before anything
     is simulated, the experiment, then its output."""
     models = _models(args)
-    point = _point(args, models)
+    point = _point(args)
     options = _options(args)
     _check_run_length(args, point)
     _write(args, *experiment(args, point, models, options))

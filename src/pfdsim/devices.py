@@ -66,22 +66,6 @@ class MosfetParams:
         return self.kprime * self.w / self.l
 
 
-@dataclass(frozen=True)
-class CornerSet:
-    """Multiplicative process-corner modifiers per polarity."""
-
-    name: str  # one of STANDARD_CORNERS
-    vth_scale_n: float = 1.0
-    vth_scale_p: float = 1.0
-    k_scale_n: float = 1.0
-    k_scale_p: float = 1.0
-
-    def __post_init__(self):
-        for s in (self.vth_scale_n, self.vth_scale_p, self.k_scale_n, self.k_scale_p):
-            if not 0 < s < math.inf:  # NaN fails too
-                raise ValueError("corner scale factors must be finite and > 0")
-
-
 def mosfet_eval(vgs, vds, beta, vth, lam, sign, beta_lam):
     """Level-1 drain currents and conductances of a set of devices.
 
@@ -152,17 +136,8 @@ def mosfet_conductances(p: MosfetParams, vgs: float, vds: float) -> tuple[float,
     return gm, gds
 
 
-def apply_corner(p: MosfetParams, c: CornerSet) -> MosfetParams:
-    """Return a copy of p with vth0 and kprime scaled for the corner."""
-    if p.polarity == NMOS:
-        vth_scale, k_scale = c.vth_scale_n, c.k_scale_n
-    else:
-        vth_scale, k_scale = c.vth_scale_p, c.k_scale_p
-    return replace(p, vth0=p.vth0 * vth_scale, kprime=p.kprime * k_scale)
-
-
 # --------------------------------------------------------------------------
-# Calibration: process defaults and corner table
+# Calibration: process defaults and corner scales
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -188,41 +163,40 @@ class ModelConfig:
     slow_vth_scale: float = 1.1
     slow_k_scale: float = 0.85
 
-    def mosfet(self, polarity: str, w: float, l: float) -> MosfetParams:
-        """Instantiate device parameters for the given geometry.
+    def __post_init__(self):
+        if not 0 < self.vdd < math.inf:  # NaN fails too
+            raise ValueError(f"vdd must be finite and > 0, got {self.vdd!r}")
+        for name in ("fast_vth_scale", "fast_k_scale", "slow_vth_scale", "slow_k_scale"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"corner scale {name} must be finite and > 0, "
+                                 f"got {getattr(self, name)!r}")
 
-        The calibration's cgs/cgd are the values at CAP_REF_WIDTH; the
-        instance capacitances scale linearly with the actual width.
+    def mosfet(self, polarity: str, w: float, l: float, corner: str = "TT") -> MosfetParams:
+        """Instantiate device parameters for the given geometry at a corner.
+
+        The corner is a STANDARD_CORNERS name: its first letter (T, F or S)
+        scales the NMOS vth0 and kprime, its second the PMOS ones, by 1 or
+        this calibration's fast or slow scales. The calibration's cgs/cgd
+        are the values at CAP_REF_WIDTH; the instance capacitances scale
+        linearly with the actual width.
         """
-        proc = self.nmos if polarity == NMOS else self.pmos
+        if corner not in STANDARD_CORNERS:
+            raise ValueError(f"unknown corner {corner!r}")
+        proc, letter = (self.nmos, corner[0]) if polarity == NMOS else (self.pmos, corner[1])
+        vth_scale, k_scale = {"T": (1.0, 1.0),
+                              "F": (self.fast_vth_scale, self.fast_k_scale),
+                              "S": (self.slow_vth_scale, self.slow_k_scale)}[letter]
         cap_scale = w / CAP_REF_WIDTH
         return MosfetParams(
             polarity=polarity,
-            vth0=proc.vth0,
-            kprime=proc.kprime,
+            vth0=proc.vth0 * vth_scale,
+            kprime=proc.kprime * k_scale,
             lam=proc.lam,
             w=w,
             l=l,
             cgs=proc.cgs * cap_scale,
             cgd=proc.cgd * cap_scale,
         )
-
-    def corner(self, name: str) -> CornerSet:
-        """Build one of the five standard corners from the fast/slow scales."""
-        name = name.upper()
-        if name not in STANDARD_CORNERS:
-            raise ValueError(f"unknown corner {name!r}")
-        scales = {}
-        for letter, polarity in zip(name, "np"):
-            if letter == "T":
-                vth, k = 1.0, 1.0
-            elif letter == "F":
-                vth, k = self.fast_vth_scale, self.fast_k_scale
-            else:
-                vth, k = self.slow_vth_scale, self.slow_k_scale
-            scales[f"vth_scale_{polarity}"] = vth
-            scales[f"k_scale_{polarity}"] = k
-        return CornerSet(name=name, **scales)
 
 
 DEFAULT_CONFIG = ModelConfig()
@@ -246,13 +220,13 @@ _CONFIG_KEYS = {
 }
 
 
-def load_config(path: str | Path, base: ModelConfig | None = None) -> ModelConfig:
+def load_config(path: str | Path) -> ModelConfig:
     """Read a `key = value` calibration file (SI units, # comments).
 
-    Unspecified keys keep their value from `base` (compiled-in defaults
-    when base is None). Unknown keys are rejected.
+    Unspecified keys keep their compiled-in default (DEFAULT_CONFIG).
+    Unknown keys are rejected, and so is a calibration that ModelConfig
+    refuses, such as vdd <= 0 or a zero corner scale.
     """
-    cfg = base if base is not None else DEFAULT_CONFIG
     top: dict[str, float] = {}
     proc: dict[str, dict[str, float]] = {"nmos": {}, "pmos": {}}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -276,6 +250,9 @@ def load_config(path: str | Path, base: ModelConfig | None = None) -> ModelConfi
             top[dest[0]] = num
         else:
             proc[dest[0]][dest[1]] = num
-    nmos = replace(cfg.nmos, **proc["nmos"]) if proc["nmos"] else cfg.nmos
-    pmos = replace(cfg.pmos, **proc["pmos"]) if proc["pmos"] else cfg.pmos
-    return replace(cfg, nmos=nmos, pmos=pmos, **top)
+    cfg = DEFAULT_CONFIG
+    try:
+        return replace(cfg, nmos=replace(cfg.nmos, **proc["nmos"]),
+                       pmos=replace(cfg.pmos, **proc["pmos"]), **top)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from pfdsim.devices import DEFAULT_CONFIG, STANDARD_CORNERS, CornerSet, ModelConfig
+from pfdsim.devices import DEFAULT_CONFIG, STANDARD_CORNERS, ModelConfig
 from pfdsim.engine import SimOptions, SimStats, TransientResult, transient
 from pfdsim.measure import (
     Decision,
@@ -41,7 +41,7 @@ class ExperimentError(Exception):
 class DesignPoint:
     width: float = 260e-9
     length: float = 100e-9
-    corner: CornerSet = CornerSet(name="TT")
+    corner: str = "TT"  # one of STANDARD_CORNERS
     frequency: float = 1e9
     offset: float = 0.0
     load_cap: float = 1e-15
@@ -59,6 +59,8 @@ class DesignPoint:
             raise ValueError("offset magnitude must be below one period")
         if not self.load_cap > 0:
             raise ValueError("load_cap must be > 0")
+        if self.corner not in STANDARD_CORNERS:
+            raise ValueError(f"unknown corner {self.corner!r}")
 
     @property
     def period(self) -> float:
@@ -193,6 +195,8 @@ def measure_dead_zone(
         raise ValueError("tol must be finite and > 0")
     if not 0 <= search_lo < search_hi:
         raise ValueError("need 0 <= search_lo < search_hi")
+    if n_periods < 1:  # a run of 0 periods ends at the lagging input's first edge
+        raise ValueError(f"n_periods {n_periods} must be >= 1")
 
     def passes(off: float) -> bool:
         if _decision_at(replace(point, offset=+off), n_periods, models,
@@ -230,6 +234,8 @@ def measure_fmax(
         raise ValueError("offset_fraction must be in (0, 0.5)")
     if not (0 < f_lo < f_hi and 0 < tol_rel < math.inf):  # NaN fails too
         raise ValueError("need 0 < f_lo < f_hi and a finite tol_rel > 0")
+    if n_periods < 1:
+        raise ValueError(f"n_periods {n_periods} must be >= 1")
 
     def passes(f: float) -> bool:
         p = replace(point, frequency=f, offset=offset_fraction / f)
@@ -291,7 +297,7 @@ def corner_sweep(
     names = list(STANDARD_CORNERS) if corners is None else list(corners)
     if not names:
         raise ValueError("corners must be non-empty")
-    points = [replace(point, corner=models.corner(n)) for n in names]
+    points = [replace(point, corner=n.upper()) for n in names]
     reports = _run_points(points, n_periods, models, options, jobs)
     expected = Decision.LEAD_A if point.offset > 0 else Decision.LEAD_B
     for name, rep in zip(names, reports):
@@ -310,8 +316,9 @@ def half_period_test(
 ) -> tuple[ExperimentReport, TransientResult]:
     """Offset forced to T/2; the classification must settle to the leading
     input and stay there for the final stretch of the run."""
-    if n_periods < 2:
-        raise ExperimentError("window too short: need n_periods >= 2")
+    if n_periods <= SETTLE_PERIODS:
+        raise ExperimentError(f"window too short: need n_periods > {SETTLE_PERIODS}, "
+                              "the settle periods before the power window")
     sign = 1.0 if point.offset >= 0 else -1.0
     p = replace(point, offset=sign * 0.5 * point.period)
     result = simulate_point(p, n_periods, models, options)
@@ -371,7 +378,7 @@ def report_row(point: DesignPoint, **values) -> dict:
     """One row over _COLUMNS: the point's columns, then `values` (None blanks
     a point column); metrics not given are None, die area is not modelled."""
     row = dict.fromkeys(_COLUMNS)
-    row.update(width=point.width, length=point.length, corner=point.corner.name,
+    row.update(width=point.width, length=point.length, corner=point.corner,
                frequency=point.frequency, offset=point.offset, die_area="out of scope")
     row.update(values)
     return {k: v if v is None or isinstance(v, str) else float(v) for k, v in row.items()}

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pfdsim.devices import DEFAULT_CONFIG, CornerSet, ModelConfig, MosfetParams, NMOS, PMOS, apply_corner
+from pfdsim.devices import DEFAULT_CONFIG, ModelConfig, MosfetParams, NMOS, PMOS
 
 GROUND = "0"
 
@@ -313,7 +313,7 @@ def input_delays(period: float, offset: float) -> tuple[float, float]:
 def build_pfd(
     width: float = 260e-9,
     length: float = 100e-9,
-    corner: CornerSet | None = None,
+    corner: str = "TT",
     load_cap: float = 1e-15,
     *,
     frequency: float = 1e9,
@@ -335,9 +335,8 @@ def build_pfd(
     if frequency_b is None and abs(offset) >= period:
         raise ValueError("offset magnitude must be below one period")
 
-    corner = corner if corner is not None else CornerSet(name="TT")
-    pp = apply_corner(models.mosfet(PMOS, width, length), corner)
-    np_ = apply_corner(models.mosfet(NMOS, width, length), corner)
+    pp = models.mosfet(PMOS, width, length, corner)
+    np_ = models.mosfet(NMOS, width, length, corner)
 
     net = Netlist()
     net.add_node(GROUND)

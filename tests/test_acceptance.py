@@ -207,7 +207,7 @@ def test_criterion_9_corner_analysis(corner_reports):
     with criterion(9, "all five corners classify correctly; FF <= TT <= SS rise time"):
         assert len(corner_reports) == 5
         assert all(r.decision is Decision.LEAD_A for r in corner_reports)
-        rt = {r.point.corner.name: r.up_rise_time for r in corner_reports}
+        rt = {r.point.corner: r.up_rise_time for r in corner_reports}
         assert rt["FF"] <= rt["TT"] <= rt["SS"]
 
 

@@ -2,6 +2,7 @@
 and has a documented use in README's "Library API sketch", and helpers
 that nothing but their tests used are gone."""
 
+import inspect
 import re
 from pathlib import Path
 
@@ -33,9 +34,17 @@ def test_public_name_resolves_and_is_documented(name):
     (pfdsim.engine.TransientResult, "to_csv_text"),
     (pfdsim.devices, "dump_config"),
     (pfdsim.devices.ModelConfig, "corners"),
+    (pfdsim.devices.ModelConfig, "corner"),
+    (pfdsim.devices, "CornerSet"),
+    (pfdsim.devices, "apply_corner"),
     (pfdsim.experiments, "generate_report"),
     (pfdsim.measure, "fall_time"),
 ])
 def test_deleted_helper_is_gone(owner, name):
     assert not hasattr(owner, name)
     assert not hasattr(pfdsim, name)
+
+
+def test_load_config_reads_over_the_built_in_calibration_only():
+    """The `base` calibration parameter had no caller."""
+    assert list(inspect.signature(pfdsim.load_config).parameters) == ["path"]

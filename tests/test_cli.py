@@ -134,6 +134,19 @@ class TestUsageErrors:
         assert f"pfdsim: error: {params}:2: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["vdd = -1.2", "vdd = 0", "corner.fast.k_scale = 0"])
+    def test_refused_calibration_exits_1_naming_the_file(self, line, tmp_path, capsys,
+                                                         monkeypatch):
+        """Refused at load, also a fast scale under a run at TT, which never
+        reads it."""
+        monkeypatch.setattr(experiments, "transient", _no_simulation)
+        params = tmp_path / "bad.params"
+        params.write_text(f"{line}\n")
+        out = tmp_path / "o"
+        assert main(["transient", "--params", str(params), "--out", str(out)]) == 1
+        assert f"pfdsim: error: {params}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mismatch_nan_f_fb_returns_quickly(self, tmp_path):
         """Unpatched, end to end: the run that never ended exits 1 at once."""
         assert main(["mismatch", "--f-fb", "nan", "--out", str(tmp_path / "o")]) == 1

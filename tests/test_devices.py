@@ -17,12 +17,12 @@ from hypothesis import strategies as st
 
 from pfdsim.devices import (
     _CONFIG_KEYS,
+    CAP_REF_WIDTH,
     DEFAULT_CONFIG,
     STANDARD_CORNERS,
-    CornerSet,
     ModelConfig,
     MosfetParams,
-    apply_corner,
+    ProcessParams,
     load_config,
     mosfet_conductances,
     mosfet_current,
@@ -146,35 +146,95 @@ class TestConductances:
             checked += 1
 
 
+def reference_corner_mosfet(models: ModelConfig, polarity: str, w: float, l: float,
+                            corner: str) -> MosfetParams:
+    """The previous corner path, `apply_corner(models.mosfet(polarity, w, l),
+    models.corner(corner))`, kept as the reference for the corner argument of
+    `ModelConfig.mosfet`: the typical device, the corner's four scales built
+    letter by letter, then vth0 and kprime of the device times its
+    polarity's pair."""
+    proc = models.nmos if polarity == "nmos" else models.pmos
+    cap_scale = w / CAP_REF_WIDTH
+    typical = MosfetParams(polarity=polarity, vth0=proc.vth0, kprime=proc.kprime,
+                           lam=proc.lam, w=w, l=l, cgs=proc.cgs * cap_scale,
+                           cgd=proc.cgd * cap_scale)
+    scales = {}
+    for letter, pol in zip(corner.upper(), "np"):
+        if letter == "T":
+            vth, k = 1.0, 1.0
+        elif letter == "F":
+            vth, k = models.fast_vth_scale, models.fast_k_scale
+        else:
+            vth, k = models.slow_vth_scale, models.slow_k_scale
+        scales[f"vth_scale_{pol}"] = vth
+        scales[f"k_scale_{pol}"] = k
+    pol = "n" if polarity == "nmos" else "p"
+    return replace(typical, vth0=typical.vth0 * scales[f"vth_scale_{pol}"],
+                   kprime=typical.kprime * scales[f"k_scale_{pol}"])
+
+
 class TestCorners:
     def test_identity_corner(self):
-        tt = CornerSet(name="TT")
-        assert apply_corner(NM, tt) == NM
-        assert apply_corner(PM, tt) == PM
+        for polarity in ("nmos", "pmos"):
+            tt = DEFAULT_CONFIG.mosfet(polarity, 260e-9, 100e-9, "TT")
+            assert tt == DEFAULT_CONFIG.mosfet(polarity, 260e-9, 100e-9)
+            proc = DEFAULT_CONFIG.nmos if polarity == "nmos" else DEFAULT_CONFIG.pmos
+            assert (tt.vth0, tt.kprime) == (proc.vth0, proc.kprime)
 
     def test_ff_scales_nmos_vth(self):
-        ff = CornerSet(name="FF", vth_scale_n=0.9, vth_scale_p=0.9,
-                       k_scale_n=1.15, k_scale_p=1.15)
-        out = apply_corner(NM, ff)
+        out = DEFAULT_CONFIG.mosfet("nmos", 260e-9, 100e-9, "FF")
         assert out.vth0 == pytest.approx(0.315, rel=1e-12)
         assert out.kprime == pytest.approx(230e-6, rel=1e-12)
 
     def test_ss_preserves_pmos_sign(self):
-        ss = CornerSet(name="SS", vth_scale_n=1.1, vth_scale_p=1.1,
-                       k_scale_n=0.85, k_scale_p=0.85)
-        out = apply_corner(PM, ss)
+        out = DEFAULT_CONFIG.mosfet("pmos", 260e-9, 100e-9, "SS")
         assert out.vth0 == pytest.approx(-0.385, rel=1e-12)
+        assert out.kprime == pytest.approx(68e-6, rel=1e-12)
 
     def test_mixed_corner_touches_one_polarity(self):
-        fs = DEFAULT_CONFIG.corner("FS")  # fast nmos, slow pmos
-        assert fs.vth_scale_n == 0.9 and fs.k_scale_n == 1.15
-        assert fs.vth_scale_p == 1.1 and fs.k_scale_p == 0.85
-        out = apply_corner(PM, fs)
-        assert out.vth0 == pytest.approx(-0.385, rel=1e-12)
+        # FS: fast nmos, slow pmos
+        n = DEFAULT_CONFIG.mosfet("nmos", 260e-9, 100e-9, "FS")
+        p = DEFAULT_CONFIG.mosfet("pmos", 260e-9, 100e-9, "FS")
+        assert n == DEFAULT_CONFIG.mosfet("nmos", 260e-9, 100e-9, "FF")
+        assert p == DEFAULT_CONFIG.mosfet("pmos", 260e-9, 100e-9, "SS")
+        assert p.vth0 == pytest.approx(-0.385, rel=1e-12)
 
     def test_geometry_untouched(self):
-        out = apply_corner(NM, DEFAULT_CONFIG.corner("SS"))
-        assert (out.w, out.l, out.lam, out.cgs, out.cgd) == (NM.w, NM.l, NM.lam, NM.cgs, NM.cgd)
+        tt = DEFAULT_CONFIG.mosfet("nmos", 260e-9, 100e-9)
+        out = DEFAULT_CONFIG.mosfet("nmos", 260e-9, 100e-9, "SS")
+        assert (out.w, out.l, out.lam, out.cgs, out.cgd) == (tt.w, tt.l, tt.lam, tt.cgs, tt.cgd)
+
+    @pytest.mark.parametrize("corner", ["XX", "tt", "T", ""])
+    def test_unknown_corner_rejected(self, corner):
+        with pytest.raises(ValueError, match=re.escape(f"unknown corner {corner!r}")):
+            DEFAULT_CONFIG.mosfet("nmos", 260e-9, 100e-9, corner)
+
+
+@st.composite
+def calibrations(draw):
+    """A ModelConfig with every field drawn in its valid range."""
+    scale = st.floats(0.05, 20.0)
+    cap = st.floats(0.0, 1e-14)
+
+    def process(sign):
+        return ProcessParams(vth0=sign * draw(st.floats(0.01, 1.0)),
+                             kprime=draw(st.floats(1e-7, 1e-2)), lam=draw(st.floats(0.0, 1.0)),
+                             cgs=draw(cap), cgd=draw(cap))
+
+    return ModelConfig(vdd=draw(st.floats(0.1, 5.0)), nmos=process(1.0), pmos=process(-1.0),
+                       fast_vth_scale=draw(scale), fast_k_scale=draw(scale),
+                       slow_vth_scale=draw(scale), slow_k_scale=draw(scale))
+
+
+@settings(max_examples=400, deadline=None)
+@given(models=calibrations(), polarity=st.sampled_from(["nmos", "pmos"]),
+       w=st.floats(1e-9, 1e-4), l=st.floats(1e-9, 1e-4),
+       corner=st.sampled_from(STANDARD_CORNERS))
+def test_corner_mosfet_bit_identical_to_reference(models, polarity, w, l, corner):
+    """Every field of the device at a corner, the last bit included, equals
+    the previous corner path's."""
+    got = models.mosfet(polarity, w, l, corner)
+    assert repr(got) == repr(reference_corner_mosfet(models, polarity, w, l, corner))
 
 
 class TestParamValidation:
@@ -189,8 +249,8 @@ class TestParamValidation:
             MosfetParams(polarity="nmos", vth0=-0.35, kprime=1e-4, lam=0.1, w=1e-7, l=1e-7)
 
     def test_rejects_bad_corner_scale(self):
-        with pytest.raises(ValueError):
-            CornerSet(name="FF", vth_scale_n=0.0)
+        with pytest.raises(ValueError, match="fast_vth_scale must be finite and > 0"):
+            ModelConfig(fast_vth_scale=0.0)
 
     @pytest.mark.parametrize("field", ["vth0", "kprime", "lam", "w", "l", "cgs", "cgd"])
     @pytest.mark.parametrize("polarity", ["nmos", "pmos"])
@@ -200,12 +260,17 @@ class TestParamValidation:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             replace(p, **{field: math.nan})
 
-    @pytest.mark.parametrize("field", ["vth_scale_n", "vth_scale_p", "k_scale_n",
-                                       "k_scale_p"])
+    @pytest.mark.parametrize("field", ["fast_vth_scale", "fast_k_scale", "slow_vth_scale",
+                                       "slow_k_scale"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_nonfinite_corner_scale(self, field, value):
-        with pytest.raises(ValueError, match="finite and > 0"):
-            CornerSet(name="FF", **{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+            ModelConfig(**{field: value})
+
+    @pytest.mark.parametrize("vdd", [0.0, -1.2, math.nan, math.inf])
+    def test_rejects_bad_vdd(self, vdd):
+        with pytest.raises(ValueError, match="vdd must be finite and > 0"):
+            ModelConfig(vdd=vdd)
 
 
 def _field(cfg: ModelConfig, key: str) -> float:
@@ -270,14 +335,30 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: ") + ".* must be finite"):
             load_config(path)
 
-    def test_corner_table_from_scales(self):
-        corners = {n: DEFAULT_CONFIG.corner(n) for n in STANDARD_CORNERS}
-        assert set(corners) == {"TT", "FF", "FS", "SF", "SS"}
-        tt = corners["TT"]
-        assert (tt.vth_scale_n, tt.vth_scale_p, tt.k_scale_n, tt.k_scale_p) == (1, 1, 1, 1)
-        # fast letter -> lower vth, higher kprime
-        assert corners["FF"].vth_scale_n < 1 < corners["FF"].k_scale_n
-        assert corners["SS"].vth_scale_n > 1 > corners["SS"].k_scale_n
+    def test_corner_table_from_scales(self, tmp_path):
+        """Each corner letter picks the file's fast or slow scales, or none."""
+        path = tmp_path / "cal.params"
+        path.write_text("corner.fast.vth_scale = 0.8\ncorner.fast.k_scale = 1.3\n"
+                        "corner.slow.vth_scale = 1.2\ncorner.slow.k_scale = 0.7\n")
+        cfg = load_config(path)
+        tt = {pol: cfg.mosfet(pol, 260e-9, 100e-9) for pol in ("nmos", "pmos")}
+        for corner in STANDARD_CORNERS:
+            for pol, letter in zip(("nmos", "pmos"), corner):
+                dev = cfg.mosfet(pol, 260e-9, 100e-9, corner)
+                vth, k = {"T": (1.0, 1.0), "F": (0.8, 1.3), "S": (1.2, 0.7)}[letter]
+                assert dev.vth0 == tt[pol].vth0 * vth, (corner, pol)
+                assert dev.kprime == tt[pol].kprime * k, (corner, pol)
+
+    @pytest.mark.parametrize("line, field", [("vdd = -1.2", "vdd"), ("vdd = 0", "vdd"),
+                                             ("corner.fast.k_scale = 0", "fast_k_scale")])
+    def test_refused_calibration_names_the_file(self, tmp_path, line, field):
+        """A value the calibration cannot run with is refused at load, not at
+        the first device or run that reads it."""
+        path = tmp_path / "cal.params"
+        path.write_text(f"{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + f".*{field} must be "
+                                             "finite and > 0"):
+            load_config(path)
 
 
 def test_current_formula_cross_check_against_direct_math():

@@ -6,6 +6,7 @@ simulation fixtures."""
 import concurrent.futures
 import json
 import math
+import re
 from contextlib import contextmanager
 from unittest import mock
 
@@ -51,6 +52,11 @@ class TestDesignPoint:
         with pytest.raises(ValueError):
             DesignPoint(**{field: math.nan})
 
+    @pytest.mark.parametrize("corner", ["XX", "ff", None])
+    def test_unknown_corner_rejected(self, corner):
+        with pytest.raises(ValueError, match=re.escape(f"unknown corner {corner!r}")):
+            DesignPoint(corner=corner)
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["width", "length", "frequency", "offset", "load_cap"])
     def test_infinite_rejected_naming_the_field(self, field, value):
@@ -74,11 +80,14 @@ def _no_simulation(*args, **kwargs):
     (measure_fmax, {"offset_fraction": math.nan}),
     (measure_dead_zone, {"tol": math.inf}),
     (measure_fmax, {"tol_rel": math.inf}),
+    (measure_dead_zone, {"n_periods": 0}),
+    (measure_fmax, {"n_periods": 0}),
 ])
 def test_search_rejects_nan_before_simulating(search, kwargs, monkeypatch):
     """A NaN or infinite tolerance or a NaN bracket end is refused, not
     bisected: with either, the stop test `hi - lo > tol` is false at once,
-    and the search reported a bracket end after one probe."""
+    and the search reported a bracket end after one probe. So is a run of
+    no whole period, which ends at the lagging input's first edge."""
     monkeypatch.setattr(experiments, "simulate_point", _no_simulation)
     with pytest.raises(ValueError):
         search(DesignPoint(), **kwargs)
@@ -344,17 +353,17 @@ class TestWidthSweep:
 
 class TestCornerSweep:
     def test_all_corners_correct(self, corner_reports):
-        assert [r.point.corner.name for r in corner_reports] == \
+        assert [r.point.corner for r in corner_reports] == \
             ["TT", "FF", "FS", "SF", "SS"]
         assert all(r.decision is Decision.LEAD_A for r in corner_reports)
 
     def test_corner_timing_order(self, corner_reports):
-        by_name = {r.point.corner.name: r for r in corner_reports}
+        by_name = {r.point.corner: r for r in corner_reports}
         assert by_name["FF"].up_rise_time <= by_name["TT"].up_rise_time
         assert by_name["TT"].up_rise_time <= by_name["SS"].up_rise_time
 
     def test_tt_row_matches_plain_run(self, corner_reports, default_report):
-        tt = next(r for r in corner_reports if r.point.corner.name == "TT")
+        tt = next(r for r in corner_reports if r.point.corner == "TT")
         assert tt.to_dict() == default_report.to_dict()
 
     def test_empty_corner_list_rejected(self):
@@ -362,6 +371,19 @@ class TestCornerSweep:
 
         with pytest.raises(ValueError):
             corner_sweep(corners=[])
+
+    def test_names_any_case_one_point_each(self, monkeypatch):
+        from pfdsim.experiments import ExperimentReport, corner_sweep
+
+        def run(point, *args):
+            return ExperimentReport(point, Decision.LEAD_A, 0.0, None, 0.0)
+
+        monkeypatch.setattr(experiments, "run_offset_experiment", run)
+        reports = corner_sweep(corners=["ff", "Ss", "TT"])
+        assert [r.point.corner for r in reports] == ["FF", "SS", "TT"]
+        assert [r.to_dict()["corner"] for r in reports] == ["FF", "SS", "TT"]
+        with pytest.raises(ValueError, match="unknown corner 'XX'"):
+            corner_sweep(corners=["xx"])
 
 
 class TestFmaxTrend:
@@ -411,6 +433,12 @@ class TestHalfPeriod:
     def test_window_too_short(self):
         with pytest.raises(ExperimentError, match="window too short"):
             half_period_test(DesignPoint(), n_periods=1)
+
+    def test_no_power_window_refused_before_simulating(self, monkeypatch):
+        """Two periods end at the settle start, where the power window begins."""
+        monkeypatch.setattr(experiments, "simulate_point", _no_simulation)
+        with pytest.raises(ExperimentError, match="window too short"):
+            half_period_test(DesignPoint(), n_periods=2)
 
 
 class TestFrequencyMismatch:

@@ -1,14 +1,16 @@
 """Netlist construction, validation, and text-format round trips."""
 
+import hashlib
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pfdsim.devices import DEFAULT_CONFIG, STANDARD_CORNERS
+from pfdsim.devices import DEFAULT_CONFIG, STANDARD_CORNERS, load_config
 from pfdsim.engine import SolverError, dc_operating_point
 from pfdsim.netlist import (
     Capacitor,
@@ -27,6 +29,21 @@ from pfdsim.netlist import (
     save,
     to_lines,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CORNER_NETLIST_SHA256 = {
+    ("default", "TT"): "9b4126cbab8a30bda17da935a81198b6ceeaf49d1b421488ccd959990ed86975",
+    ("default", "FF"): "8381e987c14fdd9d6e123ae8cc29c19b6f1c446d76780e20c19a84b9cb15754f",
+    ("default", "FS"): "b8bcc5af3642dc70802e643da481edb7612f2a755c71ac33c4f8a583f188974a",
+    ("default", "SF"): "2d4117307f199b408e2571098db3840123496161e26a7e6a49530cc5ed6c1b9c",
+    ("default", "SS"): "f726c0d5e134708811c4029004fedc035c97a6b58d8bf0e53b8ee05852d6d4f6",
+    ("highspeed", "TT"): "b1e6207cc34be1ef9b4610f5cf86ac9ca9dcaed35eb0eef4ced2a2da8a793e50",
+    ("highspeed", "FF"): "109376d9dc6955f510a594172886eee3a48d724f3f9bfdb26811b2ad70e3c5d5",
+    ("highspeed", "FS"): "d5904db67f92b4cafeaa9273f947d49a9091566ab41e2fad030a8149cd6ec0d9",
+    ("highspeed", "SF"): "19d40049251a2849bab5f11ff79dc704da030fa47256c24693d9f3bb07dbc834",
+    ("highspeed", "SS"): "a01096f3b1b67955ce2c8b5fd3815122549f741d52d360774c8db333e3532ebd",
+}
 
 NM = DEFAULT_CONFIG.mosfet("nmos", 260e-9, 100e-9)
 PM = DEFAULT_CONFIG.mosfet("pmos", 260e-9, 100e-9)
@@ -268,7 +285,7 @@ class TestBuildPfd:
 
     def test_corner_changes_parameters_only(self):
         tt = build_pfd()
-        ff = build_pfd(corner=DEFAULT_CONFIG.corner("FF"))
+        ff = build_pfd(corner="FF")
         assert [d.name for d in tt.devices] == [d.name for d in ff.devices]
         assert tt.nodes == ff.nodes
         m_tt = {d.name: d for d in tt.devices if isinstance(d, Mosfet)}
@@ -277,6 +294,18 @@ class TestBuildPfd:
             assert m_ff[name].nodes == d.nodes
             assert m_ff[name].params.vth0 != d.params.vth0
             assert m_ff[name].params.w == d.params.w
+
+    @pytest.mark.parametrize("corner", STANDARD_CORNERS)
+    @pytest.mark.parametrize("calibration", ["default", "highspeed"])
+    def test_corner_netlist_text_unchanged(self, calibration, corner):
+        """The PFD at each corner, under the built-in and the shipped
+        calibration, prints exactly as it did when a corner was a separate
+        set of scales applied to each device (SHA-256 of `to_lines`)."""
+        models = (DEFAULT_CONFIG if calibration == "default"
+                  else load_config(ROOT / "calibrations" / "highspeed.params"))
+        text = to_lines(build_pfd(corner=corner, models=models))
+        assert hashlib.sha256(text.encode()).hexdigest() == CORNER_NETLIST_SHA256[
+            calibration, corner]
 
     def test_offset_moves_only_b_delay(self):
         net0 = build_pfd(offset=0.0)
@@ -343,7 +372,7 @@ def pfd_netlists(draw):
     net = build_pfd(
         width=draw(positive(50e-9, 2e-6)),
         length=draw(positive(30e-9, 1e-6)),
-        corner=DEFAULT_CONFIG.corner(draw(st.sampled_from(list(STANDARD_CORNERS)))),
+        corner=draw(st.sampled_from(STANDARD_CORNERS)),
         load_cap=draw(positive(1e-17, 1e-12)),
         frequency=frequency,
         offset=draw(st.floats(min_value=-0.99, max_value=0.99)) / frequency,
