@@ -452,19 +452,17 @@ def _resolve_dt(net: Netlist, opt: SimOptions) -> float:
 
 def _time_axis(net: Netlist, dt: float, t_stop: float) -> np.ndarray:
     n = int(np.floor(t_stop / dt + 1e-9))
-    points = [np.arange(n + 1) * dt, np.array([t_stop])]
+    points = [np.arange(n + 1) * dt]
     for d in net.devices:
         if isinstance(d, PulseSource):
-            points.append(np.array(d.spec.breakpoints(t_stop)))
+            points.append(np.array(d.spec.breakpoints(t_stop)))  # in [0, t_stop]
     t = np.unique(np.concatenate(points))
-    t = t[(t >= 0.0) & (t <= t_stop)]
     # merge points closer than dt * 1e-6 (keeps companion steps well scaled)
     eps = dt * 1e-6
     mask = np.concatenate([[True], np.diff(t) > eps])
     t = t[mask]
-    if t[-1] < t_stop - eps:
-        t = np.append(t, t_stop)
-    return t
+    # end at t_stop itself: n * dt can round to either side of it
+    return np.append(t[t < t_stop - eps], t_stop)
 
 
 def transient(

@@ -37,6 +37,7 @@ from pfdsim.netlist import (
     Resistor,
     build_pfd,
 )
+from pfdsim.measure import average_power
 
 
 def step_source(name: str, node: str, v: float, at: float = 0.0) -> PulseSource:
@@ -293,6 +294,13 @@ class TestPfdTransient:
             if isinstance(d, PulseSource):
                 for bp in d.spec.breakpoints(float(res.time[-1])):
                     assert np.min(np.abs(res.time - bp)) < 1e-18
+
+    def test_ends_exactly_at_t_stop(self):
+        """10.25 ns is 20500 steps of 0.5 ps, which round to one ulp below
+        it; the run still ends at t_stop, so a power window up to it holds."""
+        res = transient(build_pfd(offset=100e-12), SimOptions(t_stop=10.25e-9))
+        assert res.time[-1] == 10.25e-9
+        assert average_power(res.supply_current(), 1.2, (2.35e-9, 10.25e-9)) > 0
 
     def test_supply_spikes_align_with_input_edges(self, lead_a_run):
         """Switching current is drawn around stimulus activity, while the
