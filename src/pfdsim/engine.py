@@ -31,6 +31,12 @@ docstring keeps the invariants the code relies on.
   singular Jacobian gives an all-NaN update, which ends that Newton
   iteration unconverged; the step is halved and, at the halving limit, the
   run ends in `SolverError`, without a warning.
+- `transient` writes each accepted point into two preallocated float64
+  blocks, the time vector and the n unknowns (no ground slot). Every axis
+  point is accepted once and each halving adds one point, so len(axis)
+  rows are exact; halvings grow the blocks by half, and the result holds
+  exact-length copies. `voltages` and `branch_currents` are column views
+  of the one state block.
 - `SimStats` counts each run's work; `kcl_residual_ratio` replays the
   accepted points through the same kernel and arithmetic, so its ratio is
   at most 1 exactly when acceptance held.
@@ -465,6 +471,13 @@ def _time_axis(net: Netlist, dt: float, t_stop: float) -> np.ndarray:
     return np.append(t[t < t_stop - eps], t_stop)
 
 
+def _grown(block: np.ndarray, count: int, size: int) -> np.ndarray:
+    """A block of `size` rows whose first `count` are those of `block`."""
+    out = np.empty((size,) + block.shape[1:])
+    out[:count] = block[:count]
+    return out
+
+
 def transient(
     netlist: Netlist,
     options: SimOptions,
@@ -498,31 +511,37 @@ def transient(
                 x[k.node_names.index(name)] = v
             ev = k.newton(k.point(None, vsrc[0]), x, iters=0)[-1]
 
-        times, rows, i_prev = [axis[0]], [x], np.zeros(len(k.c_val))
-        # step sizes h whose step from rows[-1] (with ev and i_prev) under
-        # the current source row is known to return that same state
+        # accepted points go straight into the blocks (module docstring)
+        n = k.n
+        time = np.empty(len(axis))
+        states = np.empty((len(axis), n))
+        time[0], states[0], count = axis[0], x[:n], 1
+        t_last, i_prev = axis[0], np.zeros(len(k.c_val))
+        # step sizes h whose step from x (with ev and i_prev) under the
+        # current source row is known to return that same state
         held = set()
         for j in range(1, len(axis)):
             if not same[j]:
                 held.clear()
-            elif axis[j] - times[-1] in held:
+            elif axis[j] - t_last in held:
                 # the step that put h in `held` again: same h, source row,
                 # x, ev and i_prev, so the same accepted state, with no solve
                 stats.steps_without_solve += 1
-                times.append(axis[j])
-                rows.append(rows[-1])
+                t_last = time[count] = axis[j]
+                states[count] = states[count - 1]
+                count += 1
                 continue
-            # targets still to reach from the last accepted point; a failed
+            # targets still to reach from the last accepted point x; a failed
             # step is halved and both halves are tried one level deeper. Every
-            # attempt starts from rows[-1], whose evaluation ev is kept and
-            # gives the step's capacitor history
+            # attempt starts from x, whose evaluation ev is kept and gives
+            # the step's capacitor history
             pending = [(axis[j], vsrc[j], 0)]
             while pending:
-                t0, (t1, v1, depth) = times[-1], pending[-1]
-                h = t1 - t0
+                t1, v1, depth = pending[-1]
+                h = t1 - t_last
                 solves = stats.lu_solves
                 x_new, ok, f, tol, cur, ev_new = newton(point(h, v1, ev[1][cap], i_prev),
-                                                        rows[-1], ev)
+                                                        x, ev)
                 if ok:
                     i_new = cur[cap]
                     no_solve = stats.lu_solves == solves
@@ -534,14 +553,18 @@ def transient(
                         held.add(h)
                     else:
                         held.clear()
-                    times.append(t1)
-                    rows.append(x_new)
-                    i_prev, ev = i_new, ev_new
+                    t_last = time[count] = t1
+                    states[count] = x_new[:n]
+                    count += 1
+                    x, i_prev, ev = x_new, i_new, ev_new
                     pending.pop()
                 elif depth < _MAX_STEP_HALVINGS:
                     held.clear()
                     stats.step_halvings += 1
-                    tm = 0.5 * (t0 + t1)
+                    if len(axis) + stats.step_halvings > len(time):  # grow by half
+                        size = len(time) + len(time) // 2
+                        time, states = _grown(time, count, size), _grown(states, count, size)
+                    tm = 0.5 * (t_last + t1)
                     pending[-1] = (t1, v1, depth + 1)
                     pending.append((tm, _source_values(k, [tm])[0], depth + 1))
                 else:
@@ -552,14 +575,15 @@ def transient(
                         node=worst,
                     )
 
-    stats.points = len(times)
-    data = np.array(rows)
+    stats.points = count
+    if count < len(time):  # exact-length copies, so no spare row stays alive
+        time, states = time[:count].copy(), states[:count].copy()
     return TransientResult(
-        time=np.array(times),
+        time=time,
         node_names=k.node_names,
-        voltages=data[:, : k.n_nodes],
+        voltages=states[:, : k.n_nodes],
         source_names=[s.name for s in k.sources],
-        branch_currents=data[:, k.n_nodes : k.n],
+        branch_currents=states[:, k.n_nodes :],
         probes=dict(netlist.probes),
         supply_source=k.supply,
         stats=stats,

@@ -1008,6 +1008,52 @@ def test_stats_count_the_run(offset, options, monkeypatch):
     assert 0 < stats.steps_without_solve < stats.points - 1
 
 
+def test_peak_memory_per_accepted_point():
+    """A run stores its time vector and its unknowns in preallocated float64
+    blocks, 136 bytes per point on the default PFD (8 for the time, 8 for
+    each of 16 unknowns): under tracemalloc a 3-period run at +100 ps peaks
+    at about 224 bytes per accepted point. A list of per-point 17-float
+    arrays copied into one array at the end peaked at about 500."""
+    import tracemalloc
+
+    net = build_pfd(offset=100e-12)
+    transient(net, SimOptions(t_stop=0.5e-9))  # one-time allocations of a first run
+    tracemalloc.start()
+    try:
+        res = transient(net, SimOptions(t_stop=3.35e-9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.stats.step_halvings == 0
+    assert peak <= 280 * res.stats.points
+
+
+def test_halvings_grow_the_blocks_and_the_result_keeps_exact_rows(monkeypatch):
+    """The halving run of ONE_PERIOD_RUNS outgrows the len(axis) rows first
+    allocated; the result still keeps exactly stats.points rows alive: the
+    time vector and one state block of the n unknowns, whose column views
+    are voltages and branch_currents."""
+    import pfdsim.engine as engine
+
+    grown = []
+    grow = engine._grown
+
+    def counted(block, count, size):
+        grown.append(size)
+        return grow(block, count, size)
+
+    monkeypatch.setattr(engine, "_grown", counted)
+    net, opt, initial = one_period_run(50e-12, {"dt": 5e-12, "max_newton_iters": 1})
+    res = transient(net, opt, initial_voltages=initial)
+    points = res.stats.points
+    assert res.stats.step_halvings > 0 and grown
+    assert max(grown) > points  # spare rows existed before the final copy
+    block = res.voltages.base
+    assert block is res.branch_currents.base and block.base is None
+    assert block.shape == (points, len(res.node_names) + len(res.source_names))
+    assert res.time.base is None and res.time.shape == (points,)
+
+
 def newton_source_rows(monkeypatch, name):
     """Patch `_Kernel.newton` to record the value of source `name` in each
     call's right-hand side, in call order; returns that list."""
