@@ -142,13 +142,27 @@ def mosfet_conductances(p: MosfetParams, vgs: float, vds: float) -> tuple[float,
 
 @dataclass(frozen=True)
 class ProcessParams:
-    """Per-polarity process parameters, independent of device geometry."""
+    """Per-polarity process parameters, independent of device geometry.
+    A refusal names the calibration-file key after its polarity prefix
+    (`lambda` for lam); ModelConfig checks the vth0 signs."""
 
     vth0: float
     kprime: float
     lam: float
     cgs: float
     cgd: float
+
+    def __post_init__(self):
+        keys = {"vth0": self.vth0, "kprime": self.kprime, "lambda": self.lam,
+                "cgs": self.cgs, "cgd": self.cgd}
+        for key, value in keys.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+        if not self.kprime > 0:
+            raise ValueError(f"kprime must be > 0, got {self.kprime!r}")
+        for key in ("lambda", "cgs", "cgd"):
+            if not keys[key] >= 0:
+                raise ValueError(f"{key} must be >= 0, got {keys[key]!r}")
 
 
 @dataclass(frozen=True)
@@ -170,6 +184,10 @@ class ModelConfig:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"corner scale {name} must be finite and > 0, "
                                  f"got {getattr(self, name)!r}")
+        if not self.nmos.vth0 > 0:
+            raise ValueError(f"nmos.vth0 must be > 0, got {self.nmos.vth0!r}")
+        if not self.pmos.vth0 < 0:
+            raise ValueError(f"pmos.vth0 must be < 0, got {self.pmos.vth0!r}")
 
     def mosfet(self, polarity: str, w: float, l: float, corner: str = "TT") -> MosfetParams:
         """Instantiate device parameters for the given geometry at a corner.
@@ -224,8 +242,9 @@ def load_config(path: str | Path) -> ModelConfig:
     """Read a `key = value` calibration file (SI units, # comments).
 
     Unspecified keys keep their compiled-in default (DEFAULT_CONFIG).
-    Unknown keys are rejected, and so is a calibration that ModelConfig
-    refuses, such as vdd <= 0 or a zero corner scale.
+    Unknown keys are rejected, and so is a calibration that ProcessParams
+    or ModelConfig refuses, such as vdd <= 0, a zero corner scale,
+    nmos.kprime <= 0 or pmos.vth0 >= 0; the message names the file and key.
     """
     top: dict[str, float] = {}
     proc: dict[str, dict[str, float]] = {"nmos": {}, "pmos": {}}
@@ -251,8 +270,13 @@ def load_config(path: str | Path) -> ModelConfig:
         else:
             proc[dest[0]][dest[1]] = num
     cfg = DEFAULT_CONFIG
+    procs = {}
+    for pol in (NMOS, PMOS):
+        try:
+            procs[pol] = replace(getattr(cfg, pol), **proc[pol])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {pol}.{exc}") from None
     try:
-        return replace(cfg, nmos=replace(cfg.nmos, **proc["nmos"]),
-                       pmos=replace(cfg.pmos, **proc["pmos"]), **top)
+        return replace(cfg, **procs, **top)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -134,11 +134,13 @@ class TestUsageErrors:
         assert f"pfdsim: error: {params}:2: " in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["vdd = -1.2", "vdd = 0", "corner.fast.k_scale = 0"])
+    @pytest.mark.parametrize("line", ["vdd = -1.2", "vdd = 0", "corner.fast.k_scale = 0",
+                                      "nmos.kprime = 0", "pmos.vth0 = 0.3",
+                                      "nmos.lambda = -0.5"])
     def test_refused_calibration_exits_1_naming_the_file(self, line, tmp_path, capsys,
                                                          monkeypatch):
         """Refused at load, also a fast scale under a run at TT, which never
-        reads it."""
+        reads it, and a per-polarity value before any device is built."""
         monkeypatch.setattr(experiments, "transient", _no_simulation)
         params = tmp_path / "bad.params"
         params.write_text(f"{line}\n")

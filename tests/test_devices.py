@@ -9,6 +9,7 @@ import math
 import random
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,6 +273,27 @@ class TestParamValidation:
         with pytest.raises(ValueError, match="vdd must be finite and > 0"):
             ModelConfig(vdd=vdd)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("kprime", 0.0, "kprime must be > 0"),
+        ("kprime", math.nan, "kprime must be finite"),
+        ("lam", -0.5, "lambda must be >= 0"),
+        ("cgs", -1e-16, "cgs must be >= 0"),
+        ("cgd", math.inf, "cgd must be finite"),
+    ])
+    def test_process_params_refuse_what_no_device_takes(self, field, value, message):
+        """Refused where the calibration is built, not at the first device."""
+        with pytest.raises(ValueError, match=f"^{message}, got "):
+            replace(DEFAULT_CONFIG.nmos, **{field: value})
+
+    @pytest.mark.parametrize("polarity, vth0, message", [
+        ("nmos", 0.0, "nmos.vth0 must be > 0"), ("nmos", -0.35, "nmos.vth0 must be > 0"),
+        ("pmos", 0.0, "pmos.vth0 must be < 0"), ("pmos", 0.3, "pmos.vth0 must be < 0"),
+    ])
+    def test_rejects_wrong_process_vth_sign(self, polarity, vth0, message):
+        proc = replace(getattr(DEFAULT_CONFIG, polarity), vth0=vth0)
+        with pytest.raises(ValueError, match=f"^{message}, got "):
+            ModelConfig(**{polarity: proc})
+
 
 def _field(cfg: ModelConfig, key: str) -> float:
     """The ModelConfig value that calibration key `key` sets."""
@@ -359,6 +381,26 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=re.escape(f"{path}: ") + f".*{field} must be "
                                              "finite and > 0"):
             load_config(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("nmos.kprime = 0", "nmos.kprime must be > 0"),
+        ("pmos.vth0 = 0.3", "pmos.vth0 must be < 0"),
+        ("nmos.lambda = -0.5", "nmos.lambda must be >= 0"),
+        ("pmos.cgd = -1e-16", "pmos.cgd must be >= 0"),
+        ("nmos.vth0 = -0.35", "nmos.vth0 must be > 0"),
+    ])
+    def test_refused_device_value_names_file_and_key(self, tmp_path, line, message):
+        """A per-polarity value no device can take is refused at load, and
+        the message names the file and the key, not a MosfetParams field."""
+        path = tmp_path / "cal.params"
+        path.write_text(f"{line}\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}, got ")):
+            load_config(path)
+
+    def test_shipped_calibrations_load(self):
+        assert load_config(Path(__file__).resolve().parent.parent / "calibrations"
+                           / "highspeed.params").nmos.kprime == 400e-6
+        assert ModelConfig() == DEFAULT_CONFIG
 
 
 def test_current_formula_cross_check_against_direct_math():
