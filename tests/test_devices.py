@@ -9,7 +9,6 @@ import math
 import random
 import re
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,11 +395,6 @@ class TestConfigFile:
         path.write_text(f"{line}\n")
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}, got ")):
             load_config(path)
-
-    def test_shipped_calibrations_load(self):
-        assert load_config(Path(__file__).resolve().parent.parent / "calibrations"
-                           / "highspeed.params").nmos.kprime == 400e-6
-        assert ModelConfig() == DEFAULT_CONFIG
 
 
 def test_current_formula_cross_check_against_direct_math():
