@@ -14,9 +14,20 @@ docstring keeps the invariants the code relies on.
   that `numpy.linalg.solve` wraps. That gufunc is private to numpy, so the
   tests pin `_lu_solve` bit for bit to `numpy.linalg.solve`.
 - A step is accepted when `(|f| <= tol).all()`, with tol = abstol +
-  reltol * (largest branch current at the row). The comparison fails on
-  NaN, so a NaN residual is never accepted. The test runs before the first
-  Newton update, so a state that still satisfies it costs no LU solve.
+  reltol * (largest branch current at the row), `_Kernel.tolerance`. The
+  comparison fails on NaN, so a NaN residual is never accepted. The test
+  runs before the first Newton update, so a state that still satisfies it
+  costs no LU solve.
+- After an update, a state is first tested on the floor
+  `(|f| <= abstol).all()`, and tol is built only when that fails. This
+  decides as the full test does. For a finite or infinite scale s >= 0,
+  tol = fl(fl(s * reltol) + abstol) >= abstol, as rounding is monotone.
+  A NaN scale needs a NaN branch current, which comes from a NaN or
+  infinite entry of the state, the MOSFET currents or the capacitor
+  history; each enters f through a dot product (0 * NaN and 0 * inf are
+  NaN), so f is not finite and the floor rejects the state. The test at a
+  call's start, which mostly rejects, and every `iters=0` call (the KCL
+  replay) build tol, as does every unconverged return.
 - Each state's device evaluation is computed once. The accepted point's
   evaluation seeds the next step's first residual and gives its capacitor
   history, so every value is the one a fresh evaluation would give.
@@ -330,6 +341,14 @@ class _Kernel:
         rhs[self.n_nodes:] = vsrc
         return _Point(a_lin, weights, history, rhs)
 
+    def tolerance(self, cur: np.ndarray) -> np.ndarray:
+        """Per-row tolerance of branch currents cur: abs_tol + reltol *
+        (largest branch current at the row)."""
+        tol = np.maximum.reduceat(np.abs(cur).take(self.ends), self.starts)
+        tol *= self.opt.reltol
+        tol += self.abs_tol
+        return tol
+
     def node_ratios(self, f: np.ndarray, tol: np.ndarray) -> np.ndarray:
         k = self.n_nodes
         return np.abs(f[:k]) / tol[:k]
@@ -346,7 +365,9 @@ class _Kernel:
 
         Returns (x, converged, f, tol, cur, ev), f/tol/cur/ev at x:
         - f, the KCL/constraint residual, and tol, its per-row tolerance
-          abs_tol + reltol * (largest branch current at the row);
+          (`tolerance(cur)`), or None when a state reached by an update
+          is accepted on the floor |f| <= abs_tol, which never needs it;
+          every unconverged return and every `iters=0` call carries tol;
         - cur, the branch currents: MOSFETs', then the linear branches';
         - ev = (dev, branch, kcl), x's device evaluation: the (ids, gm, gds)
           rows, the MOSFET currents followed by the linear branch voltages
@@ -360,9 +381,9 @@ class _Kernel:
         solve, device = _lu_solve, mosfet_eval
         n, n_nodes, m = self.n, self.n_nodes, len(self.m_sign)
         gather, m_kcl, j_stamps = self.gather, self.m_kcl, self.j_stamps
-        ends, starts, caps = self.ends, self.starts, self.cap
+        tolerance, caps = self.tolerance, self.cap
         beta, vth, lam, sign, blam = self.m_beta, self.m_vth, self.m_lam, self.m_sign, self.m_blam
-        reltol, abs_tol = opt.reltol, self.abs_tol
+        abs_tol = self.abs_tol
         a_lin, weights, ieq, rhs = p
         if iters is None:
             iters = opt.max_newton_iters
@@ -381,13 +402,15 @@ class _Kernel:
             if ieq is not None:
                 cap = cur[caps]  # a view
                 cap -= ieq
-            tol = np.maximum.reduceat(np.abs(cur).take(ends), starts)
-            tol *= reltol
-            tol += abs_tol
             f = a_lin.dot(unknowns)
             f += kcl
             f -= rhs
-            if np.logical_and.reduce(np.abs(f) <= tol):  # False on NaN
+            f_abs = np.abs(f)
+            # after an update, the absolute floor first: tol >= abs_tol
+            if it and np.logical_and.reduce(f_abs <= abs_tol):
+                return x, True, f, None, cur, ev
+            tol = tolerance(cur)
+            if np.logical_and.reduce(f_abs <= tol):  # False on NaN
                 return x, True, f, tol, cur, ev
             if it == iters:
                 break
@@ -497,37 +520,42 @@ def transient(
     vsrc = _source_values(k, axis)
     # same[j]: the source row of axis[j] is bitwise that of axis[j - 1]
     bits = vsrc.view(np.uint64)
-    same = [False] + (bits[1:] == bits[:-1]).all(axis=1).tolist()
-    axis = axis.tolist()
+    same = np.zeros(len(axis), dtype=bool)
+    same[1:] = (bits[1:] == bits[:-1]).all(axis=1)
+    t_last = axis.item(0)
     stats, point, newton, cap = k.stats, k.point, k.newton, k.cap
     with np.errstate(all="ignore"):  # the run's error state, see the module docstring
         if initial_voltages is None:
-            x, ev = _dc_solve(k, t=axis[0])
+            x, ev = _dc_solve(k, t=t_last)
         else:
             x = np.zeros(k.naug)
+            index = {name: i for i, name in enumerate(k.node_names)}
             for name, v in initial_voltages.items():
                 if name == netlist.ground:
                     continue
-                x[k.node_names.index(name)] = v
+                if name not in index:
+                    raise ValueError(f"initial_voltages: unknown node {name!r}")
+                x[index[name]] = v
             ev = k.newton(k.point(None, vsrc[0]), x, iters=0)[-1]
 
         # accepted points go straight into the blocks (module docstring)
         n = k.n
         time = np.empty(len(axis))
         states = np.empty((len(axis), n))
-        time[0], states[0], count = axis[0], x[:n], 1
-        t_last, i_prev = axis[0], np.zeros(len(k.c_val))
+        time[0], states[0], count = t_last, x[:n], 1
+        i_prev = np.zeros(len(k.c_val))
         # step sizes h whose step from x (with ev and i_prev) under the
         # current source row is known to return that same state
         held = set()
         for j in range(1, len(axis)):
+            t_j = axis.item(j)
             if not same[j]:
                 held.clear()
-            elif axis[j] - t_last in held:
+            elif t_j - t_last in held:
                 # the step that put h in `held` again: same h, source row,
                 # x, ev and i_prev, so the same accepted state, with no solve
                 stats.steps_without_solve += 1
-                t_last = time[count] = axis[j]
+                t_last = time[count] = t_j
                 states[count] = states[count - 1]
                 count += 1
                 continue
@@ -535,7 +563,7 @@ def transient(
             # step is halved and both halves are tried one level deeper. Every
             # attempt starts from x, whose evaluation ev is kept and gives
             # the step's capacitor history
-            pending = [(axis[j], vsrc[j], 0)]
+            pending = [(t_j, vsrc[j], 0)]
             while pending:
                 t1, v1, depth = pending[-1]
                 h = t1 - t_last
@@ -600,16 +628,19 @@ def kcl_residual_ratio(netlist: Netlist, result: TransientResult,
     transient's own step kernel.
     """
     k = _Kernel(netlist, options)
-    n_pts = len(result.time)
-    x_all = np.hstack([result.voltages, result.branch_currents, np.zeros((n_pts, 1))])
-    times = result.time.tolist()
-    vsrc = _source_values(k, times)
-    _, _, f, tol, _, ev = k.newton(k.point(None, vsrc[0]), x_all[0], iters=0)
+    time, volts, amps = result.time, result.voltages, result.branch_currents
+    vsrc = _source_values(k, time)
+    # one state, refilled from the result at each point (newton copies it)
+    x = np.zeros(k.naug)
+    nodes, branches = x[: k.n_nodes], x[k.n_nodes : k.n]
+    nodes[:], branches[:] = volts[0], amps[0]
+    _, _, f, tol, _, ev = k.newton(k.point(None, vsrc[0]), x, iters=0)
     worst = float(np.max(k.node_ratios(f, tol)))
     i_prev = np.zeros(len(k.c_val))
-    for j in range(1, n_pts):
-        p = k.point(times[j] - times[j - 1], vsrc[j], ev[1][k.cap], i_prev)
-        _, _, f, tol, cur, ev = k.newton(p, x_all[j], iters=0)
+    for j in range(1, len(time)):
+        nodes[:], branches[:] = volts[j], amps[j]
+        p = k.point(time.item(j) - time.item(j - 1), vsrc[j], ev[1][k.cap], i_prev)
+        _, _, f, tol, cur, ev = k.newton(p, x, iters=0)
         worst = max(worst, float(np.max(k.node_ratios(f, tol))))
         i_prev = cur[k.cap]
     return worst

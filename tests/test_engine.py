@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from pfdsim.devices import DEFAULT_CONFIG, MosfetParams
@@ -706,6 +706,88 @@ def test_kernel_matches_scatter_reference(step, log_dx, t, seed):
         assert accepted == verdict
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    step=st.sampled_from([None, ("trapezoidal", 0.5e-12), ("backward_euler", 0.5e-12)]),
+    log_dx=st.floats(-7.0, -1.0),  # mostly one update from the floor
+    seed=st.integers(0, 2**32 - 1),
+    # in half the draws, up to two (MOSFET current?, index, NaN or +-inf)
+    # entries to write into the updated state
+    spoil=st.tuples(st.booleans(), st.lists(st.tuples(
+        st.booleans(), st.integers(0, 10**6), st.sampled_from([math.nan, math.inf, -math.inf])),
+        min_size=1, max_size=2)).map(lambda drawn: drawn[1] if drawn[0] else []),
+)
+def test_floor_acceptance_matches_exact_rule(step, log_dx, seed, spoil):
+    """One Newton update from a state drawn around the PFD's DC point, as
+    `newton(..., iters=1)` makes it: the verdict, x, f, cur and the counts
+    equal those of the exact rule, RefKernel.newton, which builds every
+    row's tolerance before it tests. The updated state is accepted on the
+    floor |f| <= abs_tol or else by the full tolerance. NaN and +-inf enter
+    its MOSFET currents (so the KCL rows of the residual and the tolerance
+    scales) or its source branch currents through `spoil`."""
+    import pfdsim.devices as devices
+    import pfdsim.engine as engine
+    from pfdsim.engine import SimStats, _source_values
+
+    c, r, x_dc = _compiled_pfd()
+    rng = np.random.default_rng(seed)
+    opt = SimOptions(max_newton_iters=1, integrator="trapezoidal" if step is None else step[0])
+    net = build_pfd()
+    kern, ref = _Kernel(net, opt), RefKernel(net, opt)
+    x = x_dc + 10.0 ** log_dx * rng.uniform(-1.0, 1.0, c.naug)
+    x[c.n_nodes: c.n] = x_dc[c.n_nodes: c.n]
+    x[c.n] = 0.0
+    vsrc = _source_values(kern, [0.0])[0]
+    if step is None:
+        pt = kern.point(None, vsrc)
+    else:
+        # a history near the DC point's, whose step solution is near it too
+        scale = 10.0 ** rng.uniform(-12.0, -3.0)
+        x_prev = x_dc + scale * rng.uniform(-1.0, 1.0, c.naug)
+        pt = kern.point(step[1], vsrc, x_prev[r.c_a] - x_prev[r.c_b],
+                        1e-3 * scale * rng.uniform(-1.0, 1.0, len(r.c_a)))
+    ev0 = kern.newton(pt, x, iters=0)[-1]
+    kern.stats = SimStats()  # count from here on, as the reference does
+    m, n_src = len(c.m_sign), c.n - c.n_nodes
+    evaluate = devices.mosfet_eval
+
+    def spoiled_eval(*args):  # the updated state's evaluation
+        dev = evaluate(*args)
+        for mos, k, v in spoil:
+            if mos:
+                dev[0, k % m] = v
+        return dev
+
+    def spoiled(solve):
+        def update(a, b):
+            dx = solve(a, b)
+            for mos, k, v in spoil:
+                if not mos:
+                    dx[c.n_nodes + k % n_src] = v
+            return dx
+        return update
+
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(devices, "mosfet_eval", spoiled_eval)
+        mp.setattr(engine, "mosfet_eval", spoiled_eval)
+        mp.setattr(engine, "_lu_solve", spoiled(engine._lu_solve))
+        mp.setattr(np.linalg, "solve", spoiled(np.linalg.solve))
+        x1, ok, f, tol, cur, _ = kern.newton(pt, x, ev0, iters=1)
+        x_ref, ok_ref, f_ref, tol_ref, cur_ref, _ = ref.newton(pt, x, ev0)
+    assert ok == ok_ref
+    assert x1.tobytes() == x_ref.tobytes()
+    assert f.tobytes() == f_ref.tobytes()
+    assert cur.tobytes() == cur_ref.tobytes()
+    assert kern.stats == ref.stats
+    if tol is None:  # accepted on the floor
+        assert ok and np.all(np.abs(f) <= kern.abs_tol)
+    else:
+        assert tol.tobytes() == tol_ref.tobytes()
+    # the verdict mix: pytest --hypothesis-show-statistics
+    event(("floor" if tol is None else "full tolerance" if ok else "rejected")
+          + (", spoilt" if spoil else ""))
+
+
 ONE_PERIOD_RUNS = pytest.mark.parametrize("offset,options", [
     (25e-12, {}),
     (-25e-12, {}),
@@ -1012,8 +1094,10 @@ def test_peak_memory_per_accepted_point():
     """A run stores its time vector and its unknowns in preallocated float64
     blocks, 136 bytes per point on the default PFD (8 for the time, 8 for
     each of 16 unknowns): under tracemalloc a 3-period run at +100 ps peaks
-    at about 224 bytes per accepted point. A list of per-point 17-float
-    arrays copied into one array at the end peaked at about 500."""
+    at about 193 bytes per accepted point; the bound leaves 15 bytes (8%)
+    of margin. A list of per-point 17-float arrays copied into one array at
+    the end peaked at about 500; the axis as a list of floats and a list
+    of bools for the source rows added another 32."""
     import tracemalloc
 
     net = build_pfd(offset=100e-12)
@@ -1025,7 +1109,50 @@ def test_peak_memory_per_accepted_point():
     finally:
         tracemalloc.stop()
     assert res.stats.step_halvings == 0
-    assert peak <= 280 * res.stats.points
+    assert peak <= 208 * res.stats.points
+
+
+def test_kcl_replay_peak_memory_per_point():
+    """The KCL replay refills one state vector from the result at each
+    point and reads the step sizes from `result.time`: under tracemalloc,
+    its peak above the stored result of a 3-period run at +100 ps is about
+    79 bytes per point, 24 of them the source values. Copying the result
+    into one array with a ground column, and the times into a list, peaked
+    at about 255."""
+    import tracemalloc
+
+    net, opt = build_pfd(offset=100e-12), SimOptions(t_stop=3.35e-9)
+    res = transient(net, opt)
+    tracemalloc.start()
+    try:
+        kcl_residual_ratio(net, res, opt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * res.stats.points
+
+
+def test_floor_acceptance_skips_most_tolerances(monkeypatch):
+    """On the +25 ps 1-period run most states reached by a Newton update
+    are accepted on the floor |f| <= abs_tol, without their per-row
+    tolerance: `_Kernel.tolerance` runs at the check that starts each
+    `newton` call and at fewer than half of the checks that follow an LU
+    solve (about 19%), so the fast path cannot vanish unnoticed."""
+    calls = {"newton": 0, "tolerance": 0}
+    newton, tolerance = _Kernel.newton, _Kernel.tolerance
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(_Kernel, "newton", counted("newton", newton))
+    monkeypatch.setattr(_Kernel, "tolerance", counted("tolerance", tolerance))
+    net, opt, initial = one_period_run(25e-12, {})
+    res = transient(net, opt, initial_voltages=initial)
+    after_update = calls["tolerance"] - calls["newton"]
+    assert 0 <= after_update < res.stats.lu_solves / 2
 
 
 def test_halvings_grow_the_blocks_and_the_result_keeps_exact_rows(monkeypatch):
@@ -1231,8 +1358,10 @@ class TestLuSolve:
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match="transient Newton failed") as err:
                 transient(net, SimOptions(t_stop=1e-9), initial_voltages=initial)
-        assert 0.0 < err.value.time <= 1e-9
-        assert err.value.node in _Kernel(net, SimOptions()).node_names
+        # the first step after the quiescent ones, halved 8 times, and the
+        # node of the worst |f| / tol of its final state
+        assert err.value.time == 0.25e-9 + 0.5e-12 / 2**8 == 2.50001953125e-10
+        assert err.value.node == "DN"
 
 
 class TestNanInputs:
@@ -1243,8 +1372,12 @@ class TestNanInputs:
         net = build_pfd()
         initial = dict(dc_operating_point(net))
         initial["UP"] = math.nan
-        with pytest.raises(SolverError, match="transient Newton failed"):
+        with pytest.raises(SolverError, match="transient Newton failed") as err:
             transient(net, SimOptions(t_stop=0.3e-9), initial_voltages=initial)
+        # the first step, halved 8 times; every ratio is NaN, so the worst
+        # node is the first row's
+        assert err.value.time == 0.5e-12 / 2**8
+        assert err.value.node == "VDD"
 
     def test_nan_is_not_accepted(self):
         """At the PFD's DC point the iteration accepts the state as is; the
@@ -1288,6 +1421,10 @@ class TestOptionsAndErrors:
         net, opt, res = lead_a_run
         with pytest.raises(ValueError):
             kcl_residual_ratio(net, res, replace(opt, **change))
+
+    def test_unknown_initial_voltage_node_is_named(self):
+        with pytest.raises(ValueError, match=r"^initial_voltages: unknown node 'nope'$"):
+            transient(build_pfd(), SimOptions(t_stop=0.3e-9), initial_voltages={"nope": 1.0})
 
     def test_transient_requires_t_stop(self):
         with pytest.raises(ValueError, match="t_stop"):
