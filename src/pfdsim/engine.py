@@ -10,9 +10,10 @@ docstring keeps the invariants the code relies on.
   branch's plus node, -1 at its minus node; the modified nodal approach of
   Ho, Ruehli and Brennan, IEEE TCAS 22(6), 1975).
 - `_Kernel.newton` is the one Newton iteration. Per iteration it calls only
-  `devices.mosfet_eval` and `_lu_solve`, which calls the LAPACK gesv gufunc
-  that `numpy.linalg.solve` wraps. That gufunc is private to numpy, so the
-  tests pin `_lu_solve` bit for bit to `numpy.linalg.solve`.
+  `devices.mosfet_eval`, `_Kernel.tolerance` and `_lu_solve`, which calls
+  the LAPACK gesv gufunc that `numpy.linalg.solve` wraps. That gufunc is
+  private to numpy, so the tests pin `_lu_solve` bit for bit to
+  `numpy.linalg.solve`.
 - A step is accepted when `(|f| <= tol).all()`, with tol = abstol +
   reltol * (largest branch current at the row), `_Kernel.tolerance`. The
   comparison fails on NaN, so a NaN residual is never accepted. The test

@@ -1358,8 +1358,9 @@ class TestLuSolve:
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match="transient Newton failed") as err:
                 transient(net, SimOptions(t_stop=1e-9), initial_voltages=initial)
-        # the first step after the quiescent ones, halved 8 times, and the
-        # node of the worst |f| / tol of its final state
+        # the first step that needs a solve (none does before the input edge
+        # at 0.25 ns), halved 8 times, and the node of the worst |f| / tol
+        # of its final state
         assert err.value.time == 0.25e-9 + 0.5e-12 / 2**8 == 2.50001953125e-10
         assert err.value.node == "DN"
 
