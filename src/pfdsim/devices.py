@@ -28,6 +28,10 @@ CAP_REF_WIDTH = 260e-9
 # process corners, one letter per polarity (NMOS then PMOS): Typical, Fast, Slow
 STANDARD_CORNERS = ("TT", "FF", "FS", "SF", "SS")
 
+# mosfet_eval's constants as 0-d float64 arrays: a Python-float operand
+# costs a ufunc call about 0.5 us more on arrays of a few devices
+_ZERO, _HALF, _ONE = np.array(0.0), np.array(0.5), np.array(1.0)
+
 
 @dataclass(frozen=True)
 class MosfetParams:
@@ -86,14 +90,14 @@ def mosfet_eval(vgs, vds, beta, vth, lam, sign, beta_lam):
     (vds < 0) is evaluated with drain and source exchanged.
     """
     vds_c = np.abs(vds)
-    vov = vgs - np.minimum(vds, 0.0)  # the gate drive is vgs - vds when reversed
+    vov = vgs - np.minimum(vds, _ZERO)  # the gate drive is vgs - vds when reversed
     vov -= vth
-    np.maximum(vov, 0.0, out=vov)
+    np.maximum(vov, _ZERO, out=vov)
     vmin = np.minimum(vds_c, vov)
-    poly = vov - 0.5 * vmin
+    poly = vov - _HALF * vmin
     poly *= vmin
     bclm = lam * vds_c
-    bclm += 1.0
+    bclm += _ONE
     bclm *= beta
     out = np.empty((3,) + vmin.shape)
     ids, gm, gds = out[0], out[1], out[2]
@@ -107,7 +111,7 @@ def mosfet_eval(vgs, vds, beta, vth, lam, sign, beta_lam):
     poly *= beta_lam
     gds += poly
     # a reversed channel adds beta * clm * vmin, which is -gm there
-    gds -= np.minimum(gm, 0.0)
+    gds -= np.minimum(gm, _ZERO)
     return out
 
 

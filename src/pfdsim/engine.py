@@ -18,7 +18,20 @@ docstring keeps the invariants the code relies on.
   reltol * (largest branch current at the row), `_Kernel.tolerance`. The
   comparison fails on NaN, so a NaN residual is never accepted. The test
   runs before the first Newton update, so a state that still satisfies it
-  costs no LU solve.
+  costs no LU solve. Each such `.all()` is written as a byte compare of
+  `(|f| <= tol).tobytes()` with the all-True bytes the kernel builds once:
+  a numpy comparison writes only the bytes 0 and 1, so it decides as
+  `np.logical_and.reduce`.
+- The per-iteration path makes no ufunc reduction for a yes/no test and
+  gives no ufunc a Python-float operand; its constants are 0-d float64
+  arrays. On arrays of 16 entries numpy's fixed cost per call outweighs
+  the arithmetic: a reduction costs about 2 us against 0.2 us for a byte
+  compare, and a Python float adds about 0.5 us per call (numpy 2.4). The
+  damping check is a byte compare too. When every |dx| over the node rows
+  is within `_NEWTON_DAMP_V`, the update has no NaN and is not damped;
+  otherwise the exact rule runs: vmax = max(0, max |dx|), a NaN vmax ends
+  the iteration uncounted, and dx is scaled by the bound / vmax when vmax
+  exceeds it.
 - After an update, a state is first tested on the floor
   `(|f| <= abstol).all()`, and tol is built only when that fails. This
   decides as the full test does. For a finite or infinite scale s >= 0,
@@ -56,6 +69,7 @@ docstring keeps the invariants the code relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -78,7 +92,7 @@ TRAPEZOIDAL = "trapezoidal"
 
 _GMIN_LADDER_START = 1e-3
 _MAX_STEP_HALVINGS = 8
-_NEWTON_DAMP_V = 0.3  # max node-voltage move per iteration, volts
+_NEWTON_DAMP_V = np.array(0.3)  # max node-voltage move per iteration, volts
 
 
 def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -317,6 +331,10 @@ class _Kernel:
         self.trap = opt.integrator == TRAPEZOIDAL
         self.abs_tol = np.concatenate([np.full(n_nodes, opt.abstol_i),
                                        np.full(n - n_nodes, opt.abstol_v)])
+        self.reltol = np.array(opt.reltol)
+        # what `.tobytes()` of an all-True comparison over n rows or over
+        # the n_nodes node rows gives: a numpy comparison writes bytes 0, 1
+        self.all_rows, self.all_nodes = b"\x01" * n, b"\x01" * n_nodes
         self._linear: dict[float | None, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def point(self, h: float | None, vsrc: np.ndarray, cap_v: np.ndarray | None = None,
@@ -346,7 +364,7 @@ class _Kernel:
         """Per-row tolerance of branch currents cur: abs_tol + reltol *
         (largest branch current at the row)."""
         tol = np.maximum.reduceat(np.abs(cur).take(self.ends), self.starts)
-        tol *= self.opt.reltol
+        tol *= self.reltol
         tol += self.abs_tol
         return tol
 
@@ -355,6 +373,17 @@ class _Kernel:
         return np.abs(f[:k]) / tol[:k]
 
     def worst_node(self, f: np.ndarray, tol: np.ndarray) -> str:
+        """The node of the largest |f| / tol, non-finite ratios first: the
+        first node whose tolerance is not finite, else the first whose
+        residual is not. A tolerance is a maximum over the row's own
+        branches, so it points at a NaN or infinite current; the residual
+        comes from dense products (0 * NaN is NaN), which carry one such
+        entry into every row."""
+        k = self.n_nodes
+        for part in (tol[:k], f[:k]):
+            bad = np.flatnonzero(~np.isfinite(part))
+            if bad.size:
+                return self.node_names[int(bad[0])]
         return self.node_names[int(np.argmax(self.node_ratios(f, tol)))]
 
     def newton(self, p: _Point, x0: np.ndarray, ev0: tuple | None = None,
@@ -384,7 +413,7 @@ class _Kernel:
         gather, m_kcl, j_stamps = self.gather, self.m_kcl, self.j_stamps
         tolerance, caps = self.tolerance, self.cap
         beta, vth, lam, sign, blam = self.m_beta, self.m_vth, self.m_lam, self.m_sign, self.m_blam
-        abs_tol = self.abs_tol
+        abs_tol, all_rows, all_nodes = self.abs_tol, self.all_rows, self.all_nodes
         a_lin, weights, ieq, rhs = p
         if iters is None:
             iters = opt.max_newton_iters
@@ -407,23 +436,27 @@ class _Kernel:
             f += kcl
             f -= rhs
             f_abs = np.abs(f)
-            # after an update, the absolute floor first: tol >= abs_tol
-            if it and np.logical_and.reduce(f_abs <= abs_tol):
+            # after an update, the absolute floor first: tol >= abs_tol;
+            # each test is `.all()` as a byte compare (False on NaN)
+            if it and (f_abs <= abs_tol).tobytes() == all_rows:
                 return x, True, f, None, cur, ev
             tol = tolerance(cur)
-            if np.logical_and.reduce(f_abs <= tol):  # False on NaN
+            if (f_abs <= tol).tobytes() == all_rows:
                 return x, True, f, tol, cur, ev
             if it == iters:
                 break
             jac = j_stamps.dot(dev[1:].reshape(-1)).reshape(n, n)  # on (gm, gds)
             jac += a_lin
             dx = solve(jac, f)
-            vmax = np.maximum.reduce(np.abs(dx[:n_nodes]), initial=0.0)
-            if vmax != vmax:  # NaN: the Jacobian was singular
-                break
+            dv = np.abs(dx[:n_nodes])
+            # every move within the bound: no NaN and no damping
+            if (dv <= _NEWTON_DAMP_V).tobytes() != all_nodes:
+                vmax = np.maximum.reduce(dv, initial=0.0)
+                if vmax != vmax:  # NaN: the Jacobian was singular
+                    break
+                if vmax > _NEWTON_DAMP_V:
+                    dx *= _NEWTON_DAMP_V / vmax
             stats.lu_solves += 1
-            if vmax > _NEWTON_DAMP_V:
-                dx *= _NEWTON_DAMP_V / vmax
             unknowns -= dx
             ev = None
         return x, False, f, tol, cur, ev
@@ -532,6 +565,9 @@ def transient(
             x = np.zeros(k.naug)
             index = {name: i for i, name in enumerate(k.node_names)}
             for name, v in initial_voltages.items():
+                if not math.isfinite(v):
+                    raise ValueError(f"initial_voltages: node {name!r} must be finite, "
+                                     f"got {v!r}")
                 if name == netlist.ground:
                     continue
                 if name not in index:
@@ -624,7 +660,8 @@ def kcl_residual_ratio(netlist: Netlist, result: TransientResult,
     """Re-evaluate KCL at every accepted point of a DC-started run.
 
     Returns the worst ratio |residual| / tolerance over all nodes and
-    points (<= 1 means the whole run is within tolerance). Capacitor
+    points (<= 1 means the whole run is within tolerance), NaN when any
+    ratio is NaN. Capacitor
     companion state is replayed from the stored solution through the
     transient's own step kernel.
     """
@@ -636,12 +673,13 @@ def kcl_residual_ratio(netlist: Netlist, result: TransientResult,
     nodes, branches = x[: k.n_nodes], x[k.n_nodes : k.n]
     nodes[:], branches[:] = volts[0], amps[0]
     _, _, f, tol, _, ev = k.newton(k.point(None, vsrc[0]), x, iters=0)
-    worst = float(np.max(k.node_ratios(f, tol)))
+    # the running maximum per node; np.maximum, unlike max(), keeps a NaN
+    worst = k.node_ratios(f, tol)
     i_prev = np.zeros(len(k.c_val))
     for j in range(1, len(time)):
         nodes[:], branches[:] = volts[j], amps[j]
         p = k.point(time.item(j) - time.item(j - 1), vsrc[j], ev[1][k.cap], i_prev)
         _, _, f, tol, cur, ev = k.newton(p, x, iters=0)
-        worst = max(worst, float(np.max(k.node_ratios(f, tol))))
+        np.maximum(worst, k.node_ratios(f, tol), out=worst)
         i_prev = cur[k.cap]
-    return worst
+    return float(np.max(worst))

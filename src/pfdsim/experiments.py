@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from pfdsim.devices import DEFAULT_CONFIG, STANDARD_CORNERS, ModelConfig
-from pfdsim.engine import SimOptions, SimStats, TransientResult, transient
+from pfdsim.engine import SimOptions, SimStats, SolverError, TransientResult, transient
 from pfdsim.measure import (
     Decision,
     MeasurementError,
@@ -156,7 +156,14 @@ def run_offset_experiment(
 
 
 def _decision_at(point: DesignPoint, n_periods, models, options) -> Decision:
-    result = simulate_point(point, n_periods, models, options)
+    """The whole-run decision of one search probe; a SolverError raised in
+    its transient is raised again with the probe's signed offset and its
+    frequency before its message."""
+    try:
+        result = simulate_point(point, n_periods, models, options)
+    except SolverError as exc:
+        raise SolverError(f"probe at offset {point.offset:+} s, {point.frequency} Hz: {exc}",
+                          time=exc.time, node=exc.node) from exc
     return classify_decision(pulse_table_for(point, result, models))
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import pfdsim.experiments as experiments
 from pfdsim.cli import main
+from pfdsim.engine import SolverError
 
 FAST = ["--periods", "3"]
 REPO = Path(__file__).resolve().parents[1]
@@ -250,6 +251,22 @@ class TestSearchCommands:
                    "--tol", "25e-12", "--periods", "1", "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "search_lo = 2.5e-11 s already passes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,probe", [
+        (["deadzone", "--periods", "1"], "probe at offset +2e-10 s, 1000000000.0 Hz: "),
+        (["fmax", "--periods", "1"], "probe at offset +2e-10 s, 500000000.0 Hz: "),
+    ], ids=["deadzone", "fmax"])
+    def test_search_solver_failure_names_the_probe_exit_2(self, argv, probe, tmp_path,
+                                                          capsys, monkeypatch):
+        """A solver failure in a search's first probe exits 2, naming it."""
+        def fail(*args, **kwargs):
+            raise SolverError("transient Newton failed at t = 1.000000e-10 s "
+                              "(worst node 'UP')", time=1e-10, node="UP")
+
+        monkeypatch.setattr(experiments, "transient", fail)
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (f"pfdsim: solver failure: {probe}transient Newton "
+                                           "failed at t = 1.000000e-10 s (worst node 'UP')\n")
 
     def test_fmax_reports_hertz(self, tmp_path):
         out = tmp_path / "o"

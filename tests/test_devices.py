@@ -515,6 +515,18 @@ def test_mosfet_eval_bit_identical_to_reference(d):
         assert got.tobytes() == want.tobytes(), (got, want)
 
 
+def test_mosfet_eval_stays_float64():
+    """Float64 inputs give float64 rows, with the model's constants held as
+    0-d float64 arrays; so do shared parameters given as Python floats."""
+    vgs, vds = np.array([0.9, 0.2, 1.2]), np.array([0.5, -0.0, -0.3])
+    beta = np.array([1e-3, 2e-3, 5e-4])
+    for shared in (False, True):
+        args = (0.35, 0.1, 1.0) if shared else (np.full(3, 0.35), np.full(3, 0.1),
+                                                 np.ones(3))
+        out = mosfet_eval(vgs, vds, beta, *args, beta * 0.1)
+        assert out.dtype == np.float64 and out.shape == (3, 3)
+
+
 BOUNDARIES = ("vov = 0", "vds = vov", "vds = 0", "-vds = vov")
 
 

@@ -788,6 +788,107 @@ def test_floor_acceptance_matches_exact_rule(step, log_dx, seed, spoil):
           + (", spoilt" if spoil else ""))
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_acceptance_byte_compare_matches_logical_and(data):
+    """Both acceptance tests of `newton` decide as np.logical_and.reduce
+    over the row comparisons: the test that starts a call, against the full
+    tolerance, and the two after an update, the floor |f| <= abs_tol first.
+    The residual is drawn by making f = -rhs (no linear block and no MOSFET
+    current): each row within the floor or the full tolerance (+-0.0, the
+    bound itself, the float below it or a value between), then in most
+    draws up to two rows spoilt by NaN, +-inf or the float above a bound.
+    The starting evaluation's KCL rows are NaN, so the call always reaches
+    its one update, which a spoiled solve makes zero."""
+    import pfdsim.engine as engine
+    from pfdsim.engine import SimStats, _source_values
+
+    _, _, x_dc = _compiled_pfd()
+    kern = _Kernel(build_pfd(), SimOptions(max_newton_iters=1))
+    n, m = kern.n, len(kern.m_sign)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(engine, "mosfet_eval", lambda *args: np.zeros((3, m)))
+        mp.setattr(engine, "_lu_solve", lambda a, b: np.zeros(n))
+        p = kern.point(None, _source_values(kern, [0.0])[0])._replace(a_lin=np.zeros((n, n)))
+        tol = kern.newton(p, x_dc, iters=0)[3]
+        bounds = {"floor": kern.abs_tol, "full": tol}
+        within = bounds[data.draw(st.sampled_from(sorted(bounds)))]
+        f_drawn = np.array([
+            data.draw(st.sampled_from([1.0, -1.0])) * data.draw(st.one_of(
+                st.sampled_from([0.0, within[row], np.nextafter(within[row], 0.0)]),
+                st.floats(0.0, float(within[row]))))
+            for row in range(n)])
+        for row, value in data.draw(st.lists(st.tuples(
+                st.integers(0, n - 1),
+                st.sampled_from([math.nan, math.inf, -math.inf, "floor", "full"])),
+                max_size=2)):
+            f_drawn[row] = (np.nextafter(bounds[value][row], math.inf)
+                            if isinstance(value, str) else value)
+        p = p._replace(rhs=-f_drawn)
+        start = kern.newton(p, x_dc, iters=0)
+        ev = start[-1]
+        kern.stats = SimStats()
+        x, ok, f, tol_out, _, _ = kern.newton(p, x_dc, (ev[0], ev[1], np.full(n, math.nan)))
+    assert np.array_equal(np.abs(f), np.abs(f_drawn), equal_nan=True)
+    full = bool(np.logical_and.reduce(np.abs(f) <= tol))
+    floor = bool(np.logical_and.reduce(np.abs(f) <= kern.abs_tol))
+    assert start[1] == full and start[3].tobytes() == tol.tobytes()
+    assert kern.stats == SimStats(lu_solves=1, device_evals=1)
+    assert x.tobytes() == x_dc.tobytes()
+    assert ok == full and (tol_out is None) == floor
+    event("floor" if floor else "full tolerance" if full else "rejected")
+
+
+_DAMPING_ENTRIES = (0.3, -0.3, np.nextafter(0.3, 1.0), -np.nextafter(0.3, 0.0), 0.0, -0.0,
+                    math.nan, math.inf, -math.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    wide=st.booleans(),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_damping_fast_path_matches_exact_rule(wide, data, seed):
+    """One Newton update whose LU solve returns a drawn dx: the state it
+    reaches and the counts equal those of the exact rule, which takes
+    vmax = max(0, max |dx| over the node rows), ends the iteration on a
+    NaN vmax without counting a solve, and scales dx by 0.3 / vmax when
+    vmax > 0.3. Drawn node entries include exactly +-0.3, its float
+    neighbours, NaN, +-inf and -0.0; narrow draws keep every entry
+    within the bound, so the fast path is taken too."""
+    import pfdsim.engine as engine
+    from pfdsim.engine import _NEWTON_DAMP_V, SimStats, _source_values
+
+    _, _, x_dc = _compiled_pfd()
+    kern = _Kernel(build_pfd(), SimOptions(max_newton_iters=1))
+    never = copy.copy(kern)  # accepts no state, so the update is always made
+    never.abs_tol = np.full_like(kern.abs_tol, -math.inf)
+    k = kern.n_nodes
+    inside = st.one_of(st.floats(-0.3, 0.3), st.sampled_from([0.3, -0.3, 0.0, -0.0]))
+    entry = st.one_of(inside, st.sampled_from(_DAMPING_ENTRIES), st.floats(-5.0, 5.0)) \
+        if wide else inside
+    dx = np.empty(kern.n)
+    dx[:k] = data.draw(st.lists(entry, min_size=k, max_size=k))
+    dx[k:] = 1e-6 * np.random.default_rng(seed).uniform(-1.0, 1.0, kern.n - k)
+    p = kern.point(None, _source_values(kern, [0.0])[0])
+    ev0 = never.newton(p, x_dc, iters=0)[-1]
+    never.stats = SimStats()
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(engine, "_lu_solve", lambda a, b: dx.copy())
+        x, ok, *_ = never.newton(p, x_dc, ev0, iters=1)
+        vmax = np.maximum.reduce(np.abs(dx[:k]), initial=0.0)
+        want = x_dc.copy()
+        if vmax == vmax:
+            step = dx * (_NEWTON_DAMP_V / vmax) if vmax > _NEWTON_DAMP_V else dx
+            want[: kern.n] -= step
+    solved = int(vmax == vmax)
+    assert not ok
+    assert x.tobytes() == want.tobytes()
+    assert never.stats == SimStats(lu_solves=solved, device_evals=solved)
+    event("NaN" if not solved else "damped" if vmax > _NEWTON_DAMP_V else "undamped")
+
+
 ONE_PERIOD_RUNS = pytest.mark.parametrize("offset,options", [
     (25e-12, {}),
     (-25e-12, {}),
@@ -1132,6 +1233,20 @@ def test_kcl_replay_peak_memory_per_point():
     assert peak <= 96 * res.stats.points
 
 
+def test_kcl_replay_keeps_a_nan_ratio():
+    """One node voltage of the middle stored point set to NaN: its ratios,
+    and those of every later point (the NaN enters the replayed capacitor
+    history), are NaN, so the replay reports NaN. Folding each point's
+    maximum with Python's max() dropped them and reported 0.257; the clean
+    run's ratio is 0.981."""
+    net, opt = build_pfd(offset=25e-12), SimOptions(t_stop=0.4e-9)
+    res = transient(net, opt)
+    clean = kcl_residual_ratio(net, res, opt)
+    assert 0.9 < clean <= 1.0
+    res.voltages[len(res.time) // 2, res.node_names.index("X")] = math.nan
+    assert math.isnan(kcl_residual_ratio(net, res, opt))
+
+
 def test_floor_acceptance_skips_most_tolerances(monkeypatch):
     """On the +25 ps 1-period run most states reached by a Newton update
     are accepted on the floor |f| <= abs_tol, without their per-row
@@ -1333,6 +1448,8 @@ class TestLuSolve:
     def test_run_error_state_is_restored(self):
         """transient and dc_operating_point enter their error state once per
         run and hand the caller's back, also when the run raises."""
+        import pfdsim.engine as engine
+
         net = build_pfd()
         with np.errstate(divide="raise", over="warn", invalid="print", under="ignore"):
             caller = np.geterr()
@@ -1340,9 +1457,11 @@ class TestLuSolve:
             assert np.geterr() == caller
             transient(net, SimOptions(t_stop=0.3e-9))
             assert np.geterr() == caller
-            with pytest.raises(SolverError):
-                transient(net, SimOptions(t_stop=0.3e-9),
-                          initial_voltages={**dc_operating_point(net), "UP": math.nan})
+            initial = dc_operating_point(net)
+            with pytest.MonkeyPatch.context() as mp, pytest.raises(SolverError):
+                solve = engine._lu_solve  # every solve singular
+                mp.setattr(engine, "_lu_solve", lambda a, b: solve(np.zeros_like(a), b))
+                transient(net, SimOptions(t_stop=0.3e-9), initial_voltages=initial)
             assert np.geterr() == caller
 
     def test_singular_jacobian_ends_in_solver_error(self, monkeypatch):
@@ -1367,18 +1486,57 @@ class TestLuSolve:
 
 class TestNanInputs:
     """A NaN residual is never within tolerance, so it fails as a solver
-    error instead of being accepted as converged."""
+    error instead of being accepted as converged; a non-finite initial
+    voltage is refused before the run starts."""
 
     def test_nan_initial_voltage_raises(self):
+        """A non-finite initial voltage is refused before anything is
+        solved, naming the node (ground's entry included)."""
         net = build_pfd()
-        initial = dict(dc_operating_point(net))
-        initial["UP"] = math.nan
+        for node, value in (("UP", math.nan), ("X.n", math.inf), ("0", -math.inf)):
+            initial = {**dc_operating_point(net), node: value}
+            with pytest.raises(ValueError,
+                               match=f"initial_voltages: node '{node}' must be finite"):
+                transient(net, SimOptions(t_stop=0.3e-9), initial_voltages=initial)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nan_device_current_raises(self, value, monkeypatch):
+        """A NaN or infinite current of NM2 (drain X.n, source ground) in
+        every device evaluation of the run: the first step is halved 8
+        times, and the run fails at X.n, the one node whose tolerance is
+        not finite (the KCL product carries NaN into every residual row)."""
+        import pfdsim.engine as engine
+
+        net = build_pfd()
+        initial = dc_operating_point(net)
+        evaluate = engine.mosfet_eval
+
+        def spoiled(*args):
+            dev = evaluate(*args)
+            dev[0, 3] = value
+            return dev
+
+        monkeypatch.setattr(engine, "mosfet_eval", spoiled)
         with pytest.raises(SolverError, match="transient Newton failed") as err:
             transient(net, SimOptions(t_stop=0.3e-9), initial_voltages=initial)
-        # the first step, halved 8 times; every ratio is NaN, so the worst
-        # node is the first row's
         assert err.value.time == 0.5e-12 / 2**8
-        assert err.value.node == "VDD"
+        assert err.value.node == "X.n"
+
+    def test_worst_node_ranks_non_finite_first(self):
+        """Finite ratios go by size; a non-finite tolerance outranks them,
+        then a non-finite residual; among those the first row is named."""
+        kern = _Kernel(build_pfd(), SimOptions())
+        names = kern.node_names
+        f, tol = np.full(kern.n, 1e-9), np.full(kern.n, 1e-6)
+        f[names.index("DN")] = 5e-6
+        assert kern.worst_node(f, tol) == "DN"
+        f[names.index("Y")], f[names.index("B")] = math.nan, math.inf
+        assert kern.worst_node(f, tol) == "B"
+        tol[names.index("X.n")] = math.inf
+        tol[names.index("NORD.m")] = math.nan
+        assert kern.worst_node(f, tol) == "X.n"
+        f[:], tol[:] = math.nan, math.nan
+        assert kern.worst_node(f, tol) == "VDD"
 
     def test_nan_is_not_accepted(self):
         """At the PFD's DC point the iteration accepts the state as is; the

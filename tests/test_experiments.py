@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import pfdsim.experiments as experiments
 from pfdsim.devices import DEFAULT_CONFIG
+from pfdsim.engine import SolverError
 from pfdsim.experiments import (
     _COLUMNS,
     DesignPoint,
@@ -183,6 +184,23 @@ def stubbed_decisions(decide):
         yield runs
 
 
+@contextmanager
+def solver_failure_at(fails, decide):
+    """stubbed_decisions(decide), except that the simulation of a point for
+    which `fails(point)` holds raises a SolverError at 0.1 ns, node UP."""
+    with stubbed_decisions(decide) as runs:
+        simulate = experiments.simulate_point
+
+        def failing(point, *args, **kwargs):
+            if fails(point):
+                raise SolverError("transient Newton failed at t = 1.000000e-10 s "
+                                  "(worst node 'UP')", time=1e-10, node="UP")
+            return simulate(point, *args, **kwargs)
+
+        with mock.patch.object(experiments, "simulate_point", failing):
+            yield runs
+
+
 def lead_beyond(threshold):
     """Stub decision: a lead of at least `threshold` either way is resolved."""
     def decide(point):
@@ -252,6 +270,26 @@ class TestSearchTermination:
                                    tol=1e-12)
         assert 40e-12 <= dz <= 41e-12
         assert runs[2].offset == 25e-12
+
+    def test_dead_zone_solver_error_names_the_probe(self):
+        """The -100 ps half of the second probe fails: the error says so,
+        keeping its type, time and node."""
+        with solver_failure_at(lambda p: p.offset == -100e-12, lead_beyond(40e-12)) as runs:
+            with pytest.raises(SolverError) as err:
+                measure_dead_zone(DesignPoint())
+        assert str(err.value) == ("probe at offset -1e-10 s, 1000000000.0 Hz: transient "
+                                  "Newton failed at t = 1.000000e-10 s (worst node 'UP')")
+        assert (err.value.time, err.value.node) == (1e-10, "UP")
+        assert [p.offset for p in runs] == [200e-12, -200e-12, 100e-12]
+
+    def test_fmax_solver_error_names_the_probe(self):
+        """The first bisection probe, midway between 0.5 and 20 GHz, fails."""
+        with solver_failure_at(lambda p: p.frequency == 10.25e9, lock_up_to(5e9)):
+            with pytest.raises(SolverError) as err:
+                measure_fmax(DesignPoint())
+        assert str(err.value).startswith("probe at offset +9.75609756097561e-12 s, "
+                                         "10250000000.0 Hz: transient Newton failed")
+        assert (err.value.time, err.value.node) == (1e-10, "UP")
 
     def test_zero_search_lo_is_not_run(self):
         """At 0 both probes are one circuit, which cannot lead both ways."""
