@@ -2,8 +2,9 @@
 transient integration. README's "Engine" section describes it; this
 docstring keeps the invariants the code relies on.
 
-- Unknowns are the non-ground node voltages plus one branch current per
-  voltage source; state vectors carry one more slot, for ground, held at 0.
+- A state vector is exactly the n unknowns: the non-ground node voltages,
+  then one branch current per voltage source. Ground is the reference and
+  has no entry.
 - Each run (`transient`, `dc_operating_point`, `kcl_residual_ratio`) builds
   one step kernel, `_Kernel(netlist, options)`, which validates both. Its
   constant matrices all come from signed branch incidence rows (+1 at a
@@ -56,12 +57,12 @@ docstring keeps the invariants the code relies on.
   singular Jacobian gives an all-NaN update, which ends that Newton
   iteration unconverged; the step is halved and, at the halving limit, the
   run ends in `SolverError`, without a warning.
-- `transient` writes each accepted point into two preallocated float64
-  blocks, the time vector and the n unknowns (no ground slot). Every axis
-  point is accepted once and each halving adds one point, so len(axis)
-  rows are exact; halvings grow the blocks by half, and the result holds
-  exact-length copies. `voltages` and `branch_currents` are column views
-  of the one state block.
+- `transient` writes each accepted state into two preallocated float64
+  blocks, the time vector and the n unknowns. Every axis point is accepted
+  once and each halving adds one point, so len(axis) rows are exact;
+  halvings grow the blocks by half, and the result holds exact-length
+  copies. `voltages` and `branch_currents` are column views of the one
+  state block.
 - `SimStats` counts each run's work; `kcl_residual_ratio` replays the
   accepted points through the same kernel and arithmetic, so its ratio is
   at most 1 exactly when acceptance held.
@@ -231,12 +232,12 @@ class _Kernel:
     replay: one companion time point and one Newton iteration. It counts
     its device evaluations and LU solves in `stats`.
 
-    State vectors have naug = n + 1 entries: node voltages, source branch
-    currents, then ground (index n, always 0). The n equations are the node
-    KCL rows, then one voltage constraint per source. The branch currents
-    are the MOSFETs', then the linear branches': resistors, capacitors (the
-    lumped gate capacitances interleaved in device order), sources, and one
-    zero entry. Every constant matrix comes from signed incidence rows
+    State vectors hold the n unknowns: node voltages, then source branch
+    currents. The n equations are the node KCL rows, then one voltage
+    constraint per source. The branch currents are the MOSFETs', then the
+    linear branches': resistors, capacitors (the lumped gate capacitances
+    interleaved in device order), sources, and one zero entry. Every
+    constant matrix comes from signed incidence rows over the n unknowns
     (+1 at a branch's plus node, -1 at its minus node): `gather @ x` gives
     every MOSFET's sign*(vg - vs), then its sign*(vd - vs), then the linear
     branches' voltages and source currents (and the zero entry).
@@ -254,22 +255,23 @@ class _Kernel:
         self.supply = next((s.name for s in self.sources if isinstance(s, DcSource)), None)
         self.n_nodes = n_nodes = len(self.node_names)
         self.n = n = n_nodes + len(self.sources)
-        self.naug = naug = n + 1
         index = {name: i for i, name in enumerate(self.node_names)}
         index[net.ground] = n
 
         def incidence(branches, weight=None) -> np.ndarray:
-            """One row per (plus, minus) branch: +weight in column plus,
-            -weight in column minus (weight 1 by default; a sign set here,
-            not multiplied in later, leaves no -0.0 entry)."""
+            """One row per (plus, minus) branch over the n unknowns: +weight
+            in column plus, -weight in column minus (weight 1 by default; a
+            sign set here, not multiplied in later, leaves no -0.0 entry). A
+            ground end lands in column n, which is dropped: the reduced
+            incidence of the ground-referenced system."""
             ab = np.array([(index[a], index[b]) for a, b in branches],
                           dtype=np.intp).reshape(-1, 2)
             w = np.ones(len(ab)) if weight is None else weight
-            rows = np.zeros((len(ab), naug))
+            rows = np.zeros((len(ab), n + 1))
             k = np.arange(len(ab))
             np.add.at(rows, (k, ab[:, 0]), w)
             np.add.at(rows, (k, ab[:, 1]), -w)
-            return rows
+            return rows[:, :n]
 
         res, r_g, caps, c_val, mos = [], [], [], [], []
         for d in net.devices:
@@ -296,30 +298,29 @@ class _Kernel:
 
         # MOSFET gate rows (g - s), then channel rows (d - s)
         bias = [(d.gate, d.source) for d in mos] + [(d.drain, d.source) for d in mos]
-        mos_rows = incidence(bias)[:, :n]
+        mos_rows = incidence(bias)
         chan = mos_rows[m:]
         res_rows, cap_rows = incidence(res), incidence(caps)
-        src_rows = incidence([(s.plus, s.minus) for s in self.sources])[:, :n]
-        res_n, cap_n = res_rows[:, :n], cap_rows[:, :n]
+        src_rows = incidence([(s.plus, s.minus) for s in self.sources])
 
-        self.g_static = res_n.T @ (self.r_g[:, None] * res_n)  # resistors, sources, gmin
+        self.g_static = res_rows.T @ (self.r_g[:, None] * res_rows)  # resistors, sources, gmin
         self.g_static[n_nodes:] += src_rows
         self.g_static[:, n_nodes:] += src_rows.T
         self.g_static[:n_nodes, :n_nodes] += opt.gmin * np.eye(n_nodes)
-        self.cap_pattern = cap_n.T @ (self.c_val[:, None] * cap_n)  # scaled by a0 per step
+        self.cap_pattern = cap_rows.T @ (self.c_val[:, None] * cap_rows)  # scaled by a0 per step
         self.gather = np.vstack([
             incidence(bias, np.concatenate([self.m_sign, self.m_sign])),
             res_rows,
             cap_rows,
-            np.eye(naug)[n_nodes:n],  # source branch currents
-            np.zeros((1, naug)),  # pads every row's tolerance segment with a 0
+            np.eye(n)[n_nodes:],  # source branch currents
+            np.zeros((1, n)),  # pads every row's tolerance segment with a 0
         ])
         self.m_kcl = chan.T.copy()  # (n, m): drain +1, source -1
-        self.cap_kcl = cap_n.T.copy()
+        self.cap_kcl = cap_rows.T.copy()
         self.cap = slice(m + len(res), m + len(res) + len(caps))
         # Branch ends per equation row, sorted by row; each row also holds
         # the zero entry, so source rows (and bare nodes) get a scale of 0.
-        pattern = np.vstack([chan, res_n, cap_n, src_rows, np.ones((1, n))])
+        pattern = np.vstack([chan, res_rows, cap_rows, src_rows, np.ones((1, n))])
         row, self.ends = np.nonzero(pattern.T)
         self.starts = np.searchsorted(row, np.arange(n))
         # MOSFET Jacobian stamps on (gm, gds): chan (x) gate and chan (x) chan,
@@ -418,7 +419,6 @@ class _Kernel:
         if iters is None:
             iters = opt.max_newton_iters
         x, ev = x0.copy(), ev0
-        unknowns = x[:n]  # a view: ground stays 0
         for it in range(iters + 1):
             if ev is None:
                 stats.device_evals += 1
@@ -432,7 +432,7 @@ class _Kernel:
             if ieq is not None:
                 cap = cur[caps]  # a view
                 cap -= ieq
-            f = a_lin.dot(unknowns)
+            f = a_lin.dot(x)
             f += kcl
             f -= rhs
             f_abs = np.abs(f)
@@ -457,7 +457,7 @@ class _Kernel:
                 if vmax > _NEWTON_DAMP_V:
                     dx *= _NEWTON_DAMP_V / vmax
             stats.lu_solves += 1
-            unknowns -= dx
+            x -= dx
             ev = None
         return x, False, f, tol, cur, ev
 
@@ -465,7 +465,7 @@ class _Kernel:
 def _dc_solve(k: _Kernel, t: float = 0.0) -> tuple[np.ndarray, tuple]:
     """DC solution and its device evaluation."""
     p = k.point(None, _source_values(k, [t])[0])
-    zero = np.zeros(k.naug)
+    zero = np.zeros(k.n)
     # the zero state's evaluation, which the gmin ladder starts from too
     ev_zero = k.newton(p, zero, iters=0)[-1]
     x, ok, f, tol, _, ev = k.newton(p, zero, ev_zero)
@@ -550,6 +550,9 @@ def transient(
     dt = _resolve_dt(netlist, opt)
     if not opt.t_stop > dt:
         raise ValueError("t_stop must exceed dt")
+    if not math.isfinite(opt.t_stop / dt):
+        raise ValueError(f"t_stop / dt must be a finite step count, got t_stop = "
+                         f"{opt.t_stop!r} s and dt = {dt!r} s")
     axis = _time_axis(netlist, dt, opt.t_stop)
     vsrc = _source_values(k, axis)
     # same[j]: the source row of axis[j] is bitwise that of axis[j - 1]
@@ -562,7 +565,7 @@ def transient(
         if initial_voltages is None:
             x, ev = _dc_solve(k, t=t_last)
         else:
-            x = np.zeros(k.naug)
+            x = np.zeros(k.n)
             index = {name: i for i, name in enumerate(k.node_names)}
             for name, v in initial_voltages.items():
                 if not math.isfinite(v):
@@ -576,10 +579,9 @@ def transient(
             ev = k.newton(k.point(None, vsrc[0]), x, iters=0)[-1]
 
         # accepted points go straight into the blocks (module docstring)
-        n = k.n
         time = np.empty(len(axis))
-        states = np.empty((len(axis), n))
-        time[0], states[0], count = t_last, x[:n], 1
+        states = np.empty((len(axis), k.n))
+        time[0], states[0], count = t_last, x, 1
         i_prev = np.zeros(len(k.c_val))
         # step sizes h whose step from x (with ev and i_prev) under the
         # current source row is known to return that same state
@@ -619,7 +621,7 @@ def transient(
                     else:
                         held.clear()
                     t_last = time[count] = t1
-                    states[count] = x_new[:n]
+                    states[count] = x_new
                     count += 1
                     x, i_prev, ev = x_new, i_new, ev_new
                     pending.pop()
@@ -669,8 +671,8 @@ def kcl_residual_ratio(netlist: Netlist, result: TransientResult,
     time, volts, amps = result.time, result.voltages, result.branch_currents
     vsrc = _source_values(k, time)
     # one state, refilled from the result at each point (newton copies it)
-    x = np.zeros(k.naug)
-    nodes, branches = x[: k.n_nodes], x[k.n_nodes : k.n]
+    x = np.zeros(k.n)
+    nodes, branches = x[: k.n_nodes], x[k.n_nodes :]
     nodes[:], branches[:] = volts[0], amps[0]
     _, _, f, tol, _, ev = k.newton(k.point(None, vsrc[0]), x, iters=0)
     # the running maximum per node; np.maximum, unlike max(), keeps a NaN

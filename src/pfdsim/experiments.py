@@ -129,17 +129,18 @@ def pulse_table_for(point: DesignPoint, result: TransientResult,
 
 def report_from_result(point: DesignPoint, result: TransientResult,
                        models: ModelConfig = DEFAULT_CONFIG) -> ExperimentReport:
-    return _report(point, result, pulse_table_for(point, result, models), models)
+    table = pulse_table_for(point, result, models)
+    return _report(point, result, table, classify_decision(table), models)
 
 
-def _report(point, result, table, models, frequency_b=None) -> ExperimentReport:
+def _report(point, result, table, decision, models, frequency_b=None) -> ExperimentReport:
     window = (stimulus_time(point, frequency_b=frequency_b), float(result.time[-1]))
     power = average_power(result.supply_current(), models.vdd, window)
     try:
         up_rise = rise_time(result.voltage("UP"), 0.0, models.vdd)
     except MeasurementError:
         up_rise = None
-    return ExperimentReport(point=point, decision=classify_decision(table), avg_power=power,
+    return ExperimentReport(point=point, decision=decision, avg_power=power,
                             up_rise_time=up_rise,
                             mutual_exclusion_overlap=mutual_exclusion_overlap(table))
 
@@ -337,9 +338,7 @@ def half_period_test(
             "half-period classification unstable: tail decisions "
             f"{[d.value for d in tail]}, expected steady {expected.value}"
         )
-    report = _report(p, result, table, models)
-    report.decision = expected
-    return report, result
+    return _report(p, result, table, expected, models), result
 
 
 def frequency_mismatch_test(
@@ -365,9 +364,8 @@ def frequency_mismatch_test(
     if not (up_ht > dn_ht if lead == "UP" else dn_ht > up_ht):
         raise ExperimentError(
             f"expected {lead} high-time to dominate (up {up_ht:g} s vs dn {dn_ht:g} s)")
-    report = _report(p, result, table, models, frequency_b=f_fb)
-    report.decision = Decision.LEAD_A if up_ht > dn_ht else Decision.LEAD_B
-    return report, result
+    decision = Decision.LEAD_A if up_ht > dn_ht else Decision.LEAD_B
+    return _report(p, result, table, decision, models, frequency_b=f_fb), result
 
 
 # --------------------------------------------------------------------------

@@ -162,14 +162,6 @@ _BRANCH_KINDS = {Resistor: "resistor", Capacitor: "capacitor",
 
 
 @dataclass
-class Subcircuit:
-    """A device group plus the internal nodes it introduces."""
-
-    nodes: list[str]
-    devices: list[Device]
-
-
-@dataclass
 class Netlist:
     ground: str = GROUND
     nodes: list[str] = field(default_factory=list)
@@ -190,12 +182,6 @@ class Netlist:
                 raise NetlistError(f"unknown node {n!r} referenced by {device.name!r}")
         self.devices.append(device)
         return device
-
-    def add_subcircuit(self, sub: Subcircuit) -> None:
-        for n in sub.nodes:
-            self.add_node(n)
-        for d in sub.devices:
-            self.add(d)
 
     def add_probe(self, alias: str, node: str) -> None:
         if node not in self.nodes:
@@ -270,6 +256,7 @@ class Netlist:
 # --------------------------------------------------------------------------
 
 def build_nor2(
+    net: Netlist,
     name: str,
     out: str,
     in1: str,
@@ -278,19 +265,17 @@ def build_nor2(
     n_params: MosfetParams,
     vdd: str = "VDD",
     ground: str = GROUND,
-) -> Subcircuit:
-    """Static CMOS 2-input NOR: series PMOS from vdd, parallel NMOS to ground.
+) -> None:
+    """Add a static CMOS 2-input NOR to net: its internal node `<name>.m`,
+    then series PMOS from vdd and parallel NMOS to ground.
 
     The in1 PMOS sits at the supply side of the stack.
     """
-    mid = f"{name}.m"
-    devices = [
-        Mosfet(f"{name}.p1", drain=mid, gate=in1, source=vdd, params=p_params),
-        Mosfet(f"{name}.p2", drain=out, gate=in2, source=mid, params=p_params),
-        Mosfet(f"{name}.n1", drain=out, gate=in1, source=ground, params=n_params),
-        Mosfet(f"{name}.n2", drain=out, gate=in2, source=ground, params=n_params),
-    ]
-    return Subcircuit(nodes=[mid], devices=devices)
+    mid = net.add_node(f"{name}.m")
+    net.add(Mosfet(f"{name}.p1", drain=mid, gate=in1, source=vdd, params=p_params))
+    net.add(Mosfet(f"{name}.p2", drain=out, gate=in2, source=mid, params=p_params))
+    net.add(Mosfet(f"{name}.n1", drain=out, gate=in1, source=ground, params=n_params))
+    net.add(Mosfet(f"{name}.n2", drain=out, gate=in2, source=ground, params=n_params))
 
 
 def default_pulse(frequency: float, vdd: float, delay: float) -> PulseSpec:
@@ -365,8 +350,8 @@ def build_pfd(
     net.add(Mosfet("NM4", drain="Y.n", gate="X", source=GROUND, params=np_))
 
     # output restore stage, mutually exclusive by cross-coupling
-    net.add_subcircuit(build_nor2("NORU", out="UP", in1="X", in2="DN", p_params=pp, n_params=np_))
-    net.add_subcircuit(build_nor2("NORD", out="DN", in1="Y", in2="UP", p_params=pp, n_params=np_))
+    build_nor2(net, "NORU", out="UP", in1="X", in2="DN", p_params=pp, n_params=np_)
+    build_nor2(net, "NORD", out="DN", in1="Y", in2="UP", p_params=pp, n_params=np_)
 
     # dynamic-node storage and output loading
     net.add(Capacitor("CX", a="X", b=GROUND, farads=internal_cap))

@@ -89,6 +89,17 @@ class TestUsageErrors:
             assert f"pfdsim: error: {message}" in capsys.readouterr().err, argv
             assert not out.exists(), argv
 
+    @pytest.mark.parametrize("value", ["inf", "1e300"])
+    def test_t_stop_without_a_finite_step_count_exits_1(self, value, tmp_path, capsys):
+        """--t-stop so large that t_stop / dt is inf: one error line naming
+        t_stop and dt, exit 1 and no output, not an OverflowError traceback."""
+        out = tmp_path / "o"
+        assert main(["transient", "--t-stop", value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pfdsim: error: t_stop / dt must be a finite step count")
+        assert err.count("\n") == 1 and "dt = 5e-13 s" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["transient", "--load-cap", "nan", "--periods", "3"],
         ["transient", "--width", "nan"],

@@ -9,6 +9,7 @@ properties.
 import copy
 import functools
 import math
+import re
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -140,8 +141,7 @@ class TestDcOperatingPoint:
             net.add(DcSource("VS", plus="VDD", minus="0", volts=vdd))
             net.add(DcSource("VI1", plus="i1", minus="0", volts=a * vdd))
             net.add(DcSource("VI2", plus="i2", minus="0", volts=b * vdd))
-            net.add_subcircuit(build_nor2("N1", out="o", in1="i1", in2="i2",
-                                          p_params=pm, n_params=nm))
+            build_nor2(net, "N1", out="o", in1="i1", in2="i2", p_params=pm, n_params=nm)
             v = dc_operating_point(net)
             if expect_high:
                 assert v["o"] > 0.9 * vdd, (a, b, v["o"])
@@ -352,7 +352,9 @@ def ref_pairs(plus, minus, size, weight=None):
 def ref_compile(net, gmin):
     """The step kernel's constant matrices as they were built before the
     kernel derived them from one branch incidence: one index table per
-    matrix, the tolerance segments and the Jacobian stamps from loops."""
+    matrix, the tolerance segments and the Jacobian stamps from loops. Its
+    states keep a ground slot, index n of naug = n + 1, so its `gather`
+    has a ground column that the kernel's lacks."""
     node_names = [n for n in net.nodes if n != net.ground]
     n_nodes = len(node_names)
     sources = net.sources()
@@ -439,13 +441,18 @@ def test_kernel_matrices_equal_reference(make_net, gmin):
     """Every matrix the kernel derives from its branch incidence equals the
     reference build byte for byte, in the same memory order (a matrix-vector
     product sums in an order that follows the layout); the tolerance
-    segments hold the same branch ends per row."""
+    segments hold the same branch ends per row. The kernel's states are
+    the n unknowns alone, so its gather is the reference's without the
+    ground column."""
     net = make_net()
     ref = ref_compile(net, gmin)
     kern = _Kernel(net, SimOptions(gmin=gmin))
+    assert not hasattr(kern, "naug") and kern.gather.shape[1] == kern.n
     for name, want in vars(ref).items():
-        if name in ("ends", "starts"):
+        if name in ("ends", "starts", "naug"):
             continue
+        if name == "gather":
+            want = np.ascontiguousarray(want[:, : ref.n])
         got = getattr(kern, name)
         if isinstance(want, np.ndarray):
             assert got.dtype == want.dtype and got.shape == want.shape, name
@@ -678,8 +685,8 @@ def test_kernel_matches_scatter_reference(step, log_dx, t, seed):
     h = None if step is None else step[1]
     kern = _Kernel(build_pfd(), opt)
 
-    def near_dc(exponent):
-        x = x_dc + 10.0 ** exponent * rng.uniform(-1.0, 1.0, c.naug)
+    def near_dc(exponent):  # with the reference's ground slot, index n
+        x = np.append(x_dc, 0.0) + 10.0 ** exponent * rng.uniform(-1.0, 1.0, c.naug)
         x[c.n_nodes: c.n] = x_dc[c.n_nodes: c.n] + 1e-4 * 10.0 ** exponent * rng.uniform(
             -1.0, 1.0, c.n - c.n_nodes)
         x[c.n] = 0.0
@@ -695,7 +702,7 @@ def test_kernel_matches_scatter_reference(step, log_dx, t, seed):
         pt = kern.point(h, vsrc, x_prev[r.c_a] - x_prev[r.c_b], i_prev)
         ref = ref_point(r, opt, h, vsrc, x_prev, i_prev)
 
-    accepted, f, tol, jac = kernel_state(kern, pt, x)
+    accepted, f, tol, jac = kernel_state(kern, pt, x[: c.n])
     f_ref, scale_ref, jac_ref, f_mag, jac_mag = ref_residual(r, ref, x)
 
     assert np.array_equal(tol, ref_tolerance(r, opt, scale_ref))
@@ -734,6 +741,7 @@ def test_floor_acceptance_matches_exact_rule(step, log_dx, seed, spoil):
     opt = SimOptions(max_newton_iters=1, integrator="trapezoidal" if step is None else step[0])
     net = build_pfd()
     kern, ref = _Kernel(net, opt), RefKernel(net, opt)
+    x_dc = np.append(x_dc, 0.0)  # the reference's ground slot, index n
     x = x_dc + 10.0 ** log_dx * rng.uniform(-1.0, 1.0, c.naug)
     x[c.n_nodes: c.n] = x_dc[c.n_nodes: c.n]
     x[c.n] = 0.0
@@ -746,7 +754,7 @@ def test_floor_acceptance_matches_exact_rule(step, log_dx, seed, spoil):
         x_prev = x_dc + scale * rng.uniform(-1.0, 1.0, c.naug)
         pt = kern.point(step[1], vsrc, x_prev[r.c_a] - x_prev[r.c_b],
                         1e-3 * scale * rng.uniform(-1.0, 1.0, len(r.c_a)))
-    ev0 = kern.newton(pt, x, iters=0)[-1]
+    ev0 = kern.newton(pt, x[: c.n], iters=0)[-1]
     kern.stats = SimStats()  # count from here on, as the reference does
     m, n_src = len(c.m_sign), c.n - c.n_nodes
     evaluate = devices.mosfet_eval
@@ -772,10 +780,10 @@ def test_floor_acceptance_matches_exact_rule(step, log_dx, seed, spoil):
         mp.setattr(engine, "mosfet_eval", spoiled_eval)
         mp.setattr(engine, "_lu_solve", spoiled(engine._lu_solve))
         mp.setattr(np.linalg, "solve", spoiled(np.linalg.solve))
-        x1, ok, f, tol, cur, _ = kern.newton(pt, x, ev0, iters=1)
+        x1, ok, f, tol, cur, _ = kern.newton(pt, x[: c.n], ev0, iters=1)
         x_ref, ok_ref, f_ref, tol_ref, cur_ref, _ = ref.newton(pt, x, ev0)
     assert ok == ok_ref
-    assert x1.tobytes() == x_ref.tobytes()
+    assert x1.tobytes() == x_ref[: c.n].tobytes() and x_ref[c.n] == 0.0
     assert f.tobytes() == f_ref.tobytes()
     assert cur.tobytes() == cur_ref.tobytes()
     assert kern.stats == ref.stats
@@ -880,8 +888,7 @@ def test_damping_fast_path_matches_exact_rule(wide, data, seed):
         vmax = np.maximum.reduce(np.abs(dx[:k]), initial=0.0)
         want = x_dc.copy()
         if vmax == vmax:
-            step = dx * (_NEWTON_DAMP_V / vmax) if vmax > _NEWTON_DAMP_V else dx
-            want[: kern.n] -= step
+            want -= dx * (_NEWTON_DAMP_V / vmax) if vmax > _NEWTON_DAMP_V else dx
     solved = int(vmax == vmax)
     assert not ok
     assert x.tobytes() == want.tobytes()
@@ -1116,6 +1123,39 @@ def test_transient_bit_identical_to_reference_loop(offset, options):
     assert res.stats == ref.stats
 
 
+@ONE_PERIOD_RUNS
+def test_stored_rows_are_the_states_newton_returned(offset, options, monkeypatch):
+    """Each row `transient` stores is bytewise the x that an accepted
+    `newton` call returned, in order, or a copy of the row before it (a
+    held step); the first row of a run from initial voltages is that
+    state."""
+    accepted = []
+    newton = _Kernel.newton
+
+    def recorded(k, p, x0, ev0=None, iters=None):
+        out = newton(k, p, x0, ev0, iters)
+        if out[1] and iters is None:
+            accepted.append(out[0])
+        return out
+
+    net, opt, initial = one_period_run(offset, options)
+    monkeypatch.setattr(_Kernel, "newton", recorded)
+    res = transient(net, opt, initial_voltages=initial)
+    block = res.voltages.base
+    assert block.shape == (res.stats.points, 16)
+    if initial is not None:
+        assert block[0, : len(res.node_names)].tolist() == [
+            initial[name] for name in res.node_names]
+    pending = iter(accepted)
+    want = next(pending)
+    for j, row in enumerate(block[int(initial is not None):], int(initial is not None)):
+        if want is not None and row.tobytes() == want.tobytes():
+            want = next(pending, None)
+        else:
+            assert j and row.tobytes() == block[j - 1].tobytes(), j
+    assert want is None
+
+
 @pytest.mark.parametrize("net,gmin,ladder", [
     (build_pfd(), 1e-12, False),
     # without gmin the floating node's Jacobian row is zero at the zero
@@ -1132,7 +1172,7 @@ def test_dc_solve_bit_identical_to_reference_loop(net, gmin, ladder):
         x, ev = _dc_solve(kern)
     x_ref, ev_ref = ref.dc_solve()
     assert ref.gmin_ladder == ladder
-    assert x.tobytes() == x_ref.tobytes()
+    assert x.tobytes() == x_ref[: ref.c.n].tobytes() and x_ref[ref.c.n] == 0.0
     assert all(a.tobytes() == b.tobytes() for a, b in zip(ev, ev_ref))
     assert kern.stats == ref.stats
 
@@ -1588,6 +1628,21 @@ class TestOptionsAndErrors:
     def test_transient_requires_t_stop(self):
         with pytest.raises(ValueError, match="t_stop"):
             transient(rc_lowpass(), SimOptions(dt=1e-12))
+
+    @pytest.mark.parametrize("t_stop", [math.inf, 1e300])
+    def test_step_count_must_be_finite(self, t_stop, monkeypatch):
+        """A run whose step count t_stop / dt overflows to inf is refused
+        with a ValueError naming t_stop and dt, before the time axis is
+        built (it ended in an OverflowError from `_time_axis`)."""
+        import pfdsim.engine as engine
+
+        def no_axis(*args):
+            raise AssertionError("_time_axis ran")
+
+        monkeypatch.setattr(engine, "_time_axis", no_axis)
+        with pytest.raises(ValueError, match=r"^t_stop / dt must be a finite step count, "
+                                             rf"got t_stop = {re.escape(repr(t_stop))} s and dt = 5e-13 s$"):
+            transient(build_pfd(), SimOptions(t_stop=t_stop))
 
     def test_invalid_netlist_rejected(self):
         net = Netlist()

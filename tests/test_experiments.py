@@ -332,6 +332,24 @@ class TestOneScanPerOutput:
         assert np.array_equal(calls[0], result.voltage("UP").v)
         assert np.array_equal(calls[1], result.voltage("DN").v)
 
+    @pytest.mark.parametrize("experiment,classified", [
+        (lambda point, result: report_from_result(point, result), 1),
+        (lambda point, result: half_period_test(point, n_periods=10)[0], 0),
+        (lambda point, result: frequency_mismatch_test(1e9, 0.8e9, n_periods=10)[0], 0),
+    ], ids=["report_from_result", "half_period_test", "frequency_mismatch_test"])
+    def test_whole_run_classified_only_where_reported(self, scans, experiment, classified,
+                                                      monkeypatch):
+        """The half-period and mismatch tests report their own decision (A
+        leads in both here); only report_from_result classifies the whole
+        run."""
+        point, result, _ = scans
+        calls = []
+        classify = experiments.classify_decision
+        monkeypatch.setattr(experiments, "classify_decision",
+                            lambda table: calls.append(table) or classify(table))
+        assert experiment(point, result).decision is Decision.LEAD_A
+        assert len(calls) == classified
+
 
 class TestWidthSweep:
     def test_default_grid_values(self, width_sweep_reports):

@@ -246,11 +246,16 @@ class TestPulseSpec:
 
 class TestNor2:
     def test_four_fets_and_internal_node(self):
-        sub = build_nor2("N1", out="o", in1="i1", in2="i2", p_params=PM, n_params=NM)
-        assert len(sub.devices) == 4
-        assert sub.nodes == ["N1.m"]
-        pol = sorted(d.params.polarity for d in sub.devices)
-        assert pol == ["nmos", "nmos", "pmos", "pmos"]
+        """build_nor2 adds its internal node, then its four FETs, to the
+        netlist: the in1 PMOS from VDD to the internal node first."""
+        net = Netlist()
+        for n in ("0", "VDD", "i1", "i2", "o"):
+            net.add_node(n)
+        build_nor2(net, "N1", out="o", in1="i1", in2="i2", p_params=PM, n_params=NM)
+        assert net.nodes[-1] == "N1.m"
+        assert [d.name for d in net.devices] == ["N1.p1", "N1.p2", "N1.n1", "N1.n2"]
+        assert [d.params.polarity for d in net.devices] == ["pmos", "pmos", "nmos", "nmos"]
+        assert net.devices[0].nodes == ("N1.m", "i1", "VDD")
 
 
 class TestBuildPfd:
