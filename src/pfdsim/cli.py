@@ -199,7 +199,16 @@ def _write(args, rows: list[dict], waves: TransientResult | None = None,
         line_chart(outdir / "plot_waves.svg", series, title="PFD transient",
                    xlabel="time (s)", ylabel="voltage (V)")
     for name, series, title, xlabel, ylabel in plots:
-        line_chart(outdir / name, series, title=title, xlabel=xlabel, ylabel=ylabel)
+        # a point a sweep left undefined (None: UP never rose there) is left
+        # out, and a chart with no point left is not written
+        defined = []
+        for label, x, y in series:
+            y = np.array(y, dtype=float)  # None -> NaN
+            keep = np.isfinite(y)
+            if keep.any():
+                defined.append((label, x[keep], y[keep]))
+        if defined:
+            line_chart(outdir / name, defined, title=title, xlabel=xlabel, ylabel=ylabel)
 
 
 def _run(args, experiment) -> None:

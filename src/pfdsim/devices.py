@@ -246,13 +246,20 @@ def load_config(path: str | Path) -> ModelConfig:
     """Read a `key = value` calibration file (SI units, # comments).
 
     Unspecified keys keep their compiled-in default (DEFAULT_CONFIG).
-    Unknown keys are rejected, and so is a calibration that ProcessParams
-    or ModelConfig refuses, such as vdd <= 0, a zero corner scale,
-    nmos.kprime <= 0 or pmos.vth0 >= 0; the message names the file and key.
+    A file that is not UTF-8 text is rejected, and so are unknown keys, a
+    key set twice and a calibration that ProcessParams or ModelConfig
+    refuses, such as vdd <= 0, a zero corner scale, nmos.kprime <= 0 or
+    pmos.vth0 >= 0; the message names the file and, where there is one,
+    the line or key.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not a UTF-8 text file: {exc}") from None
     top: dict[str, float] = {}
     proc: dict[str, dict[str, float]] = {"nmos": {}, "pmos": {}}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    first_set: dict[str, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -262,6 +269,9 @@ def load_config(path: str | Path) -> ModelConfig:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if first_set.setdefault(key, lineno) != lineno:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
+                             f"(first set on line {first_set[key]})")
         try:
             num = float(value.strip())
         except ValueError as exc:

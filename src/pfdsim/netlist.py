@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from pfdsim.devices import DEFAULT_CONFIG, ModelConfig, MosfetParams, NMOS, PMOS
 
 GROUND = "0"
+# storage capacitance on each dynamic sense node of the PFD, X and Y
+_INTERNAL_CAP = 0.5e-15
 
 
 class NetlistError(Exception):
@@ -305,7 +306,6 @@ def build_pfd(
     offset: float = 0.0,
     frequency_b: float | None = None,
     models: ModelConfig = DEFAULT_CONFIG,
-    internal_cap: float = 0.5e-15,
 ) -> Netlist:
     """Canonical 16-FET precharge PFD with stimulus attached.
 
@@ -354,111 +354,11 @@ def build_pfd(
     build_nor2(net, "NORD", out="DN", in1="Y", in2="UP", p_params=pp, n_params=np_)
 
     # dynamic-node storage and output loading
-    net.add(Capacitor("CX", a="X", b=GROUND, farads=internal_cap))
-    net.add(Capacitor("CY", a="Y", b=GROUND, farads=internal_cap))
+    net.add(Capacitor("CX", a="X", b=GROUND, farads=_INTERNAL_CAP))
+    net.add(Capacitor("CY", a="Y", b=GROUND, farads=_INTERNAL_CAP))
     net.add(Capacitor("CUP", a="UP", b=GROUND, farads=load_cap))
     net.add(Capacitor("CDN", a="DN", b=GROUND, farads=load_cap))
 
     for alias in ("A", "B", "X", "Y", "UP", "DN"):
         net.add_probe(alias, alias)
     return net
-
-
-# --------------------------------------------------------------------------
-# Text serialization (one device per line)
-# --------------------------------------------------------------------------
-
-def to_lines(net: Netlist) -> str:
-    """Render a netlist in the line-oriented text format (see README)."""
-    out = [f"ground {net.ground}"]
-    for n in net.nodes:
-        if n != net.ground:
-            out.append(f"node {n}")
-    for alias, node in net.probes.items():
-        out.append(f"probe {alias} {node}")
-    for d in net.devices:
-        if isinstance(d, Resistor):
-            out.append(f"res {d.name} {d.a} {d.b} {d.ohms!r}")
-        elif isinstance(d, Capacitor):
-            out.append(f"cap {d.name} {d.a} {d.b} {d.farads!r}")
-        elif isinstance(d, DcSource):
-            out.append(f"vdc {d.name} {d.plus} {d.minus} {d.volts!r}")
-        elif isinstance(d, PulseSource):
-            s = d.spec
-            out.append(
-                f"vpulse {d.name} {d.plus} {d.minus} "
-                f"v_low={s.v_low!r} v_high={s.v_high!r} delay={s.delay!r} "
-                f"rise={s.rise!r} fall={s.fall!r} width={s.width!r} period={s.period!r}"
-            )
-        elif isinstance(d, Mosfet):
-            p = d.params
-            out.append(
-                f"mosfet {d.name} {d.drain} {d.gate} {d.source} "
-                f"polarity={p.polarity} vth0={p.vth0!r} kprime={p.kprime!r} "
-                f"lambda={p.lam!r} w={p.w!r} l={p.l!r} cgs={p.cgs!r} cgd={p.cgd!r}"
-            )
-        else:
-            raise NetlistError(f"unserializable device {d!r}")
-    return "\n".join(out) + "\n"
-
-
-def _kv(fields: list[str], rename: dict[str, str] | None = None) -> dict[str, str]:
-    out = {}
-    for f in fields:
-        k, _, v = f.partition("=")
-        if not v:
-            raise NetlistError(f"expected key=value, got {f!r}")
-        k = (rename or {}).get(k, k)
-        out[k] = v
-    return out
-
-
-def from_lines(text: str) -> Netlist:
-    """Parse the text format produced by to_lines."""
-    net = Netlist(ground="")
-    probes: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        kind, *rest = line.split()
-        try:
-            if kind == "ground":
-                net.ground = rest[0]
-                net.add_node(rest[0])
-            elif kind == "node":
-                net.add_node(rest[0])
-            elif kind == "probe":
-                probes.append((rest[0], rest[1]))
-            elif kind == "res":
-                net.add(Resistor(rest[0], rest[1], rest[2], float(rest[3])))
-            elif kind == "cap":
-                net.add(Capacitor(rest[0], rest[1], rest[2], float(rest[3])))
-            elif kind == "vdc":
-                net.add(DcSource(rest[0], rest[1], rest[2], float(rest[3])))
-            elif kind == "vpulse":
-                kv = {k: float(v) for k, v in _kv(rest[3:]).items()}
-                net.add(PulseSource(rest[0], rest[1], rest[2], PulseSpec(**kv)))
-            elif kind == "mosfet":
-                kv = _kv(rest[4:], rename={"lambda": "lam"})
-                params = MosfetParams(
-                    polarity=kv.pop("polarity"),
-                    **{k: float(v) for k, v in kv.items()},
-                )
-                net.add(Mosfet(rest[0], drain=rest[1], gate=rest[2], source=rest[3],
-                               params=params))
-            else:
-                raise NetlistError(f"unknown record kind {kind!r}")
-        except (IndexError, ValueError, TypeError) as exc:
-            raise NetlistError(f"line {lineno}: {exc}") from exc
-    for alias, node in probes:
-        net.add_probe(alias, node)
-    return net
-
-
-def save(net: Netlist, path: str | Path) -> None:
-    Path(path).write_text(to_lines(net))
-
-
-def load(path: str | Path) -> Netlist:
-    return from_lines(Path(path).read_text())

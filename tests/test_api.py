@@ -13,6 +13,7 @@ import pfdsim.devices
 import pfdsim.engine
 import pfdsim.experiments
 import pfdsim.measure
+import pfdsim.netlist
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,6 +40,10 @@ def test_public_name_resolves_and_is_documented(name):
     (pfdsim.devices, "apply_corner"),
     (pfdsim.experiments, "generate_report"),
     (pfdsim.measure, "fall_time"),
+    (pfdsim.netlist, "to_lines"),
+    (pfdsim.netlist, "from_lines"),
+    (pfdsim.netlist, "save"),
+    (pfdsim.netlist, "load"),
 ])
 def test_deleted_helper_is_gone(owner, name):
     assert not hasattr(owner, name)
@@ -48,3 +53,12 @@ def test_deleted_helper_is_gone(owner, name):
 def test_load_config_reads_over_the_built_in_calibration_only():
     """The `base` calibration parameter had no caller."""
     assert list(inspect.signature(pfdsim.load_config).parameters) == ["path"]
+
+
+def test_build_pfd_has_no_internal_cap_knob():
+    """Only the deleted text-format round-trip test set the X and Y
+    storage capacitance; it is fixed at 0.5 fF."""
+    assert "internal_cap" not in inspect.signature(pfdsim.build_pfd).parameters
+    caps = {d.name: d.farads for d in pfdsim.build_pfd().devices
+            if isinstance(d, pfdsim.netlist.Capacitor)}
+    assert caps["CX"] == caps["CY"] == 0.5e-15

@@ -4,15 +4,18 @@ Runs use reduced periods and coarse search settings; determinism does
 not depend on the argument values.
 """
 
+import argparse
 import ast
 import importlib
 import json
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pfdsim.experiments as experiments
-from pfdsim.cli import main
+from pfdsim.cli import _write, main
 from pfdsim.engine import SolverError
 
 FAST = ["--periods", "3"]
@@ -148,17 +151,20 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("line", ["vdd = -1.2", "vdd = 0", "corner.fast.k_scale = 0",
                                       "nmos.kprime = 0", "pmos.vth0 = 0.3",
-                                      "nmos.lambda = -0.5"])
+                                      "nmos.lambda = -0.5", "vdd = 1.2\nvdd = 1.3",
+                                      "vdd = 1.2 \xff"])
     def test_refused_calibration_exits_1_naming_the_file(self, line, tmp_path, capsys,
                                                          monkeypatch):
         """Refused at load, also a fast scale under a run at TT, which never
-        reads it, and a per-polarity value before any device is built."""
+        reads it, a per-polarity value before any device is built, a key set
+        twice (named at its second line) and a file that is not UTF-8."""
         monkeypatch.setattr(experiments, "transient", _no_simulation)
         params = tmp_path / "bad.params"
-        params.write_text(f"{line}\n")
+        params.write_bytes(f"{line}\n".encode("latin-1"))  # \xff: one byte, not UTF-8
         out = tmp_path / "o"
         assert main(["transient", "--params", str(params), "--out", str(out)]) == 1
-        assert f"pfdsim: error: {params}: " in capsys.readouterr().err
+        where = f"{params}:2: " if "\n" in line else f"{params}: "
+        assert f"pfdsim: error: {where}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_mismatch_nan_f_fb_returns_quickly(self, tmp_path):
@@ -319,6 +325,28 @@ class TestSweepCommands:
         assert rc == 0
         rows = read_json(out)["rows"]
         assert [r["corner"] for r in rows] == ["TT", "FF"]
+
+    @pytest.mark.parametrize("argv, charts", [
+        (["sweep-width", "--steps", "2"], ["plot_width_power.svg"]),
+        (["corners", "--corners", "TT,FF"], []),
+    ], ids=["sweep-width", "corners"])
+    def test_plot_leaves_out_points_where_up_never_rose(self, argv, charts, tmp_path):
+        """B leads by 100 ps, so UP never rises and no point has a rise
+        time: the rise-time chart, which has no point left, is not written.
+        Both runs used to die in `line_chart` on float(None)."""
+        out = tmp_path / "o"
+        assert main([*argv, "--offset=-100e-12", "--plot", "--out", str(out), *FAST]) == 0
+        assert all(r["up_rise_time"] is None for r in read_json(out)["rows"])
+        assert sorted(p.name for p in out.glob("*.svg")) == charts
+        assert not any("nan" in p.read_text().lower() for p in out.glob("*.svg"))
+
+    def test_plot_drops_each_undefined_point(self, tmp_path):
+        out = tmp_path / "o"
+        chart = ("c.svg", [("s", np.array([1.0, 2.0, 3.0]), np.array([1.0, None, 2.0]))],
+                 "t", "x", "y")
+        _write(argparse.Namespace(out=str(out), plot=True), [{"width": 1.0}], plots=(chart,))
+        points = re.search(r'<polyline points="([^"]*)"', (out / "c.svg").read_text())[1]
+        assert len(points.split()) == 2
 
 
 class TestReportCommand:

@@ -347,6 +347,21 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="bad number"):
             load_config(path)
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        """A key set twice used to keep its last value silently."""
+        path = tmp_path / "cal.params"
+        path.write_text("vdd = 1.2\nnmos.vth0 = 0.3\nvdd = 1.3  # again\n")
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{path}:3: duplicate key 'vdd' (first set on line 1)") + "$"):
+            load_config(path)
+
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "cal.params"
+        path.write_bytes(b"vdd = 1.2 \xff\n")
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{path}: not a UTF-8 text file: 'utf-8' codec can't decode byte 0xff")):
+            load_config(path)
+
     @pytest.mark.parametrize("line", ["nmos.vth0 = nan", "nmos.kprime = inf",
                                       "vdd = -inf", "corner.fast.k_scale = NaN"])
     def test_nonfinite_number_rejected(self, tmp_path, line):
