@@ -32,7 +32,6 @@ from pfdsim.experiments import (
     report_from_result,
     report_row,
     simulate_point,
-    stimulus_time,
     width_sweep,
 )
 from pfdsim.measure import MeasurementError
@@ -83,8 +82,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("transient", help="fixed-offset lead/lag run")
     _add_common(p, omit=("--jobs",))
-    p.add_argument("--t-stop", type=float, default=None,
-                   help="override simulation end time, s")
 
     p = sub.add_parser("deadzone", help="bisect the smallest resolvable offset")
     _add_common(p, omit=("--offset", "--plot", "--jobs"))
@@ -149,16 +146,15 @@ def _options(args) -> SimOptions:
 _SEARCHES = ("deadzone", "fmax")
 
 
-def _check_run_length(args, point: DesignPoint) -> None:
-    """Fail before simulating if the run is too short: a search needs at
-    least one period, a power report must end past the settle start, where
-    the power window begins."""
-    if getattr(args, "t_stop", None) is not None:
-        start = stimulus_time(point)
-        if not args.t_stop > start:  # NaN fails too
-            raise ValueError(f"--t-stop {args.t_stop:g} s must exceed the settle start "
-                             f"{start:g} s (period/4 + |offset| + 2 periods)")
-    elif args.command in _SEARCHES:
+def _check_run_length(args) -> None:
+    """Fail before simulating if the run is too short or its period count
+    is beyond float range: a search needs at least one period, a power
+    report must end past the settle start, where the power window begins."""
+    try:
+        float(args.periods)
+    except OverflowError:
+        raise ValueError("--periods is too large to convert to a float") from None
+    if args.command in _SEARCHES:
         if args.periods < 1:
             raise ValueError(f"--periods {args.periods} must be >= 1")
     elif args.periods <= SETTLE_PERIODS:
@@ -218,12 +214,12 @@ def _run(args, experiment) -> None:
     models = _models(args)
     point = _point(args)
     options = _options(args)
-    _check_run_length(args, point)
+    _check_run_length(args)
     _write(args, *experiment(args, point, models, options))
 
 
 def cmd_transient(args, point, models, options) -> _Output:
-    result = simulate_point(point, args.periods, models, options, t_stop=args.t_stop)
+    result = simulate_point(point, args.periods, models, options)
     return _Output([report_from_result(point, result, models).to_dict()], result,
                    stats=result.stats)
 
@@ -272,14 +268,15 @@ def cmd_sweep_width(args, point, models, options) -> _Output:
 
 
 def cmd_corners(args, point, models, options) -> _Output:
-    names = [c.strip().upper() for c in args.corners.split(",") if c.strip()]
+    names = [c.strip() for c in args.corners.split(",") if c.strip()]
     reports = corner_sweep(corners=names, point=point, n_periods=args.periods,
                            models=models, options=options, jobs=args.jobs)
     idx = np.arange(len(reports), dtype=float)
     plots = (
         ("plot_corner_rise.svg",
          [("UP rise time", idx, np.array([r.up_rise_time for r in reports]))],
-         "Rise time vs corner (" + ",".join(names) + ")", "corner index", "s"),
+         "Rise time vs corner (" + ",".join(r.point.corner for r in reports) + ")",
+         "corner index", "s"),
     )
     return _Output([r.to_dict() for r in reports], plots=plots)
 

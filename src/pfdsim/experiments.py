@@ -97,12 +97,9 @@ def simulate_point(
     models: ModelConfig = DEFAULT_CONFIG,
     options: SimOptions | None = None,
     frequency_b: float | None = None,
-    t_stop: float | None = None,
 ) -> TransientResult:
-    """Build the PFD at the design point and run n_periods of stimulus
-    (or up to t_stop, when given)."""
-    if t_stop is None:
-        t_stop = stimulus_time(point, n_periods, frequency_b)
+    """Build the PFD at the design point and run n_periods of stimulus."""
+    t_stop = stimulus_time(point, n_periods, frequency_b)
     net = build_pfd(
         width=point.width,
         length=point.length,
@@ -308,11 +305,10 @@ def corner_sweep(
     points = [replace(point, corner=n.upper()) for n in names]
     reports = _run_points(points, n_periods, models, options, jobs)
     expected = Decision.LEAD_A if point.offset > 0 else Decision.LEAD_B
-    for name, rep in zip(names, reports):
+    for rep in reports:
         if rep.decision is not expected:
-            raise ExperimentError(
-                f"corner {name}: decision {rep.decision.value}, expected {expected.value}"
-            )
+            raise ExperimentError(f"corner {rep.point.corner}: decision "
+                                  f"{rep.decision.value}, expected {expected.value}")
     return reports
 
 

@@ -55,6 +55,12 @@ def test_load_config_reads_over_the_built_in_calibration_only():
     assert list(inspect.signature(pfdsim.load_config).parameters) == ["path"]
 
 
+def test_simulate_point_runs_whole_periods_only():
+    """Run length is n_periods alone, so every power window covers whole
+    periods; an arbitrary end time goes through SimOptions(t_stop=...)."""
+    assert "t_stop" not in inspect.signature(pfdsim.experiments.simulate_point).parameters
+
+
 def test_build_pfd_has_no_internal_cap_knob():
     """Only the deleted text-format round-trip test set the X and Y
     storage capacitance; it is fixed at 0.5 fF."""

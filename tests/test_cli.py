@@ -9,14 +9,16 @@ import ast
 import importlib
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pfdsim.experiments as experiments
-from pfdsim.cli import _write, main
+from pfdsim.cli import _write, build_parser, main
 from pfdsim.engine import SolverError
+from pfdsim.measure import Decision
 
 FAST = ["--periods", "3"]
 REPO = Path(__file__).resolve().parents[1]
@@ -26,8 +28,6 @@ REPO = Path(__file__).resolve().parents[1]
 SHORT_RUNS = [
     (["deadzone", "--periods", "0"], "--periods 0 must be >= 1"),
     (["fmax", "--periods", "-1"], "--periods -1 must be >= 1"),
-    (["transient", "--t-stop", "2e-9"],
-     "--t-stop 2e-09 s must exceed the settle start 2.35e-09 s"),
     (["transient", "--periods", "2"], "--periods 2 must exceed the 2 settle periods"),
     (["halfperiod", "--periods", "2"], "--periods 2 must exceed the 2 settle periods"),
     (["mismatch", "--periods", "2"], "--periods 2 must exceed the 2 settle periods"),
@@ -35,8 +35,10 @@ SHORT_RUNS = [
     (["corners", "--periods", "1"], "--periods 1 must exceed the 2 settle periods"),
 ]
 
-# (subcommand, flag) pairs where the experiment would ignore or overwrite the flag
+# (subcommand, flag) pairs the parser refuses: no subcommand takes --t-stop, and
+# the others' experiments would ignore or overwrite the flag
 UNREAD_FLAGS = [
+    ("transient", "--t-stop"),
     ("deadzone", "--t-stop"),
     *((c, "--jobs") for c in ("transient", "deadzone", "halfperiod", "fmax", "mismatch")),
     ("deadzone", "--plot"),
@@ -92,22 +94,37 @@ class TestUsageErrors:
             assert f"pfdsim: error: {message}" in capsys.readouterr().err, argv
             assert not out.exists(), argv
 
-    @pytest.mark.parametrize("value", ["inf", "1e300"])
-    def test_t_stop_without_a_finite_step_count_exits_1(self, value, tmp_path, capsys):
-        """--t-stop so large that t_stop / dt is inf: one error line naming
+    def test_t_stop_without_a_finite_step_count_exits_1(self, tmp_path, capsys):
+        """A period so long that t_stop / dt is inf: one error line naming
         t_stop and dt, exit 1 and no output, not an OverflowError traceback."""
         out = tmp_path / "o"
-        assert main(["transient", "--t-stop", value, "--out", str(out)]) == 1
+        assert main(["transient", "--freq", "1e-300", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("pfdsim: error: t_stop / dt must be a finite step count")
         assert err.count("\n") == 1 and "dt = 5e-13 s" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["transient", "deadzone"])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_periods_beyond_float_range_exits_1(self, command, sign, tmp_path, capsys,
+                                                 monkeypatch):
+        """A --periods count no float can hold: one error line naming
+        --periods, exit 1 and no output, not an OverflowError traceback.
+        Only counts whose float conversion fails are tried here: a large
+        count that fits would build a time axis of that many periods."""
+        monkeypatch.setattr(experiments, "transient", _no_simulation)
+        out = tmp_path / "o"
+        periods = f"--periods={sign}1{'0' * 400}"
+        assert main([command, periods, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "pfdsim: error: --periods is too large to convert to a float\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["transient", "--load-cap", "nan", "--periods", "3"],
         ["transient", "--width", "nan"],
         ["transient", "--dt", "nan"],
-        ["transient", "--t-stop", "nan"],
+        ["mismatch", "--f-ref", "nan"],
         ["deadzone", "--tol", "nan"],
         ["deadzone", "--search-lo", "nan"],
         ["deadzone", "--search-hi", "nan"],
@@ -172,8 +189,8 @@ class TestUsageErrors:
         assert main(["mismatch", "--f-fb", "nan", "--out", str(tmp_path / "o")]) == 1
 
     def test_t_stop_is_a_transient_only_flag(self, tmp_path, capsys):
-        """Each subcommand accepts only the flags it reads; --t-stop is the
-        first such case."""
+        """Each subcommand accepts only the flags it reads. No subcommand
+        takes --t-stop: every run lasts whole --periods."""
         for command, flag in UNREAD_FLAGS:
             value = [] if flag == "--plot" else ["1"]
             assert main([command, flag, *value, "--out", str(tmp_path / "o")]) == 1
@@ -223,12 +240,6 @@ class TestTransientCommand:
                               "steps_without_solve", "step_halvings"}
         assert stats["points"] == len(waves) - 1
         assert stats["device_evals"] == stats["lu_solves"] + 1 > 1
-
-    def test_t_stop_sets_the_end_time(self, tmp_path):
-        out = tmp_path / "o"
-        assert main(["transient", "--t-stop", "2.5e-9", "--out", str(out)]) == 0
-        last = (out / "waves.csv").read_text().splitlines()[-1]
-        assert float(last.split(",")[0]) == 2.5e-9
 
     def test_negative_offset_lead_b(self, tmp_path):
         out = tmp_path / "o"
@@ -340,6 +351,18 @@ class TestSweepCommands:
         assert sorted(p.name for p in out.glob("*.svg")) == charts
         assert not any("nan" in p.read_text().lower() for p in out.glob("*.svg"))
 
+    def test_corner_names_any_case(self, tmp_path, monkeypatch):
+        """The library uppercases corner names; rows and the chart title
+        read them from the reports. Nothing is simulated."""
+        def run(point, *args):
+            return experiments.ExperimentReport(point, Decision.LEAD_A, 0.0, 1e-11, 0.0)
+
+        monkeypatch.setattr(experiments, "run_offset_experiment", run)
+        out = tmp_path / "o"
+        assert main(["corners", "--corners", " tt,Ff ,", "--plot", "--out", str(out)]) == 0
+        assert [r["corner"] for r in read_json(out)["rows"]] == ["TT", "FF"]
+        assert "Rise time vs corner (TT,FF)" in (out / "plot_corner_rise.svg").read_text()
+
     def test_plot_drops_each_undefined_point(self, tmp_path):
         out = tmp_path / "o"
         chart = ("c.svg", [("s", np.array([1.0, 2.0, 3.0]), np.array([1.0, None, 2.0]))],
@@ -397,3 +420,27 @@ class TestTracePoints:
                 assert hasattr(owner, name), f"{module}.{path} ({layer}) is gone"
                 owner = getattr(owner, name)
             assert callable(owner), f"{module}.{path}"
+
+
+class TestReadme:
+    def test_cli_section_matches_the_parser(self):
+        """Each `pfdsim ...` example in README's CLI section parses, and
+        each --flag its text names is an option of some subcommand (`--flag`
+        itself is the generic one of the `--flag=value` note). Nothing is
+        simulated."""
+        text = (REPO / "README.md").read_text()
+        start = text.index("## CLI")
+        section = text[start:text.index("\n## ", start)]
+        parser = build_parser()
+        examples = re.findall(r"^pfdsim .+$", section, re.M)
+        assert examples
+        for example in examples:
+            try:
+                parser.parse_args(shlex.split(example)[1:])
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {example}")
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = {o for p in subparsers.choices.values() for o in p._option_string_actions}
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section)) - {"--flag"}
+        assert named <= options, sorted(named - options)

@@ -440,6 +440,9 @@ class TestCornerSweep:
         assert [r.to_dict()["corner"] for r in reports] == ["FF", "SS", "TT"]
         with pytest.raises(ValueError, match="unknown corner 'XX'"):
             corner_sweep(corners=["xx"])
+        # a failed decision names the corner as the report does
+        with pytest.raises(ExperimentError, match="^corner FF: decision LeadA, expected LeadB"):
+            corner_sweep(corners=["ff"], point=DesignPoint(offset=-100e-12))
 
 
 class TestFmaxTrend:
