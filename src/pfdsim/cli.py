@@ -19,7 +19,6 @@ import numpy as np
 from pfdsim.devices import DEFAULT_CONFIG, ModelConfig, load_config
 from pfdsim.engine import SimOptions, SimStats, SolverError, TransientResult
 from pfdsim.experiments import (
-    SETTLE_PERIODS,
     STANDARD_CORNERS,
     DesignPoint,
     ExperimentError,
@@ -142,26 +141,6 @@ def _options(args) -> SimOptions:
     return opt
 
 
-# the searches report no power, so they only need whole periods
-_SEARCHES = ("deadzone", "fmax")
-
-
-def _check_run_length(args) -> None:
-    """Fail before simulating if the run is too short or its period count
-    is beyond float range: a search needs at least one period, a power
-    report must end past the settle start, where the power window begins."""
-    try:
-        float(args.periods)
-    except OverflowError:
-        raise ValueError("--periods is too large to convert to a float") from None
-    if args.command in _SEARCHES:
-        if args.periods < 1:
-            raise ValueError(f"--periods {args.periods} must be >= 1")
-    elif args.periods <= SETTLE_PERIODS:
-        raise ValueError(f"--periods {args.periods} must exceed the {SETTLE_PERIODS} "
-                         "settle periods before the power window")
-
-
 class _Output(NamedTuple):
     """What an experiment subcommand writes: report rows, the waves of a
     single run, with --plot (file name, series, title, xlabel, ylabel)
@@ -209,12 +188,11 @@ def _write(args, rows: list[dict], waves: TransientResult | None = None,
 
 def _run(args, experiment) -> None:
     """The path of every experiment subcommand from its flags to its files:
-    models, design point and options, the run-length check before anything
-    is simulated, the experiment, then its output."""
+    models, design point and options, the experiment, then its output. The
+    experiment checks --periods (its n_periods) before it simulates."""
     models = _models(args)
     point = _point(args)
     options = _options(args)
-    _check_run_length(args)
     _write(args, *experiment(args, point, models, options))
 
 

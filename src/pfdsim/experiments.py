@@ -91,6 +91,23 @@ def stimulus_time(point: DesignPoint, periods: int = SETTLE_PERIODS,
     return max(input_delays(period, point.offset)) + periods * slow
 
 
+def _check_periods(n_periods: int, least: int) -> None:
+    """Refuse, before anything is simulated, a run of fewer than `least`
+    periods or one whose period count no float can hold. A search needs
+    one whole period; a power report must end past the settle start,
+    where its power window begins."""
+    try:
+        float(n_periods)
+    except OverflowError:
+        raise ValueError("n_periods is too large to convert to a float") from None
+    if n_periods >= least:
+        return
+    if least > SETTLE_PERIODS:
+        raise ValueError(f"n_periods {n_periods} must exceed the {SETTLE_PERIODS} "
+                         "settle periods before the power window")
+    raise ValueError(f"n_periods {n_periods} must be >= {least}")
+
+
 def simulate_point(
     point: DesignPoint,
     n_periods: int = 10,
@@ -98,7 +115,16 @@ def simulate_point(
     options: SimOptions | None = None,
     frequency_b: float | None = None,
 ) -> TransientResult:
-    """Build the PFD at the design point and run n_periods of stimulus."""
+    """Build the PFD at the design point and run n_periods of stimulus, a
+    run long enough for a power report: ValueError before simulating if
+    n_periods <= SETTLE_PERIODS."""
+    _check_periods(n_periods, SETTLE_PERIODS + 1)
+    return _simulate(point, n_periods, models, options, frequency_b)
+
+
+def _simulate(point, n_periods, models, options, frequency_b=None) -> TransientResult:
+    """simulate_point without the run-length check: a search probe needs
+    only whole periods, which its search checks once."""
     t_stop = stimulus_time(point, n_periods, frequency_b)
     net = build_pfd(
         width=point.width,
@@ -158,7 +184,7 @@ def _decision_at(point: DesignPoint, n_periods, models, options) -> Decision:
     its transient is raised again with the probe's signed offset and its
     frequency before its message."""
     try:
-        result = simulate_point(point, n_periods, models, options)
+        result = _simulate(point, n_periods, models, options)
     except SolverError as exc:
         raise SolverError(f"probe at offset {point.offset:+} s, {point.frequency} Hz: {exc}",
                           time=exc.time, node=exc.node) from exc
@@ -200,8 +226,7 @@ def measure_dead_zone(
         raise ValueError("tol must be finite and > 0")
     if not 0 <= search_lo < search_hi:
         raise ValueError("need 0 <= search_lo < search_hi")
-    if n_periods < 1:  # a run of 0 periods ends at the lagging input's first edge
-        raise ValueError(f"n_periods {n_periods} must be >= 1")
+    _check_periods(n_periods, 1)  # 0 periods end at the lagging input's first edge
 
     def passes(off: float) -> bool:
         if _decision_at(replace(point, offset=+off), n_periods, models,
@@ -237,10 +262,9 @@ def measure_fmax(
     pass, and no passing frequency may lie above a failing one."""
     if not (0.0 < offset_fraction < 0.5):
         raise ValueError("offset_fraction must be in (0, 0.5)")
-    if not (0 < f_lo < f_hi and 0 < tol_rel < math.inf):  # NaN fails too
-        raise ValueError("need 0 < f_lo < f_hi and a finite tol_rel > 0")
-    if n_periods < 1:
-        raise ValueError(f"n_periods {n_periods} must be >= 1")
+    if not (0 < f_lo < f_hi < math.inf and 0 < tol_rel < math.inf):  # NaN fails too
+        raise ValueError("need 0 < f_lo < f_hi < inf and a finite tol_rel > 0")
+    _check_periods(n_periods, 1)
 
     def passes(f: float) -> bool:
         p = replace(point, frequency=f, offset=offset_fraction / f)
@@ -257,6 +281,7 @@ def _run_points(points, n_periods, models, options, jobs) -> list[ExperimentRepo
     """Reports in input order, from min(jobs, points) worker processes."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    _check_periods(n_periods, SETTLE_PERIODS + 1)  # before a pool starts
     workers = min(jobs, len(points))
     if workers <= 1:
         return [run_offset_experiment(p, n_periods, models, options) for p in points]
@@ -282,8 +307,8 @@ def width_sweep(
     """Full report at each of `steps` linearly spaced widths."""
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    if w_lo <= 0 or w_hi <= w_lo:
-        raise ValueError("need 0 < w_lo < w_hi")
+    if not 0 < w_lo < w_hi < math.inf:  # NaN fails too
+        raise ValueError(f"need 0 < w_lo < w_hi < inf, got w_lo = {w_lo!r}, w_hi = {w_hi!r}")
     widths = np.linspace(w_lo, w_hi, steps)
     points = [replace(point, width=float(w)) for w in widths]
     return _run_points(points, n_periods, models, options, jobs)
@@ -320,9 +345,6 @@ def half_period_test(
 ) -> tuple[ExperimentReport, TransientResult]:
     """Offset forced to T/2; the classification must settle to the leading
     input and stay there for the final stretch of the run."""
-    if n_periods <= SETTLE_PERIODS:
-        raise ExperimentError(f"window too short: need n_periods > {SETTLE_PERIODS}, "
-                              "the settle periods before the power window")
     sign = 1.0 if point.offset >= 0 else -1.0
     p = replace(point, offset=sign * 0.5 * point.period)
     result = simulate_point(p, n_periods, models, options)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import pfdsim
+import pfdsim.cli
 import pfdsim.devices
 import pfdsim.engine
 import pfdsim.experiments
@@ -44,6 +45,7 @@ def test_public_name_resolves_and_is_documented(name):
     (pfdsim.netlist, "from_lines"),
     (pfdsim.netlist, "save"),
     (pfdsim.netlist, "load"),
+    (pfdsim.cli, "_check_run_length"),
 ])
 def test_deleted_helper_is_gone(owner, name):
     assert not hasattr(owner, name)

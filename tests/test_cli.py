@@ -6,6 +6,7 @@ not depend on the argument values.
 
 import argparse
 import ast
+import concurrent.futures
 import importlib
 import json
 import re
@@ -24,15 +25,17 @@ FAST = ["--periods", "3"]
 REPO = Path(__file__).resolve().parents[1]
 
 # (argv, message): searches shorter than a period, power runs that end at or
-# before the settle start
+# before the settle start; the sweeps are refused before a process pool starts
 SHORT_RUNS = [
-    (["deadzone", "--periods", "0"], "--periods 0 must be >= 1"),
-    (["fmax", "--periods", "-1"], "--periods -1 must be >= 1"),
-    (["transient", "--periods", "2"], "--periods 2 must exceed the 2 settle periods"),
-    (["halfperiod", "--periods", "2"], "--periods 2 must exceed the 2 settle periods"),
-    (["mismatch", "--periods", "2"], "--periods 2 must exceed the 2 settle periods"),
-    (["sweep-width", "--periods", "2"], "--periods 2 must exceed the 2 settle periods"),
-    (["corners", "--periods", "1"], "--periods 1 must exceed the 2 settle periods"),
+    (["deadzone", "--periods", "0"], "n_periods 0 must be >= 1"),
+    (["fmax", "--periods", "-1"], "n_periods -1 must be >= 1"),
+    (["transient", "--periods", "2"], "n_periods 2 must exceed the 2 settle periods"),
+    (["halfperiod", "--periods", "2"], "n_periods 2 must exceed the 2 settle periods"),
+    (["mismatch", "--periods", "2"], "n_periods 2 must exceed the 2 settle periods"),
+    (["sweep-width", "--periods", "2", "--jobs", "2"],
+     "n_periods 2 must exceed the 2 settle periods"),
+    (["corners", "--periods", "1", "--jobs", "2"],
+     "n_periods 1 must exceed the 2 settle periods"),
 ]
 
 # (subcommand, flag) pairs the parser refuses: no subcommand takes --t-stop, and
@@ -82,16 +85,17 @@ class TestUsageErrors:
         assert main(["transient", "--params", str(tmp_path / "nope.params"),
                      "--out", str(tmp_path / "o")]) == 1
 
-    def test_t_stop_before_settle_start_names_the_limit(self, tmp_path, capsys,
-                                                        monkeypatch):
+    def test_short_run_names_the_limit(self, tmp_path, capsys, monkeypatch):
         """A search shorter than one period, or a power-reporting run that
         would end at or before the settle start, is a usage error, raised
-        before anything is simulated."""
+        by the experiment before anything is simulated or a pool starts."""
         monkeypatch.setattr(experiments, "transient", _no_simulation)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_simulation)
         for k, (argv, message) in enumerate(SHORT_RUNS):
             out = tmp_path / str(k)
             assert main([*argv, "--out", str(out)]) == 1, argv
-            assert f"pfdsim: error: {message}" in capsys.readouterr().err, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"pfdsim: error: {message}") and err.count("\n") == 1, argv
             assert not out.exists(), argv
 
     def test_t_stop_without_a_finite_step_count_exits_1(self, tmp_path, capsys):
@@ -109,7 +113,7 @@ class TestUsageErrors:
     def test_periods_beyond_float_range_exits_1(self, command, sign, tmp_path, capsys,
                                                  monkeypatch):
         """A --periods count no float can hold: one error line naming
-        --periods, exit 1 and no output, not an OverflowError traceback.
+        n_periods, exit 1 and no output, not an OverflowError traceback.
         Only counts whose float conversion fails are tried here: a large
         count that fits would build a time axis of that many periods."""
         monkeypatch.setattr(experiments, "transient", _no_simulation)
@@ -117,7 +121,7 @@ class TestUsageErrors:
         periods = f"--periods={sign}1{'0' * 400}"
         assert main([command, periods, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == "pfdsim: error: --periods is too large to convert to a float\n"
+        assert err == "pfdsim: error: n_periods is too large to convert to a float\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -138,6 +142,7 @@ class TestUsageErrors:
         ["transient", "--load-cap=inf"],
         ["transient", "--freq=inf"],
         ["transient", "--offset=-inf"],
+        ["fmax", "--f-hi", "inf"],
     ])
     def test_nan_value_exits_1_before_simulation(self, argv, tmp_path, capsys,
                                                    monkeypatch):
@@ -153,6 +158,20 @@ class TestUsageErrors:
         out = tmp_path / "o"
         assert main(["mismatch", "--f-fb", f_fb, "--periods", "3", "--out", str(out)]) == 1
         assert "--f-fb" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bound", ["--w-lo=nan", "--w-hi=inf"])
+    def test_bad_width_bound_exits_1_naming_both(self, bound, tmp_path, capsys, monkeypatch,
+                                                 recwarn):
+        """Refused before np.linspace, which warns on an infinite end and
+        makes NaN widths."""
+        monkeypatch.setattr(experiments, "transient", _no_simulation)
+        out = tmp_path / "o"
+        assert main(["sweep-width", bound, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pfdsim: error: need 0 < w_lo < w_hi < inf, got w_lo = ")
+        assert err.count("\n") == 1
+        assert not recwarn.list
         assert not out.exists()
 
     @pytest.mark.parametrize("line", ["nmos.vth0 = nan", "nmos.kprime = inf"])

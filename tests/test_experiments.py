@@ -83,15 +83,44 @@ def _no_simulation(*args, **kwargs):
     (measure_fmax, {"tol_rel": math.inf}),
     (measure_dead_zone, {"n_periods": 0}),
     (measure_fmax, {"n_periods": 0}),
+    (measure_fmax, {"f_hi": math.inf}),
+    (measure_dead_zone, {"n_periods": 10**400}),
+    (measure_dead_zone, {"n_periods": -10**400}),
+    (measure_fmax, {"n_periods": 10**400}),
+    (measure_fmax, {"n_periods": -10**400}),
 ])
 def test_search_rejects_nan_before_simulating(search, kwargs, monkeypatch):
     """A NaN or infinite tolerance or a NaN bracket end is refused, not
     bisected: with either, the stop test `hi - lo > tol` is false at once,
-    and the search reported a bracket end after one probe. So is a run of
-    no whole period, which ends at the lagging input's first edge."""
-    monkeypatch.setattr(experiments, "simulate_point", _no_simulation)
+    and the search reported a bracket end after one probe. So is an
+    infinite f_hi, a run of no whole period, which ends at the lagging
+    input's first edge, and a period count no float can hold."""
+    monkeypatch.setattr(experiments, "transient", _no_simulation)
     with pytest.raises(ValueError):
         search(DesignPoint(), **kwargs)
+
+
+@pytest.mark.parametrize("n_periods,message", [
+    (2, "^n_periods 2 must exceed the 2 settle periods before the power window$"),
+    (10**400, "^n_periods is too large to convert to a float$"),
+    (-10**400, "^n_periods is too large to convert to a float$"),
+], ids=["2", "1e400", "-1e400"])
+@pytest.mark.parametrize("experiment", [
+    lambda n: experiments.simulate_point(DesignPoint(), n),
+    lambda n: experiments.run_offset_experiment(DesignPoint(), n),
+    lambda n: frequency_mismatch_test(1e9, 0.8e9, n_periods=n),
+    lambda n: experiments.corner_sweep(["TT"], n_periods=n),
+    lambda n: width_sweep(steps=2, n_periods=n, jobs=2),
+], ids=["simulate_point", "run_offset_experiment", "frequency_mismatch_test",
+        "corner_sweep", "width_sweep"])
+def test_power_run_without_a_window_refused_before_simulating(experiment, n_periods,
+                                                              message, monkeypatch):
+    """A power report needs a run past the settle start and a period count
+    a float can hold; the sweep refuses before it starts a process pool."""
+    monkeypatch.setattr(experiments, "transient", _no_simulation)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_simulation)
+    with pytest.raises(ValueError, match=message):
+        experiment(n_periods)
 
 
 class TestOffsetExperiment:
@@ -178,7 +207,7 @@ def stubbed_decisions(decide):
     def table(point, result, models):
         return result
 
-    with mock.patch.object(experiments, "simulate_point", simulate), \
+    with mock.patch.object(experiments, "_simulate", simulate), \
             mock.patch.object(experiments, "pulse_table_for", table), \
             mock.patch.object(experiments, "classify_decision", decide):
         yield runs
@@ -189,7 +218,7 @@ def solver_failure_at(fails, decide):
     """stubbed_decisions(decide), except that the simulation of a point for
     which `fails(point)` holds raises a SolverError at 0.1 ns, node UP."""
     with stubbed_decisions(decide) as runs:
-        simulate = experiments.simulate_point
+        simulate = experiments._simulate
 
         def failing(point, *args, **kwargs):
             if fails(point):
@@ -197,7 +226,7 @@ def solver_failure_at(fails, decide):
                                   "(worst node 'UP')", time=1e-10, node="UP")
             return simulate(point, *args, **kwargs)
 
-        with mock.patch.object(experiments, "simulate_point", failing):
+        with mock.patch.object(experiments, "_simulate", failing):
             yield runs
 
 
@@ -307,7 +336,7 @@ class TestOneScanPerOutput:
         import pfdsim.measure as measure
 
         point, result = grid_runs[100e-12]
-        monkeypatch.setattr(experiments, "simulate_point", lambda *args, **kwargs: result)
+        monkeypatch.setattr(experiments, "_simulate", lambda *args, **kwargs: result)
         calls = []
         detect = measure.detect_pulses
 
@@ -490,13 +519,13 @@ class TestHalfPeriod:
         assert report.decision is Decision.LEAD_B
 
     def test_window_too_short(self):
-        with pytest.raises(ExperimentError, match="window too short"):
+        with pytest.raises(ValueError, match="^n_periods 1 must exceed the 2 settle periods"):
             half_period_test(DesignPoint(), n_periods=1)
 
     def test_no_power_window_refused_before_simulating(self, monkeypatch):
         """Two periods end at the settle start, where the power window begins."""
-        monkeypatch.setattr(experiments, "simulate_point", _no_simulation)
-        with pytest.raises(ExperimentError, match="window too short"):
+        monkeypatch.setattr(experiments, "transient", _no_simulation)
+        with pytest.raises(ValueError, match="^n_periods 2 must exceed the 2 settle periods"):
             half_period_test(DesignPoint(), n_periods=2)
 
 
