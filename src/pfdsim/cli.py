@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from pfdsim.devices import DEFAULT_CONFIG, ModelConfig, load_config
-from pfdsim.engine import SimOptions, SimStats, SolverError, TransientResult
+from pfdsim.engine import INTEGRATORS, SimOptions, SimStats, SolverError, TransientResult
 from pfdsim.experiments import (
     STANDARD_CORNERS,
     DesignPoint,
@@ -68,7 +68,7 @@ def _add_common(p: argparse.ArgumentParser, omit: tuple[str, ...] = ()) -> None:
     add("--load-cap", type=float, default=1e-15, help="output load, F")
     add("--periods", type=int, default=10, help="simulated input periods")
     add("--dt", type=float, default=None, help="fixed step, s")
-    add("--integrator", default="trapezoidal", choices=["trapezoidal", "backward_euler"])
+    add("--integrator", default=INTEGRATORS[0], choices=INTEGRATORS)
     add("--params", default=None, help="device calibration file")
     add("--out", default="out", help="output directory")
     add("--plot", action="store_true", help="write SVG plots")
@@ -135,16 +135,10 @@ def _point(args) -> DesignPoint:
                                                 "offset", "load_cap") if f in given})
 
 
-def _options(args) -> SimOptions:
-    opt = SimOptions(dt=args.dt, integrator=args.integrator)
-    opt.validate()
-    return opt
-
-
 class _Output(NamedTuple):
-    """What an experiment subcommand writes: report rows, the waves of a
-    single run, with --plot (file name, series, title, xlabel, ylabel)
-    sweep charts, and the run counters that report.json carries."""
+    """What a subcommand writes: report rows, the waves of a single run,
+    with --plot (file name, series, title, xlabel, ylabel) sweep charts,
+    and the run counters that report.json carries."""
 
     rows: list[dict]
     waves: TransientResult | None = None
@@ -152,10 +146,10 @@ class _Output(NamedTuple):
     stats: SimStats | None = None
 
 
-def _write(args, rows: list[dict], waves: TransientResult | None = None,
-           plots: tuple = (), stats: SimStats | None = None) -> None:
+def _write(args, out: _Output) -> None:
     """Write the report files, any waves and, with --plot, the waves' and
     sweep charts under --out."""
+    rows, waves, plots, stats = out
     json_text, table = render_rows(rows, stats)  # before mkdir: a bad row writes nothing
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -188,12 +182,14 @@ def _write(args, rows: list[dict], waves: TransientResult | None = None,
 
 def _run(args, experiment) -> None:
     """The path of every experiment subcommand from its flags to its files:
-    models, design point and options, the experiment, then its output. The
-    experiment checks --periods (its n_periods) before it simulates."""
+    models, design point and options, the experiment, then its output. Each
+    is checked where it is made: SimOptions checks --dt and --integrator,
+    and the experiment checks --periods (its n_periods) before it
+    simulates."""
     models = _models(args)
     point = _point(args)
-    options = _options(args)
-    _write(args, *experiment(args, point, models, options))
+    options = SimOptions(dt=args.dt, integrator=args.integrator)
+    _write(args, experiment(args, point, models, options))
 
 
 def cmd_transient(args, point, models, options) -> _Output:
@@ -272,7 +268,7 @@ def cmd_report(args) -> None:
         rows.extend(file_rows)
     if not rows:
         raise ValueError("the input reports hold no rows; report needs at least 1")
-    _write(args, rows)
+    _write(args, _Output(rows))
 
 
 # the experiment subcommands, each run by _run

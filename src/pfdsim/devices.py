@@ -246,14 +246,14 @@ def load_config(path: str | Path) -> ModelConfig:
     """Read a `key = value` calibration file (SI units, # comments).
 
     Unspecified keys keep their compiled-in default (DEFAULT_CONFIG).
-    A file that is not UTF-8 text is rejected, and so are unknown keys, a
-    key set twice and a calibration that ProcessParams or ModelConfig
-    refuses, such as vdd <= 0, a zero corner scale, nmos.kprime <= 0 or
-    pmos.vth0 >= 0; the message names the file and, where there is one,
-    the line or key.
+    A file that is not UTF-8 text (a byte-order mark may open it) is
+    rejected, and so are unknown keys, a key set twice and a calibration
+    that ProcessParams or ModelConfig refuses, such as vdd <= 0, a zero
+    corner scale, nmos.kprime <= 0 or pmos.vth0 >= 0; the message names
+    the file and, where there is one, the line or key.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not a UTF-8 text file: {exc}") from None
     top: dict[str, float] = {}

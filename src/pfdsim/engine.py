@@ -5,11 +5,14 @@ docstring keeps the invariants the code relies on.
 - A state vector is exactly the n unknowns: the non-ground node voltages,
   then one branch current per voltage source. Ground is the reference and
   has no entry.
-- Each run (`transient`, `dc_operating_point`, `kcl_residual_ratio`) builds
-  one step kernel, `_Kernel(netlist, options)`, which validates both. Its
-  constant matrices all come from signed branch incidence rows (+1 at a
-  branch's plus node, -1 at its minus node; the modified nodal approach of
-  Ho, Ruehli and Brennan, IEEE TCAS 22(6), 1975).
+- `SimOptions` is frozen and checks each field when it is made. Each run
+  (`transient`, `dc_operating_point`, `kcl_residual_ratio`) builds one
+  step kernel, `_Kernel(netlist, options)`, which refuses an invalid
+  netlist with `NetlistError`; a `SolverError` from a run is a failed
+  solve, named by its time and node. The kernel's constant matrices all
+  come from signed branch incidence rows (+1 at a branch's plus node, -1
+  at its minus node; the modified nodal approach of Ho, Ruehli and
+  Brennan, IEEE TCAS 22(6), 1975).
 - `_Kernel.newton` is the one Newton iteration. Per iteration it calls only
   `devices.mosfet_eval`, `_Kernel.tolerance` and `_lu_solve`, which calls
   the LAPACK gesv gufunc that `numpy.linalg.solve` wraps. That gufunc is
@@ -84,12 +87,13 @@ from pfdsim.netlist import (
     DcSource,
     Mosfet,
     Netlist,
+    NetlistError,
     PulseSource,
     Resistor,
 )
 
-BACKWARD_EULER = "backward_euler"
-TRAPEZOIDAL = "trapezoidal"
+# the companion models, the default first
+INTEGRATORS = ("trapezoidal", "backward_euler")
 
 _GMIN_LADDER_START = 1e-3
 _MAX_STEP_HALVINGS = 8
@@ -115,33 +119,39 @@ class SolverError(Exception):
         self.node = node
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimOptions:
+    """Solver settings, each field checked at construction (`replace`
+    included). `transient` needs t_stop and checks it against the dt it
+    resolves."""
+
     reltol: float = 1e-3
     abstol_v: float = 1e-6
     abstol_i: float = 1e-9
     dt: float | None = None  # None -> min(0.5 ps, fastest period / 2000)
     t_stop: float | None = None
-    integrator: str = TRAPEZOIDAL
+    integrator: str = INTEGRATORS[0]
     max_newton_iters: int = 50
     gmin: float = 1e-12
 
-    def validate(self) -> None:
-        # written as `not (x > 0)` so that NaN fails too
-        if not self.reltol > 0:
-            raise ValueError("reltol must be > 0")
-        if not (self.abstol_v > 0 and self.abstol_i > 0):
-            raise ValueError("absolute tolerances must be > 0")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError("dt must be > 0")
-        if self.t_stop is not None and self.dt is not None and not self.t_stop > self.dt:
-            raise ValueError("t_stop must exceed dt")
-        if self.integrator not in (BACKWARD_EULER, TRAPEZOIDAL):
+    def __post_init__(self):
+        # written as `not (0 < x < inf)` so that NaN fails too; an
+        # infinite tolerance would accept every state unsolved
+        for name in ("reltol", "abstol_v", "abstol_i"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
+        # an infinite t_stop is left to `transient`, which names t_stop and dt
+        if self.t_stop is not None and not self.t_stop > 0:
+            raise ValueError(f"t_stop must be > 0, got {self.t_stop!r}")
+        if self.integrator not in INTEGRATORS:
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if not self.max_newton_iters >= 1:
-            raise ValueError("max_newton_iters must be >= 1")
-        if not self.gmin >= 0:
-            raise ValueError("gmin must be >= 0")
+        if not (isinstance(self.max_newton_iters, int) and self.max_newton_iters >= 1):
+            raise ValueError(f"max_newton_iters must be an int >= 1, "
+                             f"got {self.max_newton_iters!r}")
+        if not 0 <= self.gmin < math.inf:
+            raise ValueError(f"gmin must be finite and >= 0, got {self.gmin!r}")
 
 
 @dataclass
@@ -244,10 +254,9 @@ class _Kernel:
     """
 
     def __init__(self, net: Netlist, opt: SimOptions):
-        opt.validate()
         violations = net.validate()
         if violations:
-            raise SolverError("invalid netlist: " + "; ".join(violations))
+            raise NetlistError("invalid netlist: " + "; ".join(violations))
         self.opt = opt
         self.stats = SimStats()
         self.node_names = [name for name in net.nodes if name != net.ground]
@@ -328,8 +337,8 @@ class _Kernel:
         self.j_stamps = np.einsum("ki,lkj->ijlk", chan, mos_rows.reshape(2, m, n),
                                   order="C").reshape(n * n, 2 * m)
 
-        self.a0_num = 1.0 if opt.integrator == BACKWARD_EULER else 2.0
-        self.trap = opt.integrator == TRAPEZOIDAL
+        self.trap = opt.integrator == "trapezoidal"
+        self.a0_num = 2.0 if self.trap else 1.0
         self.abs_tol = np.concatenate([np.full(n_nodes, opt.abstol_i),
                                        np.full(n - n_nodes, opt.abstol_v)])
         self.reltol = np.array(opt.reltol)

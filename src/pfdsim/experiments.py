@@ -393,16 +393,16 @@ def frequency_mismatch_test(
 _COLUMNS = (
     "width", "length", "corner", "frequency", "offset", "decision",
     "f_max", "dead_zone", "avg_power", "up_rise_time",
-    "mutual_exclusion_overlap", "die_area",
+    "mutual_exclusion_overlap",
 )
 
 
 def report_row(point: DesignPoint, **values) -> dict:
     """One row over _COLUMNS: the point's columns, then `values` (None blanks
-    a point column); metrics not given are None, die area is not modelled."""
+    a point column); metrics not given are None."""
     row = dict.fromkeys(_COLUMNS)
     row.update(width=point.width, length=point.length, corner=point.corner,
-               frequency=point.frequency, offset=point.offset, die_area="out of scope")
+               frequency=point.frequency, offset=point.offset)
     row.update(values)
     return {k: v if v is None or isinstance(v, str) else float(v) for k, v in row.items()}
 
@@ -411,10 +411,11 @@ def render_rows(rows: list[dict], stats: SimStats | None = None) -> tuple[str, s
     """Render report rows as (json_text, table_text).
 
     The table prints full-precision reprs so both renderings carry
-    identical numeric values; missing metrics show as "-". Die area is
-    not modelled and its column says so. The run counters of a single
-    transient, when given, go into the JSON as a top-level "stats" object
-    beside "rows".
+    identical numeric values; missing metrics show as "-". The table
+    shows the _COLUMNS of each row; the JSON keeps every key, so a row
+    merged from an older report keeps a column no longer written. The run
+    counters of a single transient, when given, go into the JSON as a
+    top-level "stats" object beside "rows".
     """
     if not rows:
         raise ValueError("no reports to summarize")

@@ -46,6 +46,7 @@ def test_public_name_resolves_and_is_documented(name):
     (pfdsim.netlist, "save"),
     (pfdsim.netlist, "load"),
     (pfdsim.cli, "_check_run_length"),
+    (pfdsim.engine.SimOptions, "validate"),
 ])
 def test_deleted_helper_is_gone(owner, name):
     assert not hasattr(owner, name)

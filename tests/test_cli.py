@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 import pfdsim.experiments as experiments
-from pfdsim.cli import _write, build_parser, main
-from pfdsim.engine import SolverError
+from pfdsim.cli import _Output, _write, build_parser, main
+from pfdsim.engine import INTEGRATORS, SimOptions, SolverError
 from pfdsim.measure import Decision
 
 FAST = ["--periods", "3"]
@@ -143,6 +143,8 @@ class TestUsageErrors:
         ["transient", "--freq=inf"],
         ["transient", "--offset=-inf"],
         ["fmax", "--f-hi", "inf"],
+        ["transient", "--dt=-1e-12"],
+        ["transient", "--dt", "0"],
     ])
     def test_nan_value_exits_1_before_simulation(self, argv, tmp_path, capsys,
                                                    monkeypatch):
@@ -151,6 +153,19 @@ class TestUsageErrors:
         assert main([*argv, "--out", str(out)]) == 1
         assert "pfdsim: error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_integrator_choices_are_the_engines(self):
+        """--integrator takes the engine's one list of names, in its
+        order, with its default."""
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for name, sub in subparsers.choices.items():
+            action = sub._option_string_actions.get("--integrator")
+            if name == "report":
+                assert action is None
+            else:
+                assert tuple(action.choices) == INTEGRATORS, name
+                assert action.default == INTEGRATORS[0] == SimOptions().integrator, name
 
     @pytest.mark.parametrize("f_fb", ["nan", "0", "inf"])
     def test_bad_f_fb_exits_1_naming_the_flag(self, f_fb, tmp_path, capsys, monkeypatch):
@@ -386,7 +401,8 @@ class TestSweepCommands:
         out = tmp_path / "o"
         chart = ("c.svg", [("s", np.array([1.0, 2.0, 3.0]), np.array([1.0, None, 2.0]))],
                  "t", "x", "y")
-        _write(argparse.Namespace(out=str(out), plot=True), [{"width": 1.0}], plots=(chart,))
+        _write(argparse.Namespace(out=str(out), plot=True),
+               _Output([{"width": 1.0}], plots=(chart,)))
         points = re.search(r'<polyline points="([^"]*)"', (out / "c.svg").read_text())[1]
         assert len(points.split()) == 2
 
@@ -408,7 +424,24 @@ class TestReportCommand:
         rows = merged["rows"]
         assert len(rows) == 2
         table = (out / "summary.txt").read_text()
-        assert "dead_zone" in table and "out of scope" in table
+        assert "dead_zone" in table and "die_area" not in table
+
+    def test_merges_rows_with_a_column_no_longer_written(self, tmp_path):
+        """A report.json written while rows carried "die_area" still
+        merges: the JSON keeps the key, the table shows today's columns."""
+        a = tmp_path / "a"
+        assert main(["transient", "--out", str(a), *FAST]) == 0
+        old = read_json(a)
+        old["rows"][0]["die_area"] = "out of scope"
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps(old))
+        out = tmp_path / "sum"
+        assert main(["report", str(older), str(a / "report.json"), "--out", str(out)]) == 0
+        rows = read_json(out)["rows"]
+        assert rows[0] == old["rows"][0]
+        assert "die_area" not in rows[1]
+        table = (out / "summary.txt").read_text()
+        assert "die_area" not in table and "out of scope" not in table
 
 
 class TestReproducibility:

@@ -362,6 +362,15 @@ class TestConfigFile:
                 f"{path}: not a UTF-8 text file: 'utf-8' codec can't decode byte 0xff")):
             load_config(path)
 
+    def test_byte_order_mark_read(self, tmp_path):
+        """A UTF-8 file saved with a byte-order mark failed on its first
+        key, read as '\\ufeffvdd'."""
+        path = tmp_path / "cal.params"
+        path.write_bytes("vdd = 1.0\nnmos.kprime = 400e-6\n".encode("utf-8-sig"))
+        cfg = load_config(path)
+        assert cfg.vdd == 1.0 and cfg.nmos.kprime == 400e-6
+        assert cfg.pmos == DEFAULT_CONFIG.pmos
+
     @pytest.mark.parametrize("line", ["nmos.vth0 = nan", "nmos.kprime = inf",
                                       "vdd = -inf", "corner.fast.k_scale = NaN"])
     def test_nonfinite_number_rejected(self, tmp_path, line):

@@ -11,7 +11,7 @@ import functools
 import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,6 +33,7 @@ from pfdsim.netlist import (
     DcSource,
     Mosfet,
     Netlist,
+    NetlistError,
     PulseSource,
     PulseSpec,
     Resistor,
@@ -1599,27 +1600,64 @@ class TestOptionsAndErrors:
                                        "gmin"])
     def test_nan_option_rejected(self, field):
         opt = SimOptions(dt=1e-12, t_stop=1e-9)
-        with pytest.raises(ValueError):
-            replace(opt, **{field: math.nan}).validate()
+        with pytest.raises(ValueError, match=field):
+            replace(opt, **{field: math.nan})
+
+    @pytest.mark.parametrize("field", ["reltol", "abstol_v", "abstol_i", "dt", "gmin"])
+    def test_infinite_option_rejected(self, field):
+        """An infinite tolerance accepted every state unsolved (abstol_v
+        = inf ran a PFD transient with no LU solve); an infinite gmin or
+        dt failed later, as a solve or a run-length error."""
+        with pytest.raises(ValueError, match=f"^{field} must be finite and "):
+            replace(SimOptions(), **{field: math.inf})
 
     def test_option_validation(self):
-        with pytest.raises(ValueError):
-            SimOptions(reltol=0.0).validate()
-        with pytest.raises(ValueError):
-            SimOptions(dt=-1e-12).validate()
-        with pytest.raises(ValueError):
-            SimOptions(integrator="gear2").validate()
-        with pytest.raises(ValueError):
-            SimOptions(max_newton_iters=0).validate()
+        with pytest.raises(ValueError, match="reltol"):
+            SimOptions(reltol=0.0)
+        with pytest.raises(ValueError, match="dt"):
+            SimOptions(dt=-1e-12)
+        with pytest.raises(ValueError, match="t_stop"):
+            SimOptions(t_stop=0.0)
+        with pytest.raises(ValueError, match="integrator 'gear2'"):
+            SimOptions(integrator="gear2")
+        with pytest.raises(ValueError, match="max_newton_iters"):
+            SimOptions(max_newton_iters=0)
+        with pytest.raises(ValueError, match="max_newton_iters must be an int"):
+            SimOptions(max_newton_iters=1.5)
+        with pytest.raises(ValueError, match="gmin"):
+            SimOptions(gmin=-1e-12)
+
+    def test_options_are_frozen(self):
+        """Options are checked once, when made, so no field can change
+        after that check."""
+        opt = SimOptions()
+        with pytest.raises(FrozenInstanceError):
+            opt.dt = -1e-12
+        with pytest.raises(FrozenInstanceError):
+            opt.integrator = "gear2"
+        assert opt == SimOptions()
+
+    def test_replace_checks_each_field(self):
+        with pytest.raises(ValueError, match=r"^dt must be finite and > 0, got -1e-12$"):
+            replace(SimOptions(), dt=-1e-12)
+
+    def test_t_stop_below_dt_refused_by_transient(self):
+        """t_stop > dt is one rule, checked against the dt the run
+        resolves; the options alone hold no copy of it."""
+        opt = SimOptions(dt=1e-12, t_stop=0.5e-12)
+        with pytest.raises(ValueError, match="^t_stop must exceed dt$"):
+            transient(rc_lowpass(), opt)
 
     @pytest.mark.parametrize("change", [{"reltol": -1.0}, {"integrator": "gear2"},
                                         {"reltol": math.nan}])
     def test_kcl_replay_validates_options(self, lead_a_run, change):
-        """The KCL replay rejects the options the run itself would: a
-        negative or NaN reltol, an unknown integrator."""
-        net, opt, res = lead_a_run
-        with pytest.raises(ValueError):
-            kcl_residual_ratio(net, res, replace(opt, **change))
+        """The options a run refuses cannot be built, so they never reach
+        the KCL replay: `replace` of the run's options refuses a negative
+        or NaN reltol and an unknown integrator, naming the field. The
+        replay holds no check of its own."""
+        _, opt, _ = lead_a_run
+        with pytest.raises(ValueError, match=next(iter(change))):
+            replace(opt, **change)
 
     def test_unknown_initial_voltage_node_is_named(self):
         with pytest.raises(ValueError, match=r"^initial_voltages: unknown node 'nope'$"):
@@ -1645,10 +1683,13 @@ class TestOptionsAndErrors:
             transient(build_pfd(), SimOptions(t_stop=t_stop))
 
     def test_invalid_netlist_rejected(self):
+        """An invalid netlist is an input error, not a failed solve."""
         net = Netlist()
         net.add_node("a")  # no ground
-        with pytest.raises(SolverError, match="invalid netlist"):
+        with pytest.raises(NetlistError, match="^invalid netlist: "):
             dc_operating_point(net)
+        with pytest.raises(NetlistError, match="^invalid netlist: "):
+            transient(net, SimOptions(dt=1e-12, t_stop=1e-9))
 
 
 class TestCsvExport:

@@ -561,7 +561,7 @@ class TestGenerateReport:
         row = data["rows"][0]
         assert row["decision"] == "LeadA"
         assert row["avg_power"] > 0
-        assert row["die_area"] == "out of scope"
+        assert "die_area" not in row  # area is not modelled
         assert "avg_power" in table.splitlines()[0]
 
     def test_missing_metric_renders_dash(self, default_report):
@@ -592,4 +592,4 @@ class TestGenerateReport:
         assert row["frequency"] is None and row["offset"] is None
         assert row["f_max"] == 2e9 and row["dead_zone"] is None
         assert row["width"] == 260e-9 and row["corner"] == "TT"
-        assert row["die_area"] == "out of scope"
+        assert "die_area" not in row

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfdsim.devices import DEFAULT_CONFIG, STANDARD_CORNERS, load_config
-from pfdsim.engine import SolverError, dc_operating_point
+from pfdsim.engine import dc_operating_point
 from pfdsim.netlist import (
     Capacitor,
     DcSource,
@@ -151,7 +151,7 @@ class TestValidate:
         net.add(device)
         out = net.validate()
         assert f"{kind} {device.name!r} connects node {device.nodes[0]!r} to itself" in out
-        with pytest.raises(SolverError, match=f"invalid netlist: .*{device.name}"):
+        with pytest.raises(NetlistError, match=f"invalid netlist: .*{device.name}"):
             dc_operating_point(net)
 
 
