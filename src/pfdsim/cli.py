@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from pfdsim.devices import DEFAULT_CONFIG, ModelConfig, load_config
-from pfdsim.engine import INTEGRATORS, SimOptions, SimStats, SolverError, TransientResult
+from pfdsim.engine import INTEGRATORS, SimOptions, SolverError, TransientResult
 from pfdsim.experiments import (
     STANDARD_CORNERS,
     DesignPoint,
@@ -59,13 +60,14 @@ def _add_common(p: argparse.ArgumentParser, omit: tuple[str, ...] = ()) -> None:
         if flag not in omit:
             p.add_argument(flag, **kwargs)
 
-    add("--width", type=float, default=260e-9, help="gate width, m")
-    add("--length", type=float, default=100e-9, help="gate length, m")
-    add("--corner", default="TT", choices=list(STANDARD_CORNERS))
-    add("--freq", dest="frequency", type=float, default=1e9, help="input frequency, Hz")
+    add("--width", type=float, default=DesignPoint.width, help="gate width, m")
+    add("--length", type=float, default=DesignPoint.length, help="gate length, m")
+    add("--corner", default=DesignPoint.corner, choices=list(STANDARD_CORNERS))
+    add("--freq", dest="frequency", type=float, default=DesignPoint.frequency,
+        help="input frequency, Hz")
     add("--offset", type=float, default=100e-12,
         help="phase offset, s (positive: A leads)")
-    add("--load-cap", type=float, default=1e-15, help="output load, F")
+    add("--load-cap", type=float, default=DesignPoint.load_cap, help="output load, F")
     add("--periods", type=int, default=10, help="simulated input periods")
     add("--dt", type=float, default=None, help="fixed step, s")
     add("--integrator", default=INTEGRATORS[0], choices=INTEGRATORS)
@@ -131,26 +133,25 @@ def _point(args) -> DesignPoint:
     """A field whose flag the subcommand does not take keeps DesignPoint's
     default; the experiment sets it."""
     given = vars(args)
-    return DesignPoint(**{f: given[f] for f in ("width", "length", "corner", "frequency",
-                                                "offset", "load_cap") if f in given})
+    return DesignPoint(**{f.name: given[f.name] for f in fields(DesignPoint) if f.name in given})
 
 
 class _Output(NamedTuple):
-    """What a subcommand writes: report rows, the waves of a single run,
-    with --plot (file name, series, title, xlabel, ylabel) sweep charts,
-    and the run counters that report.json carries."""
+    """What a subcommand writes: report rows, the waves of a single run
+    (whose run counters report.json carries) and, with --plot, sweep
+    charts as (file name, series, title, xlabel, ylabel)."""
 
     rows: list[dict]
     waves: TransientResult | None = None
     plots: tuple = ()
-    stats: SimStats | None = None
 
 
 def _write(args, out: _Output) -> None:
     """Write the report files, any waves and, with --plot, the waves' and
     sweep charts under --out."""
-    rows, waves, plots, stats = out
-    json_text, table = render_rows(rows, stats)  # before mkdir: a bad row writes nothing
+    rows, waves, plots = out
+    # before mkdir: a bad row writes nothing
+    json_text, table = render_rows(rows, waves.stats if waves is not None else None)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.json").write_text(json_text + "\n")
@@ -194,8 +195,7 @@ def _run(args, experiment) -> None:
 
 def cmd_transient(args, point, models, options) -> _Output:
     result = simulate_point(point, args.periods, models, options)
-    return _Output([report_from_result(point, result, models).to_dict()], result,
-                   stats=result.stats)
+    return _Output([report_from_result(point, result, models).to_dict()], result)
 
 
 def cmd_deadzone(args, point, models, options) -> _Output:

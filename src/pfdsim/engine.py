@@ -199,7 +199,7 @@ class TransientResult:
 
     def supply_current(self) -> Waveform:
         if self.supply_source is None:
-            raise SolverError("no supply source present")
+            raise KeyError("no supply source present")
         col = self.source_names.index(self.supply_source)
         # positive = current delivered into the circuit
         return Waveform(self.time, -self.branch_currents[:, col])

@@ -28,43 +28,13 @@ from pfdsim.measure import (
     pulse_table,
     rise_time,
 )
-from pfdsim.netlist import build_pfd, input_delays
+from pfdsim.netlist import DesignPoint, build_pfd, input_delays
 
 SETTLE_PERIODS = 2  # start-up stretch excluded from the power window
 
 
 class ExperimentError(Exception):
     """An experiment precondition or behavioral assertion failed."""
-
-
-@dataclass(frozen=True)
-class DesignPoint:
-    width: float = 260e-9
-    length: float = 100e-9
-    corner: str = "TT"  # one of STANDARD_CORNERS
-    frequency: float = 1e9
-    offset: float = 0.0
-    load_cap: float = 1e-15
-
-    def __post_init__(self):
-        for name in ("width", "length", "frequency", "offset", "load_cap"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        # written as `not (x > 0)` so that NaN fails too
-        if not (self.width > 0 and self.length > 0):
-            raise ValueError("width and length must be > 0")
-        if not self.frequency > 0:
-            raise ValueError("frequency must be > 0")
-        if not abs(self.offset) < self.period:
-            raise ValueError("offset magnitude must be below one period")
-        if not self.load_cap > 0:
-            raise ValueError("load_cap must be > 0")
-        if self.corner not in STANDARD_CORNERS:
-            raise ValueError(f"unknown corner {self.corner!r}")
-
-    @property
-    def period(self) -> float:
-        return 1.0 / self.frequency
 
 
 @dataclass
@@ -126,16 +96,7 @@ def _simulate(point, n_periods, models, options, frequency_b=None) -> TransientR
     """simulate_point without the run-length check: a search probe needs
     only whole periods, which its search checks once."""
     t_stop = stimulus_time(point, n_periods, frequency_b)
-    net = build_pfd(
-        width=point.width,
-        length=point.length,
-        corner=point.corner,
-        load_cap=point.load_cap,
-        frequency=point.frequency,
-        offset=point.offset,
-        frequency_b=frequency_b,
-        models=models,
-    )
+    net = build_pfd(point, frequency_b=frequency_b, models=models)
     return transient(net, replace(options or SimOptions(), t_stop=t_stop))
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pfdsim.devices import DEFAULT_CONFIG, ModelConfig, MosfetParams, NMOS, PMOS
+from pfdsim.devices import DEFAULT_CONFIG, STANDARD_CORNERS, ModelConfig, MosfetParams, NMOS, PMOS
 
 GROUND = "0"
 # storage capacitance on each dynamic sense node of the PFD, X and Y
@@ -296,41 +296,65 @@ def input_delays(period: float, offset: float) -> tuple[float, float]:
     return base + max(0.0, -offset), base + max(0.0, offset)
 
 
+@dataclass(frozen=True)
+class DesignPoint:
+    """One design point of the PFD, checked when it is made: gate width and
+    length in m, a STANDARD_CORNERS name, input frequency in Hz, phase
+    offset in s (positive delays B, so A leads; below one period in
+    magnitude) and output load capacitance in F."""
+
+    width: float = 260e-9
+    length: float = 100e-9
+    corner: str = "TT"
+    frequency: float = 1e9
+    offset: float = 0.0
+    load_cap: float = 1e-15
+
+    def __post_init__(self):
+        for name in ("width", "length", "frequency", "offset", "load_cap"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        # written as `not (x > 0)` so that NaN fails too
+        if not (self.width > 0 and self.length > 0):
+            raise ValueError("width and length must be > 0")
+        if not self.frequency > 0:
+            raise ValueError("frequency must be > 0")
+        if not abs(self.offset) < self.period:
+            raise ValueError("offset magnitude must be below one period")
+        if not self.load_cap > 0:
+            raise ValueError("load_cap must be > 0")
+        if self.corner not in STANDARD_CORNERS:
+            raise ValueError(f"unknown corner {self.corner!r}")
+
+    @property
+    def period(self) -> float:
+        return 1.0 / self.frequency
+
+
 def build_pfd(
-    width: float = 260e-9,
-    length: float = 100e-9,
-    corner: str = "TT",
-    load_cap: float = 1e-15,
+    point: DesignPoint = DesignPoint(),
     *,
-    frequency: float = 1e9,
-    offset: float = 0.0,
     frequency_b: float | None = None,
     models: ModelConfig = DEFAULT_CONFIG,
 ) -> Netlist:
-    """Canonical 16-FET precharge PFD with stimulus attached.
+    """Canonical 16-FET precharge PFD at the design point, stimulus attached.
 
     Inputs A and B are pulse sources; a positive offset delays B, so A
     leads. Internal sense nodes X and Y are active-low; the output stage
     is a pair of cross-coupled NOR gates (UP = NOR(X, DN), DN = NOR(Y, UP)).
     frequency_b drives B at a different rate for mismatch experiments.
     """
-    if width <= 0 or length <= 0:
-        raise ValueError("width and length must be > 0")
-    period = 1.0 / frequency
-    if frequency_b is None and abs(offset) >= period:
-        raise ValueError("offset magnitude must be below one period")
-
-    pp = models.mosfet(PMOS, width, length, corner)
-    np_ = models.mosfet(NMOS, width, length, corner)
+    pp = models.mosfet(PMOS, point.width, point.length, point.corner)
+    np_ = models.mosfet(NMOS, point.width, point.length, point.corner)
 
     net = Netlist()
     net.add_node(GROUND)
     for n in ("VDD", "A", "B", "X", "Y", "UP", "DN", "X.m", "X.n", "Y.m", "Y.n"):
         net.add_node(n)
 
-    delay_a, delay_b = input_delays(period, offset)
-    spec_a = default_pulse(frequency, models.vdd, delay_a)
-    spec_b = default_pulse(frequency_b if frequency_b is not None else frequency,
+    delay_a, delay_b = input_delays(point.period, point.offset)
+    spec_a = default_pulse(point.frequency, models.vdd, delay_a)
+    spec_b = default_pulse(frequency_b if frequency_b is not None else point.frequency,
                            models.vdd, delay_b)
 
     net.add(DcSource("VSUP", plus="VDD", minus=GROUND, volts=models.vdd))
@@ -356,8 +380,8 @@ def build_pfd(
     # dynamic-node storage and output loading
     net.add(Capacitor("CX", a="X", b=GROUND, farads=_INTERNAL_CAP))
     net.add(Capacitor("CY", a="Y", b=GROUND, farads=_INTERNAL_CAP))
-    net.add(Capacitor("CUP", a="UP", b=GROUND, farads=load_cap))
-    net.add(Capacitor("CDN", a="DN", b=GROUND, farads=load_cap))
+    net.add(Capacitor("CUP", a="UP", b=GROUND, farads=point.load_cap))
+    net.add(Capacitor("CDN", a="DN", b=GROUND, farads=point.load_cap))
 
     for alias in ("A", "B", "X", "Y", "UP", "DN"):
         net.add_probe(alias, alias)

@@ -101,7 +101,7 @@ def test_criterion_1_solver_validation():
 
 def test_criterion_2_numerical_hygiene():
     with criterion(2, "KCL residuals in-tolerance on a full PFD run; gm/gds vs FD 1e-4"):
-        net = build_pfd(offset=100e-12)
+        net = build_pfd(DesignPoint(offset=100e-12))
         opt = SimOptions(t_stop=5.25e-9)
         res = transient(net, opt)
         assert kcl_residual_ratio(net, res, opt) <= 1.0

@@ -71,3 +71,12 @@ def test_build_pfd_has_no_internal_cap_knob():
     caps = {d.name: d.farads for d in pfdsim.build_pfd().devices
             if isinstance(d, pfdsim.netlist.Capacitor)}
     assert caps["CX"] == caps["CY"] == 0.5e-15
+
+
+def test_build_pfd_takes_the_design_point():
+    """The design point's defaults and checks live only in DesignPoint:
+    build_pfd takes one, plus the mismatch frequency and the calibration,
+    and DesignPoint is one class under every name it is imported as."""
+    assert list(inspect.signature(pfdsim.build_pfd).parameters) == [
+        "point", "frequency_b", "models"]
+    assert pfdsim.DesignPoint is pfdsim.experiments.DesignPoint is pfdsim.netlist.DesignPoint

@@ -62,6 +62,16 @@ def read_json(outdir: Path) -> dict:
     return json.loads((outdir / "report.json").read_text())
 
 
+def assert_run_stats(outdir: Path) -> None:
+    """report.json carries, beside the rows, the SimStats of the one run
+    whose waves.csv is written beside it."""
+    stats = read_json(outdir)["stats"]
+    assert set(stats) == {"points", "lu_solves", "device_evals",
+                          "steps_without_solve", "step_halvings"}
+    assert stats["points"] == len((outdir / "waves.csv").read_text().splitlines()) - 1
+    assert stats["device_evals"] == stats["lu_solves"] + 1 > 1
+
+
 class TestUsageErrors:
     def test_no_arguments_exits_1(self, capsys):
         assert main([]) == 1
@@ -269,11 +279,7 @@ class TestTransientCommand:
         waves = (out / "waves.csv").read_text().splitlines()
         assert waves[0] == "t,A,B,X,Y,UP,DN,i_vdd"
         assert (out / "summary.txt").exists()
-        stats = report["stats"]  # the run's SimStats, beside the rows
-        assert set(stats) == {"points", "lu_solves", "device_evals",
-                              "steps_without_solve", "step_halvings"}
-        assert stats["points"] == len(waves) - 1
-        assert stats["device_evals"] == stats["lu_solves"] + 1 > 1
+        assert_run_stats(out)
 
     def test_negative_offset_lead_b(self, tmp_path):
         out = tmp_path / "o"
@@ -343,10 +349,12 @@ class TestSearchCommands:
                    "--out", str(out), "--periods", "4"])
         assert rc == 0
         assert read_json(out)["rows"][0]["decision"] == "LeadA"
+        assert_run_stats(out)
         out2 = tmp_path / "h"
         rc = main(["halfperiod", "--periods", "6", "--out", str(out2)])
         assert rc == 0
         assert read_json(out2)["rows"][0]["decision"] == "LeadA"
+        assert_run_stats(out2)
 
     def test_mismatch_equal_frequencies_exit_3(self, tmp_path):
         rc = main(["mismatch", "--f-ref", "1e9", "--f-fb", "1e9",

@@ -31,6 +31,7 @@ from pfdsim.engine import (
 from pfdsim.netlist import (
     Capacitor,
     DcSource,
+    DesignPoint,
     Mosfet,
     Netlist,
     NetlistError,
@@ -240,13 +241,13 @@ class TestSupplyCurrent:
 
     def test_error_without_supply(self):
         res = transient(rc_lowpass(), SimOptions(dt=1e-11, t_stop=1e-10))
-        with pytest.raises(SolverError, match="no supply source"):
+        with pytest.raises(KeyError, match="no supply source"):
             res.supply_current()
 
 
 @pytest.fixture(scope="module")
 def lead_a_run():
-    net = build_pfd(offset=100e-12)
+    net = build_pfd(DesignPoint(offset=100e-12))
     opt = SimOptions(t_stop=3.25e-9)
     return net, opt, transient(net, opt)
 
@@ -299,7 +300,7 @@ class TestPfdTransient:
     def test_ends_exactly_at_t_stop(self):
         """10.25 ns is 20500 steps of 0.5 ps, which round to one ulp below
         it; the run still ends at t_stop, so a power window up to it holds."""
-        res = transient(build_pfd(offset=100e-12), SimOptions(t_stop=10.25e-9))
+        res = transient(build_pfd(DesignPoint(offset=100e-12)), SimOptions(t_stop=10.25e-9))
         assert res.time[-1] == 10.25e-9
         assert average_power(res.supply_current(), 1.2, (2.35e-9, 10.25e-9)) > 0
 
@@ -907,7 +908,7 @@ ONE_PERIOD_RUNS = pytest.mark.parametrize("offset,options", [
 def one_period_run(offset, options):
     """(netlist, options, initial voltages) of a 1-period default-PFD run;
     runs with extra options start from the default DC point."""
-    net = build_pfd(offset=offset)
+    net = build_pfd(DesignPoint(offset=offset))
     opt = SimOptions(t_stop=0.25e-9 + abs(offset) + 1e-9, **options)
     return net, opt, dc_operating_point(net) if options else None
 
@@ -1242,7 +1243,7 @@ def test_peak_memory_per_accepted_point():
     of bools for the source rows added another 32."""
     import tracemalloc
 
-    net = build_pfd(offset=100e-12)
+    net = build_pfd(DesignPoint(offset=100e-12))
     transient(net, SimOptions(t_stop=0.5e-9))  # one-time allocations of a first run
     tracemalloc.start()
     try:
@@ -1263,7 +1264,7 @@ def test_kcl_replay_peak_memory_per_point():
     at about 255."""
     import tracemalloc
 
-    net, opt = build_pfd(offset=100e-12), SimOptions(t_stop=3.35e-9)
+    net, opt = build_pfd(DesignPoint(offset=100e-12)), SimOptions(t_stop=3.35e-9)
     res = transient(net, opt)
     tracemalloc.start()
     try:
@@ -1280,7 +1281,7 @@ def test_kcl_replay_keeps_a_nan_ratio():
     history), are NaN, so the replay reports NaN. Folding each point's
     maximum with Python's max() dropped them and reported 0.257; the clean
     run's ratio is 0.981."""
-    net, opt = build_pfd(offset=25e-12), SimOptions(t_stop=0.4e-9)
+    net, opt = build_pfd(DesignPoint(offset=25e-12)), SimOptions(t_stop=0.4e-9)
     res = transient(net, opt)
     clean = kcl_residual_ratio(net, res, opt)
     assert 0.9 < clean <= 1.0
