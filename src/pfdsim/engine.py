@@ -5,7 +5,11 @@ docstring keeps the invariants the code relies on.
 - A state vector is exactly the n unknowns: the non-ground node voltages,
   then one branch current per voltage source. Ground is the reference and
   has no entry.
-- `SimOptions` is frozen and checks each field when it is made. Each run
+- `SimOptions` is frozen, holds solver settings only and checks each field
+  when it is made. The run length is `transient(netlist, options, t_stop)`'s
+  own argument, checked against the dt the run resolves, as SPICE2 keeps
+  `.OPTIONS` apart from `.TRAN`'s stop time. Every time axis starts at
+  t = 0, where the DC operating point is solved. Each run
   (`transient`, `dc_operating_point`, `kcl_residual_ratio`) builds one
   step kernel, `_Kernel(netlist, options)`, which refuses an invalid
   netlist with `NetlistError`; a `SolverError` from a run is a failed
@@ -122,14 +126,13 @@ class SolverError(Exception):
 @dataclass(frozen=True)
 class SimOptions:
     """Solver settings, each field checked at construction (`replace`
-    included). `transient` needs t_stop and checks it against the dt it
-    resolves."""
+    included). The run length is not one of them: it is `transient`'s
+    t_stop, which `transient` checks against the dt it resolves."""
 
     reltol: float = 1e-3
     abstol_v: float = 1e-6
     abstol_i: float = 1e-9
     dt: float | None = None  # None -> min(0.5 ps, fastest period / 2000)
-    t_stop: float | None = None
     integrator: str = INTEGRATORS[0]
     max_newton_iters: int = 50
     gmin: float = 1e-12
@@ -142,9 +145,6 @@ class SimOptions:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
         if self.dt is not None and not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
-        # an infinite t_stop is left to `transient`, which names t_stop and dt
-        if self.t_stop is not None and not self.t_stop > 0:
-            raise ValueError(f"t_stop must be > 0, got {self.t_stop!r}")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"unknown integrator {self.integrator!r}")
         if not (isinstance(self.max_newton_iters, int) and self.max_newton_iters >= 1):
@@ -471,9 +471,10 @@ class _Kernel:
         return x, False, f, tol, cur, ev
 
 
-def _dc_solve(k: _Kernel, t: float = 0.0) -> tuple[np.ndarray, tuple]:
-    """DC solution and its device evaluation."""
-    p = k.point(None, _source_values(k, [t])[0])
+def _dc_solve(k: _Kernel) -> tuple[np.ndarray, tuple]:
+    """DC solution at t = 0, where every time axis starts, and its device
+    evaluation."""
+    p = k.point(None, _source_values(k, [0.0])[0])
     zero = np.zeros(k.n)
     # the zero state's evaluation, which the gmin ladder starts from too
     ev_zero = k.newton(p, zero, iters=0)[-1]
@@ -497,7 +498,7 @@ def _dc_solve(k: _Kernel, t: float = 0.0) -> tuple[np.ndarray, tuple]:
             raise SolverError(
                 "DC operating point did not converge "
                 f"(gmin step {g:g} S, worst node {worst!r})",
-                time=t,
+                time=0.0,
                 node=worst,
             )
     return x, ev
@@ -513,13 +514,13 @@ def dc_operating_point(netlist: Netlist, options: SimOptions | None = None) -> d
     return out
 
 
-def _resolve_dt(net: Netlist, opt: SimOptions) -> float:
+def _resolve_dt(net: Netlist, opt: SimOptions, t_stop: float) -> float:
     if opt.dt is not None:
         return opt.dt
     periods = [d.spec.period for d in net.devices if isinstance(d, PulseSource)]
     if periods:
         return min(0.5e-12, min(periods) / 2000.0)
-    return opt.t_stop / 1000.0
+    return t_stop / 1000.0
 
 
 def _time_axis(net: Netlist, dt: float, t_stop: float) -> np.ndarray:
@@ -547,22 +548,23 @@ def _grown(block: np.ndarray, count: int, size: int) -> np.ndarray:
 def transient(
     netlist: Netlist,
     options: SimOptions,
+    t_stop: float,
     initial_voltages: dict[str, float] | None = None,
 ) -> TransientResult:
-    """Integrate from the DC operating point (or explicit initial node
-    voltages) to t_stop. Pulse-source corner times are exact time points;
-    a non-convergent step is bisected up to 8 times before raising."""
-    opt = options
-    if opt.t_stop is None:
-        raise ValueError("t_stop is required")
-    k = _Kernel(netlist, opt)
-    dt = _resolve_dt(netlist, opt)
-    if not opt.t_stop > dt:
+    """Integrate from 0 to t_stop seconds, starting at the DC operating
+    point (or at explicit initial node voltages). t_stop must exceed the
+    resolved dt and t_stop / dt must be finite, so NaN, 0, negative and
+    infinite values raise ValueError before anything is solved.
+    Pulse-source corner times are exact time points; a non-convergent
+    step is bisected up to 8 times before raising."""
+    k = _Kernel(netlist, options)
+    dt = _resolve_dt(netlist, options, t_stop)
+    if not t_stop > dt:
         raise ValueError("t_stop must exceed dt")
-    if not math.isfinite(opt.t_stop / dt):
+    if not math.isfinite(t_stop / dt):
         raise ValueError(f"t_stop / dt must be a finite step count, got t_stop = "
-                         f"{opt.t_stop!r} s and dt = {dt!r} s")
-    axis = _time_axis(netlist, dt, opt.t_stop)
+                         f"{t_stop!r} s and dt = {dt!r} s")
+    axis = _time_axis(netlist, dt, t_stop)
     vsrc = _source_values(k, axis)
     # same[j]: the source row of axis[j] is bitwise that of axis[j - 1]
     bits = vsrc.view(np.uint64)
@@ -572,7 +574,7 @@ def transient(
     stats, point, newton, cap = k.stats, k.point, k.newton, k.cap
     with np.errstate(all="ignore"):  # the run's error state, see the module docstring
         if initial_voltages is None:
-            x, ev = _dc_solve(k, t=t_last)
+            x, ev = _dc_solve(k)
         else:
             x = np.zeros(k.n)
             index = {name: i for i, name in enumerate(k.node_names)}

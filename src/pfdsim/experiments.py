@@ -97,7 +97,7 @@ def _simulate(point, n_periods, models, options, frequency_b=None) -> TransientR
     only whole periods, which its search checks once."""
     t_stop = stimulus_time(point, n_periods, frequency_b)
     net = build_pfd(point, frequency_b=frequency_b, models=models)
-    return transient(net, replace(options or SimOptions(), t_stop=t_stop))
+    return transient(net, options or SimOptions(), t_stop)
 
 
 def pulse_table_for(point: DesignPoint, result: TransientResult,
@@ -180,13 +180,14 @@ def measure_dead_zone(
     """Smallest offset classified correctly in both lead directions, by
     bisection of [search_lo, search_hi] down to tol or to float resolution.
     The two polarities share one search, so the result is the larger of
-    the two thresholds. search_hi must pass and search_lo must fail (at 0
-    it is one circuit, so it is not run); no failing offset may lie above a
-    passing one."""
+    the two thresholds. search_hi must lie below one period and pass, and
+    search_lo must fail (at 0 it is one circuit, so it is not run); no
+    failing offset may lie above a passing one."""
     if not 0 < tol < math.inf:  # NaN fails too
         raise ValueError("tol must be finite and > 0")
-    if not 0 <= search_lo < search_hi:
-        raise ValueError("need 0 <= search_lo < search_hi")
+    if not 0 <= search_lo < search_hi < point.period:
+        raise ValueError(f"need 0 <= search_lo < search_hi < the period {point.period!r} s, "
+                         f"got search_lo = {search_lo!r} s, search_hi = {search_hi!r} s")
     _check_periods(n_periods, 1)  # 0 periods end at the lagging input's first edge
 
     def passes(off: float) -> bool:
@@ -284,13 +285,17 @@ def corner_sweep(
     jobs: int = 1,
 ) -> list[ExperimentReport]:
     """One report per corner; every corner must classify the fixed offset
-    correctly or ExperimentError is raised."""
+    correctly or ExperimentError is raised. A zero offset leads neither
+    way, so it raises ValueError before anything is simulated."""
     names = list(STANDARD_CORNERS) if corners is None else list(corners)
     if not names:
         raise ValueError("corners must be non-empty")
+    if point.offset == 0:
+        raise ValueError(f"corner sweep needs a nonzero offset (--offset) so that one input "
+                         f"leads, got {point.offset!r} s")
+    expected = Decision.LEAD_A if point.offset > 0 else Decision.LEAD_B
     points = [replace(point, corner=n.upper()) for n in names]
     reports = _run_points(points, n_periods, models, options, jobs)
-    expected = Decision.LEAD_A if point.offset > 0 else Decision.LEAD_B
     for rep in reports:
         if rep.decision is not expected:
             raise ExperimentError(f"corner {rep.point.corner}: decision "

@@ -264,19 +264,17 @@ def build_nor2(
     in2: str,
     p_params: MosfetParams,
     n_params: MosfetParams,
-    vdd: str = "VDD",
-    ground: str = GROUND,
 ) -> None:
     """Add a static CMOS 2-input NOR to net: its internal node `<name>.m`,
-    then series PMOS from vdd and parallel NMOS to ground.
+    then series PMOS from VDD and parallel NMOS to ground.
 
     The in1 PMOS sits at the supply side of the stack.
     """
     mid = net.add_node(f"{name}.m")
-    net.add(Mosfet(f"{name}.p1", drain=mid, gate=in1, source=vdd, params=p_params))
+    net.add(Mosfet(f"{name}.p1", drain=mid, gate=in1, source="VDD", params=p_params))
     net.add(Mosfet(f"{name}.p2", drain=out, gate=in2, source=mid, params=p_params))
-    net.add(Mosfet(f"{name}.n1", drain=out, gate=in1, source=ground, params=n_params))
-    net.add(Mosfet(f"{name}.n2", drain=out, gate=in2, source=ground, params=n_params))
+    net.add(Mosfet(f"{name}.n1", drain=out, gate=in1, source=GROUND, params=n_params))
+    net.add(Mosfet(f"{name}.n2", drain=out, gate=in2, source=GROUND, params=n_params))
 
 
 def default_pulse(frequency: float, vdd: float, delay: float) -> PulseSpec:

@@ -16,10 +16,10 @@ _W, _H = 860, 520
 _ML, _MR, _MT, _MB = 80, 24, 42, 58
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks over [lo, hi]; `line_chart` widens an
+    empty range before it calls this."""
+    return [lo + (hi - lo) * k / 4 for k in range(5)]
 
 
 def _fmt(v: float) -> str:

@@ -63,8 +63,7 @@ def test_criterion_1_solver_validation():
         # RC step, trapezoidal, dt = RC/100
         from test_engine import rc_lowpass
 
-        res = transient(rc_lowpass(r=1e3, c=1e-12),
-                        SimOptions(dt=10e-12, t_stop=1e-9))
+        res = transient(rc_lowpass(r=1e3, c=1e-12), SimOptions(dt=10e-12), 1e-9)
         out = res.voltage("out")
         analytic = 1.0 - np.exp(-np.clip(out.t - 1e-15, 0.0, None) / 1e-9)
         assert np.max(np.abs(out.v - analytic)) < 0.01
@@ -102,8 +101,8 @@ def test_criterion_1_solver_validation():
 def test_criterion_2_numerical_hygiene():
     with criterion(2, "KCL residuals in-tolerance on a full PFD run; gm/gds vs FD 1e-4"):
         net = build_pfd(DesignPoint(offset=100e-12))
-        opt = SimOptions(t_stop=5.25e-9)
-        res = transient(net, opt)
+        opt = SimOptions()
+        res = transient(net, opt, 5.25e-9)
         assert kcl_residual_ratio(net, res, opt) <= 1.0
 
         rng = random.Random(2024)

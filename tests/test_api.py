@@ -47,6 +47,7 @@ def test_public_name_resolves_and_is_documented(name):
     (pfdsim.netlist, "load"),
     (pfdsim.cli, "_check_run_length"),
     (pfdsim.engine.SimOptions, "validate"),
+    (pfdsim.engine.SimOptions, "t_stop"),
 ])
 def test_deleted_helper_is_gone(owner, name):
     assert not hasattr(owner, name)
@@ -60,8 +61,20 @@ def test_load_config_reads_over_the_built_in_calibration_only():
 
 def test_simulate_point_runs_whole_periods_only():
     """Run length is n_periods alone, so every power window covers whole
-    periods; an arbitrary end time goes through SimOptions(t_stop=...)."""
+    periods; an arbitrary end time goes through transient's t_stop."""
     assert "t_stop" not in inspect.signature(pfdsim.experiments.simulate_point).parameters
+
+
+def test_run_length_is_the_transients_argument():
+    """SimOptions holds solver settings; the stop time is transient's third
+    argument, after the two the benchmark's capture relies on. The DC solve
+    runs at t = 0 and the NOR builder wires VDD and ground, the only values
+    their callers passed."""
+    assert list(inspect.signature(pfdsim.transient).parameters) == [
+        "netlist", "options", "t_stop", "initial_voltages"]
+    assert list(inspect.signature(pfdsim.engine._dc_solve).parameters) == ["k"]
+    assert list(inspect.signature(pfdsim.netlist.build_nor2).parameters) == [
+        "net", "name", "out", "in1", "in2", "p_params", "n_params"]
 
 
 def test_build_pfd_has_no_internal_cap_knob():

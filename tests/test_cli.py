@@ -18,8 +18,9 @@ import pytest
 
 import pfdsim.experiments as experiments
 from pfdsim.cli import _Output, _write, build_parser, main
-from pfdsim.engine import INTEGRATORS, SimOptions, SolverError
+from pfdsim.engine import INTEGRATORS, SimOptions, SolverError, kcl_residual_ratio
 from pfdsim.measure import Decision
+from pfdsim.netlist import Netlist
 
 FAST = ["--periods", "3"]
 REPO = Path(__file__).resolve().parents[1]
@@ -240,6 +241,19 @@ class TestUsageErrors:
             assert main([command, flag, *value, "--out", str(tmp_path / "o")]) == 1
             err = capsys.readouterr().err
             assert f"unrecognized arguments: {' '.join([flag, *value])}" in err, command
+
+    def test_corners_at_zero_offset_exits_1(self, tmp_path, capsys, monkeypatch):
+        """At offset 0 no input leads, so no corner decision can be
+        expected: exit 1 naming the offset, before any corner is simulated
+        and with no output directory. It used to simulate every corner and
+        exit 3."""
+        monkeypatch.setattr(experiments, "transient", _no_simulation)
+        out = tmp_path / "o"
+        assert main(["corners", "--periods", "3", "--offset=0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pfdsim: error: corner sweep needs a nonzero offset (--offset)")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
@@ -480,6 +494,30 @@ class TestTracePoints:
                 assert hasattr(owner, name), f"{module}.{path} ({layer}) is gone"
                 owner = getattr(owner, name)
             assert callable(owner), f"{module}.{path}"
+
+
+    def test_bench_transient_capture_contract(self, tmp_path, monkeypatch):
+        """The benchmark wraps `experiments.transient` as `(netlist, options,
+        *args, **kwargs)` to replay each run's KCL and to count simulated
+        time, so every transient gets a Netlist and a SimOptions as its
+        first two positional arguments. Each captured run passes the replay."""
+        runs = []
+        transient = experiments.transient
+
+        def capturing(netlist, options, *args, **kwargs):
+            result = transient(netlist, options, *args, **kwargs)
+            runs.append((netlist, options, result))
+            return result
+
+        monkeypatch.setattr(experiments, "transient", capturing)
+        for argv in (["deadzone", "--periods", "1", "--tol", "50e-12"],
+                     ["transient", "--periods", "3"]):
+            before = len(runs)
+            assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0
+            assert len(runs) > before, argv
+        for net, opt, res in runs:
+            assert isinstance(net, Netlist) and isinstance(opt, SimOptions)
+            assert kcl_residual_ratio(net, res, opt) <= 1
 
 
 class TestReadme:

@@ -171,16 +171,15 @@ class TestDcOperatingPoint:
 
 class TestTransientRc:
     def test_step_response_matches_analytic(self):
-        opt = SimOptions(dt=10e-12, t_stop=1e-9)
-        res = transient(rc_lowpass(), opt)
+        res = transient(rc_lowpass(), SimOptions(dt=10e-12), 1e-9)
         out = res.voltage("out")
         assert out.at(1e-9) == pytest.approx(1 - math.exp(-1), rel=0.01)
         analytic = 1.0 - np.exp(-np.clip(out.t - 1e-15, 0, None) / 1e-9)
         assert np.max(np.abs(out.v - analytic)) < 0.01
 
     def test_backward_euler_also_tracks(self):
-        opt = SimOptions(dt=5e-12, t_stop=1e-9, integrator="backward_euler")
-        res = transient(rc_lowpass(), opt)
+        opt = SimOptions(dt=5e-12, integrator="backward_euler")
+        res = transient(rc_lowpass(), opt, 1e-9)
         assert res.voltage("out").at(1e-9) == pytest.approx(1 - math.exp(-1), rel=0.02)
 
     @pytest.mark.parametrize("integrator,min_ratio", [
@@ -189,8 +188,7 @@ class TestTransientRc:
     ])
     def test_halving_dt_shrinks_error_by_integrator_order(self, integrator, min_ratio):
         def max_err(dt):
-            res = transient(rc_lowpass(), SimOptions(dt=dt, t_stop=2e-9,
-                                                     integrator=integrator))
+            res = transient(rc_lowpass(), SimOptions(dt=dt, integrator=integrator), 2e-9)
             out = res.voltage("out")
             keep = out.t > 1e-14
             analytic = 1.0 - np.exp(-(out.t[keep] - 1e-15) / 1e-9)
@@ -203,7 +201,7 @@ class TestTransientRc:
         net.add_node("0")
         net.add_node("a")
         net.add(Capacitor("C1", a="a", b="0", farads=1e-12))
-        res = transient(net, SimOptions(dt=1e-11, t_stop=1e-9))
+        res = transient(net, SimOptions(dt=1e-11), 1e-9)
         assert np.all(res.voltage("a").v == 0.0)
 
     def test_charge_conservation_in_redistribution(self):
@@ -215,8 +213,7 @@ class TestTransientRc:
         net.add(Capacitor("C1", a="a", b="0", farads=1e-12))
         net.add(Resistor("R1", a="a", b="b", ohms=1e3))
         net.add(Capacitor("C2", a="b", b="0", farads=1e-12))
-        res = transient(net, SimOptions(dt=5e-12, t_stop=5e-9),
-                        initial_voltages={"a": 1.0, "b": 0.0})
+        res = transient(net, SimOptions(dt=5e-12), 5e-9, initial_voltages={"a": 1.0, "b": 0.0})
         va = res.voltage("a").v
         vb = res.voltage("b").v
         q = 1e-12 * va + 1e-12 * vb
@@ -235,21 +232,24 @@ class TestSupplyCurrent:
         net.add(DcSource("VS", plus="vdd", minus="0", volts=1.2))
         net.add(Resistor("R1", a="vdd", b="mid", ohms=600.0))
         net.add(Resistor("R2", a="mid", b="0", ohms=600.0))
-        res = transient(net, SimOptions(dt=1e-12, t_stop=1e-10))
+        res = transient(net, SimOptions(dt=1e-12), 1e-10)
         i = res.supply_current()
         assert np.allclose(i.v, 1e-3, rtol=1e-6)
 
     def test_error_without_supply(self):
-        res = transient(rc_lowpass(), SimOptions(dt=1e-11, t_stop=1e-10))
+        res = transient(rc_lowpass(), SimOptions(dt=1e-11), 1e-10)
         with pytest.raises(KeyError, match="no supply source"):
             res.supply_current()
+
+
+LEAD_A_T_STOP = 3.25e-9
 
 
 @pytest.fixture(scope="module")
 def lead_a_run():
     net = build_pfd(DesignPoint(offset=100e-12))
-    opt = SimOptions(t_stop=3.25e-9)
-    return net, opt, transient(net, opt)
+    opt = SimOptions()
+    return net, opt, transient(net, opt, LEAD_A_T_STOP)
 
 
 class TestPfdTransient:
@@ -268,7 +268,7 @@ class TestPfdTransient:
 
     def test_deterministic_rerun_bit_identical(self, lead_a_run):
         net, opt, res = lead_a_run
-        res2 = transient(net, opt)
+        res2 = transient(net, opt, LEAD_A_T_STOP)
         assert np.array_equal(res.time, res2.time)
         assert np.array_equal(res.voltages, res2.voltages)
         assert np.array_equal(res.branch_currents, res2.branch_currents)
@@ -283,8 +283,7 @@ class TestPfdTransient:
             if isinstance(d, PulseSource):
                 d = replace(d, spec=replace(d.spec, delay=d.spec.delay + delta))
             shifted.devices.append(d)
-        opt2 = SimOptions(t_stop=opt.t_stop + delta)
-        res2 = transient(shifted, opt2)
+        res2 = transient(shifted, opt, LEAD_A_T_STOP + delta)
         up1 = res.voltage("UP")
         up2 = res2.voltage("UP")
         for t in np.arange(0.2e-9, 3.0e-9, 0.05e-9):
@@ -300,7 +299,7 @@ class TestPfdTransient:
     def test_ends_exactly_at_t_stop(self):
         """10.25 ns is 20500 steps of 0.5 ps, which round to one ulp below
         it; the run still ends at t_stop, so a power window up to it holds."""
-        res = transient(build_pfd(DesignPoint(offset=100e-12)), SimOptions(t_stop=10.25e-9))
+        res = transient(build_pfd(DesignPoint(offset=100e-12)), SimOptions(), 10.25e-9)
         assert res.time[-1] == 10.25e-9
         assert average_power(res.supply_current(), 1.2, (2.35e-9, 10.25e-9)) > 0
 
@@ -582,7 +581,7 @@ def ref_converged(r, opt, f, scale):
     return not np.any(np.abs(f) > tol), float(np.max(np.abs(f) / tol))
 
 
-def ref_transient(net, opt, initial=None):
+def ref_transient(net, opt, t_stop, initial=None):
     """The engine's time loop over the reference assembly, started from the
     DC point or from initial node voltages."""
     from pfdsim.engine import _MAX_STEP_HALVINGS, _NEWTON_DAMP_V, _resolve_dt, _time_axis
@@ -590,7 +589,7 @@ def ref_transient(net, opt, initial=None):
     c = ref_compile(net, opt.gmin)
     r = ref_index(net, c, opt.gmin)
     keep, _ = ref_rows(r)
-    axis = _time_axis(net, _resolve_dt(net, opt), opt.t_stop)
+    axis = _time_axis(net, _resolve_dt(net, opt, t_stop), t_stop)
 
     def vsrc(t):
         return [s.volts if isinstance(s, DcSource) else s.spec.value(t) for s in r.sources]
@@ -906,26 +905,27 @@ ONE_PERIOD_RUNS = pytest.mark.parametrize("offset,options", [
 
 
 def one_period_run(offset, options):
-    """(netlist, options, initial voltages) of a 1-period default-PFD run;
-    runs with extra options start from the default DC point."""
+    """(netlist, options, t_stop, initial voltages) of a 1-period
+    default-PFD run; runs with extra options start from the default DC
+    point."""
     net = build_pfd(DesignPoint(offset=offset))
-    opt = SimOptions(t_stop=0.25e-9 + abs(offset) + 1e-9, **options)
-    return net, opt, dc_operating_point(net) if options else None
+    t_stop = 0.25e-9 + abs(offset) + 1e-9
+    return net, SimOptions(**options), t_stop, dc_operating_point(net) if options else None
 
 
 @ONE_PERIOD_RUNS
 def test_transient_matches_scatter_reference(offset, options):
     """One period of the default PFD: identical time axis, voltages within
     1 nV of the reference time loop."""
-    net, opt, initial = one_period_run(offset, options)
-    res = transient(net, opt, initial_voltages=initial)
-    times, volts = ref_transient(net, opt, initial)
+    net, opt, t_stop, initial = one_period_run(offset, options)
+    res = transient(net, opt, t_stop, initial_voltages=initial)
+    times, volts = ref_transient(net, opt, t_stop, initial)
     assert np.array_equal(res.time, times)
     assert np.max(np.abs(res.voltages - volts)) <= 1e-9
     if options:  # the halving path ran
         from pfdsim.engine import _time_axis
 
-        assert len(res.time) > len(_time_axis(net, opt.dt, opt.t_stop))
+        assert len(res.time) > len(_time_axis(net, opt.dt, t_stop))
 
 
 @ONE_PERIOD_RUNS
@@ -933,12 +933,12 @@ def test_reused_evaluation_is_bit_identical(offset, options, monkeypatch):
     """Seeding each step with the accepted point's evaluation changes no
     float: the same run with every Newton start evaluated afresh gives
     identical arrays (including after failed, halved attempts)."""
-    net, opt, initial = one_period_run(offset, options)
-    reused = transient(net, opt, initial_voltages=initial)
+    net, opt, t_stop, initial = one_period_run(offset, options)
+    reused = transient(net, opt, t_stop, initial_voltages=initial)
     newton = _Kernel.newton
     monkeypatch.setattr(_Kernel, "newton",
                         lambda k, p, x0, ev0=None, iters=None: newton(k, p, x0, None, iters))
-    fresh = transient(net, opt, initial_voltages=initial)
+    fresh = transient(net, opt, t_stop, initial_voltages=initial)
     assert np.array_equal(reused.time, fresh.time)
     assert np.array_equal(reused.voltages, fresh.voltages)
     assert np.array_equal(reused.branch_currents, fresh.branch_currents)
@@ -1068,7 +1068,7 @@ class RefKernel:
             assert ok
         return x, ev
 
-    def transient(self, net, initial=None):
+    def transient(self, net, t_stop, initial=None):
         from pfdsim.engine import (
             _MAX_STEP_HALVINGS,
             _resolve_dt,
@@ -1077,7 +1077,7 @@ class RefKernel:
         )
 
         c, opt, stats = self.c, self.opt, self.stats
-        axis = _time_axis(net, _resolve_dt(net, opt), opt.t_stop).tolist()
+        axis = _time_axis(net, _resolve_dt(net, opt, t_stop), t_stop).tolist()
         vsrc = _source_values(c, axis)
         if initial is None:
             x, ev = self.dc_solve()
@@ -1115,10 +1115,10 @@ def test_transient_bit_identical_to_reference_loop(offset, options):
     """Time axis, voltages and branch currents byte for byte, and every
     SimStats counter, against the reference loop (including the halving
     path of the third run)."""
-    net, opt, initial = one_period_run(offset, options)
-    res = transient(net, opt, initial_voltages=initial)
+    net, opt, t_stop, initial = one_period_run(offset, options)
+    res = transient(net, opt, t_stop, initial_voltages=initial)
     ref = RefKernel(net, opt)
-    times, volts, currents = ref.transient(net, initial)
+    times, volts, currents = ref.transient(net, t_stop, initial)
     assert res.time.tobytes() == times.tobytes()
     assert res.voltages.tobytes() == volts.tobytes()
     assert res.branch_currents.tobytes() == currents.tobytes()
@@ -1140,9 +1140,9 @@ def test_stored_rows_are_the_states_newton_returned(offset, options, monkeypatch
             accepted.append(out[0])
         return out
 
-    net, opt, initial = one_period_run(offset, options)
+    net, opt, t_stop, initial = one_period_run(offset, options)
     monkeypatch.setattr(_Kernel, "newton", recorded)
-    res = transient(net, opt, initial_voltages=initial)
+    res = transient(net, opt, t_stop, initial_voltages=initial)
     block = res.voltages.base
     assert block.shape == (res.stats.points, 16)
     if initial is not None:
@@ -1195,7 +1195,7 @@ def test_one_device_evaluation_per_newton_iterate(monkeypatch):
 
     monkeypatch.setattr(engine, "mosfet_eval", counted("eval", engine.mosfet_eval))
     monkeypatch.setattr(engine, "_lu_solve", counted("solve", engine._lu_solve))
-    transient(build_pfd(), SimOptions(t_stop=1.25e-9))
+    transient(build_pfd(), SimOptions(), 1.25e-9)
     assert calls["solve"] > 0
     assert calls["eval"] == calls["solve"] + 1
 
@@ -1208,7 +1208,7 @@ def test_stats_count_the_run(offset, options, monkeypatch):
     import pfdsim.engine as engine
     from pfdsim.engine import _resolve_dt, _time_axis
 
-    net, opt, initial = one_period_run(offset, options)
+    net, opt, t_stop, initial = one_period_run(offset, options)
     calls = {"solve": 0, "eval": 0}
     solve, mosfet_eval = engine._lu_solve, engine.mosfet_eval
 
@@ -1222,9 +1222,9 @@ def test_stats_count_the_run(offset, options, monkeypatch):
 
     monkeypatch.setattr(engine, "_lu_solve", counted_solve)
     monkeypatch.setattr(engine, "mosfet_eval", counted_eval)
-    res = transient(net, opt, initial_voltages=initial)
+    res = transient(net, opt, t_stop, initial_voltages=initial)
     stats = res.stats
-    axis = _time_axis(net, _resolve_dt(net, opt), opt.t_stop)
+    axis = _time_axis(net, _resolve_dt(net, opt, t_stop), t_stop)
     assert stats.points == len(res.time)
     assert stats.lu_solves == calls["solve"] > 0
     assert stats.device_evals == calls["eval"] == stats.lu_solves + 1
@@ -1244,10 +1244,10 @@ def test_peak_memory_per_accepted_point():
     import tracemalloc
 
     net = build_pfd(DesignPoint(offset=100e-12))
-    transient(net, SimOptions(t_stop=0.5e-9))  # one-time allocations of a first run
+    transient(net, SimOptions(), 0.5e-9)  # one-time allocations of a first run
     tracemalloc.start()
     try:
-        res = transient(net, SimOptions(t_stop=3.35e-9))
+        res = transient(net, SimOptions(), 3.35e-9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1264,8 +1264,8 @@ def test_kcl_replay_peak_memory_per_point():
     at about 255."""
     import tracemalloc
 
-    net, opt = build_pfd(DesignPoint(offset=100e-12)), SimOptions(t_stop=3.35e-9)
-    res = transient(net, opt)
+    net, opt = build_pfd(DesignPoint(offset=100e-12)), SimOptions()
+    res = transient(net, opt, 3.35e-9)
     tracemalloc.start()
     try:
         kcl_residual_ratio(net, res, opt)
@@ -1281,8 +1281,8 @@ def test_kcl_replay_keeps_a_nan_ratio():
     history), are NaN, so the replay reports NaN. Folding each point's
     maximum with Python's max() dropped them and reported 0.257; the clean
     run's ratio is 0.981."""
-    net, opt = build_pfd(DesignPoint(offset=25e-12)), SimOptions(t_stop=0.4e-9)
-    res = transient(net, opt)
+    net, opt = build_pfd(DesignPoint(offset=25e-12)), SimOptions()
+    res = transient(net, opt, 0.4e-9)
     clean = kcl_residual_ratio(net, res, opt)
     assert 0.9 < clean <= 1.0
     res.voltages[len(res.time) // 2, res.node_names.index("X")] = math.nan
@@ -1306,8 +1306,8 @@ def test_floor_acceptance_skips_most_tolerances(monkeypatch):
 
     monkeypatch.setattr(_Kernel, "newton", counted("newton", newton))
     monkeypatch.setattr(_Kernel, "tolerance", counted("tolerance", tolerance))
-    net, opt, initial = one_period_run(25e-12, {})
-    res = transient(net, opt, initial_voltages=initial)
+    net, opt, t_stop, initial = one_period_run(25e-12, {})
+    res = transient(net, opt, t_stop, initial_voltages=initial)
     after_update = calls["tolerance"] - calls["newton"]
     assert 0 <= after_update < res.stats.lu_solves / 2
 
@@ -1327,8 +1327,8 @@ def test_halvings_grow_the_blocks_and_the_result_keeps_exact_rows(monkeypatch):
         return grow(block, count, size)
 
     monkeypatch.setattr(engine, "_grown", counted)
-    net, opt, initial = one_period_run(50e-12, {"dt": 5e-12, "max_newton_iters": 1})
-    res = transient(net, opt, initial_voltages=initial)
+    net, opt, t_stop, initial = one_period_run(50e-12, {"dt": 5e-12, "max_newton_iters": 1})
+    res = transient(net, opt, t_stop, initial_voltages=initial)
     points = res.stats.points
     assert res.stats.step_halvings > 0 and grown
     assert max(grown) > points  # spare rows existed before the final copy
@@ -1358,10 +1358,10 @@ def test_hold_skips_quiescent_steps(offset, monkeypatch):
     (0.25 ns) repeat the DC state: all but a few, one per distinct step
     size, are held without a `_Kernel.newton` call, and each still counts
     as a step without a solve."""
-    net, opt, initial = one_period_run(offset, {})
+    net, opt, t_stop, initial = one_period_run(offset, {})
     lead = "VA" if offset > 0 else "VB"
     values = newton_source_rows(monkeypatch, lead)
-    res = transient(net, opt, initial_voltages=initial)
+    res = transient(net, opt, t_stop, initial_voltages=initial)
     before_edge = values.index(next(v for v in values if v != values[0]))
     assert before_edge <= 20  # DC solve included; 502 without the hold
     assert res.stats.steps_without_solve == 500
@@ -1404,11 +1404,11 @@ def test_hold_enters_leaves_and_reenters(integrator, lowpass, reenters, monkeypa
     held again where the state repeats exactly. Times, voltages, branch
     currents and SimStats equal the reference loop, which holds nothing."""
     net, spec = pulsed_rc(lowpass)
-    opt = SimOptions(t_stop=1e-9, integrator=integrator)
+    opt = SimOptions(integrator=integrator)
     values = newton_source_rows(monkeypatch, "VIN")
-    res = transient(net, opt)
+    res = transient(net, opt, 1e-9)
     ref = RefKernel(net, opt)
-    times, volts, currents = ref.transient(net)
+    times, volts, currents = ref.transient(net, 1e-9)
     assert res.time.tobytes() == times.tobytes()
     assert res.voltages.tobytes() == volts.tobytes()
     assert res.branch_currents.tobytes() == currents.tobytes()
@@ -1441,7 +1441,7 @@ def _pfd_newton_systems():
 
     engine._lu_solve = recorded
     try:
-        transient(build_pfd(), SimOptions(t_stop=1e-9))
+        transient(build_pfd(), SimOptions(), 1e-9)
     finally:
         engine._lu_solve = solve
     return systems
@@ -1497,13 +1497,13 @@ class TestLuSolve:
             caller = np.geterr()
             dc_operating_point(net)
             assert np.geterr() == caller
-            transient(net, SimOptions(t_stop=0.3e-9))
+            transient(net, SimOptions(), 0.3e-9)
             assert np.geterr() == caller
             initial = dc_operating_point(net)
             with pytest.MonkeyPatch.context() as mp, pytest.raises(SolverError):
                 solve = engine._lu_solve  # every solve singular
                 mp.setattr(engine, "_lu_solve", lambda a, b: solve(np.zeros_like(a), b))
-                transient(net, SimOptions(t_stop=0.3e-9), initial_voltages=initial)
+                transient(net, SimOptions(), 0.3e-9, initial_voltages=initial)
             assert np.geterr() == caller
 
     def test_singular_jacobian_ends_in_solver_error(self, monkeypatch):
@@ -1518,7 +1518,7 @@ class TestLuSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match="transient Newton failed") as err:
-                transient(net, SimOptions(t_stop=1e-9), initial_voltages=initial)
+                transient(net, SimOptions(), 1e-9, initial_voltages=initial)
         # the first step that needs a solve (none does before the input edge
         # at 0.25 ns), halved 8 times, and the node of the worst |f| / tol
         # of its final state
@@ -1539,7 +1539,7 @@ class TestNanInputs:
             initial = {**dc_operating_point(net), node: value}
             with pytest.raises(ValueError,
                                match=f"initial_voltages: node '{node}' must be finite"):
-                transient(net, SimOptions(t_stop=0.3e-9), initial_voltages=initial)
+                transient(net, SimOptions(), 0.3e-9, initial_voltages=initial)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_nan_device_current_raises(self, value, monkeypatch):
@@ -1560,7 +1560,7 @@ class TestNanInputs:
 
         monkeypatch.setattr(engine, "mosfet_eval", spoiled)
         with pytest.raises(SolverError, match="transient Newton failed") as err:
-            transient(net, SimOptions(t_stop=0.3e-9), initial_voltages=initial)
+            transient(net, SimOptions(), 0.3e-9, initial_voltages=initial)
         assert err.value.time == 0.5e-12 / 2**8
         assert err.value.node == "X.n"
 
@@ -1597,10 +1597,9 @@ class TestNanInputs:
 
 
 class TestOptionsAndErrors:
-    @pytest.mark.parametrize("field", ["reltol", "abstol_v", "abstol_i", "dt", "t_stop",
-                                       "gmin"])
+    @pytest.mark.parametrize("field", ["reltol", "abstol_v", "abstol_i", "dt", "gmin"])
     def test_nan_option_rejected(self, field):
-        opt = SimOptions(dt=1e-12, t_stop=1e-9)
+        opt = SimOptions(dt=1e-12)
         with pytest.raises(ValueError, match=field):
             replace(opt, **{field: math.nan})
 
@@ -1617,8 +1616,6 @@ class TestOptionsAndErrors:
             SimOptions(reltol=0.0)
         with pytest.raises(ValueError, match="dt"):
             SimOptions(dt=-1e-12)
-        with pytest.raises(ValueError, match="t_stop"):
-            SimOptions(t_stop=0.0)
         with pytest.raises(ValueError, match="integrator 'gear2'"):
             SimOptions(integrator="gear2")
         with pytest.raises(ValueError, match="max_newton_iters"):
@@ -1644,10 +1641,11 @@ class TestOptionsAndErrors:
 
     def test_t_stop_below_dt_refused_by_transient(self):
         """t_stop > dt is one rule, checked against the dt the run
-        resolves; the options alone hold no copy of it."""
-        opt = SimOptions(dt=1e-12, t_stop=0.5e-12)
-        with pytest.raises(ValueError, match="^t_stop must exceed dt$"):
-            transient(rc_lowpass(), opt)
+        resolves; it refuses NaN, zero and negative stop times too. The
+        options hold no copy of it."""
+        for t_stop in (0.5e-12, 1e-12, 0.0, -1e-9, math.nan):
+            with pytest.raises(ValueError, match="^t_stop must exceed dt$"):
+                transient(rc_lowpass(), SimOptions(dt=1e-12), t_stop)
 
     @pytest.mark.parametrize("change", [{"reltol": -1.0}, {"integrator": "gear2"},
                                         {"reltol": math.nan}])
@@ -1662,11 +1660,14 @@ class TestOptionsAndErrors:
 
     def test_unknown_initial_voltage_node_is_named(self):
         with pytest.raises(ValueError, match=r"^initial_voltages: unknown node 'nope'$"):
-            transient(build_pfd(), SimOptions(t_stop=0.3e-9), initial_voltages={"nope": 1.0})
+            transient(build_pfd(), SimOptions(), 0.3e-9, initial_voltages={"nope": 1.0})
 
     def test_transient_requires_t_stop(self):
-        with pytest.raises(ValueError, match="t_stop"):
+        """The stop time is transient's argument, not a solver option."""
+        with pytest.raises(TypeError, match="'t_stop'"):
             transient(rc_lowpass(), SimOptions(dt=1e-12))
+        with pytest.raises(TypeError, match="'t_stop'"):
+            SimOptions(t_stop=1e-9)
 
     @pytest.mark.parametrize("t_stop", [math.inf, 1e300])
     def test_step_count_must_be_finite(self, t_stop, monkeypatch):
@@ -1681,7 +1682,7 @@ class TestOptionsAndErrors:
         monkeypatch.setattr(engine, "_time_axis", no_axis)
         with pytest.raises(ValueError, match=r"^t_stop / dt must be a finite step count, "
                                              rf"got t_stop = {re.escape(repr(t_stop))} s and dt = 5e-13 s$"):
-            transient(build_pfd(), SimOptions(t_stop=t_stop))
+            transient(build_pfd(), SimOptions(), t_stop)
 
     def test_invalid_netlist_rejected(self):
         """An invalid netlist is an input error, not a failed solve."""
@@ -1690,12 +1691,12 @@ class TestOptionsAndErrors:
         with pytest.raises(NetlistError, match="^invalid netlist: "):
             dc_operating_point(net)
         with pytest.raises(NetlistError, match="^invalid netlist: "):
-            transient(net, SimOptions(dt=1e-12, t_stop=1e-9))
+            transient(net, SimOptions(dt=1e-12), 1e-9)
 
 
 class TestCsvExport:
     def test_round_trip_header_and_values(self, tmp_path):
-        res = transient(rc_lowpass(), SimOptions(dt=1e-11, t_stop=2e-10))
+        res = transient(rc_lowpass(), SimOptions(dt=1e-11), 2e-10)
         res.to_csv(tmp_path / "waves.csv")
         text = (tmp_path / "waves.csv").read_text()
         lines = text.strip().split("\n")
@@ -1708,7 +1709,7 @@ class TestCsvExport:
         """The column-stacked writer emits the same bytes as formatting
         each value with repr(float(...)) row by row, across its 1024-row
         blocks."""
-        res = transient(rc_lowpass(), SimOptions(dt=1e-13, t_stop=2.5e-10))
+        res = transient(rc_lowpass(), SimOptions(dt=1e-13), 2.5e-10)
         res.supply_source = "VIN"  # also exercise the i_vdd column
         cols = [res.time, res.voltage("out").v, res.supply_current().v]
         expected = "t,out,i_vdd\n" + "".join(

@@ -88,16 +88,26 @@ def _no_simulation(*args, **kwargs):
     (measure_dead_zone, {"n_periods": -10**400}),
     (measure_fmax, {"n_periods": 10**400}),
     (measure_fmax, {"n_periods": -10**400}),
+    (measure_dead_zone, {"search_hi": 1e-9}),
 ])
 def test_search_rejects_nan_before_simulating(search, kwargs, monkeypatch):
     """A NaN or infinite tolerance or a NaN bracket end is refused, not
     bisected: with either, the stop test `hi - lo > tol` is false at once,
     and the search reported a bracket end after one probe. So is an
     infinite f_hi, a run of no whole period, which ends at the lagging
-    input's first edge, and a period count no float can hold."""
+    input's first edge, a period count no float can hold, and a dead-zone
+    search_hi of a whole period (1 ns at 1 GHz), an offset no DesignPoint
+    holds."""
     monkeypatch.setattr(experiments, "transient", _no_simulation)
     with pytest.raises(ValueError):
         search(DesignPoint(), **kwargs)
+
+
+def test_dead_zone_bracket_error_names_the_period():
+    with pytest.raises(ValueError, match=r"^need 0 <= search_lo < search_hi < the period "
+                                         r"1e-09 s, got search_lo = 0\.0 s, "
+                                         r"search_hi = 1e-09 s$"):
+        measure_dead_zone(DesignPoint(), search_hi=1e-9)
 
 
 @pytest.mark.parametrize("n_periods,message", [
@@ -472,6 +482,15 @@ class TestCornerSweep:
         # a failed decision names the corner as the report does
         with pytest.raises(ExperimentError, match="^corner FF: decision LeadA, expected LeadB"):
             corner_sweep(corners=["ff"], point=DesignPoint(offset=-100e-12))
+
+    def test_zero_offset_refused_before_simulating(self, monkeypatch):
+        """At offset 0 no input leads, so no decision can be expected of a
+        corner: refused before any corner is simulated, naming the offset."""
+        from pfdsim.experiments import corner_sweep
+
+        monkeypatch.setattr(experiments, "_simulate", _no_simulation)
+        with pytest.raises(ValueError, match=r"nonzero offset \(--offset\).*got 0\.0 s$"):
+            corner_sweep(corners=["TT"], point=DesignPoint(offset=0.0), n_periods=3)
 
 
 class TestFmaxTrend:

@@ -216,7 +216,7 @@ class TestAveragePower:
         net.add(PulseSource("VG", plus="sw", minus="0", spec=spec))
         net.add(Mosfet("M1", drain="out", gate="sw", source="vdd", params=pm))
         net.add(Capacitor("CL", a="out", b="0", farads=cload))
-        res = transient(net, SimOptions(dt=1e-12, t_stop=3e-9))
+        res = transient(net, SimOptions(dt=1e-12), 3e-9)
         assert res.voltage("out").at(3e-9) == pytest.approx(vdd, rel=1e-3)
         window = (0.5e-9, 3e-9)
         p = average_power(res.supply_current(), vdd, window)
