@@ -1597,11 +1597,16 @@ class TestNanInputs:
 
 
 class TestOptionsAndErrors:
-    @pytest.mark.parametrize("field", ["reltol", "abstol_v", "abstol_i", "dt", "gmin"])
+    @pytest.mark.parametrize("field", ["reltol", "abstol_v", "abstol_i", "dt", "gmin", "t_stop"])
     def test_nan_option_rejected(self, field):
+        """A NaN run setting is refused: an option by SimOptions, t_stop
+        (the transient's argument) by transient."""
         opt = SimOptions(dt=1e-12)
         with pytest.raises(ValueError, match=field):
-            replace(opt, **{field: math.nan})
+            if field == "t_stop":
+                transient(rc_lowpass(), opt, math.nan)
+            else:
+                replace(opt, **{field: math.nan})
 
     @pytest.mark.parametrize("field", ["reltol", "abstol_v", "abstol_i", "dt", "gmin"])
     def test_infinite_option_rejected(self, field):
