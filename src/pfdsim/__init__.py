@@ -24,7 +24,6 @@ from pfdsim.engine import (
 from pfdsim.experiments import (
     DesignPoint,
     ExperimentError,
-    ExperimentReport,
     corner_sweep,
     frequency_mismatch_test,
     half_period_test,
@@ -50,7 +49,6 @@ __all__ = [
     "Decision",
     "DesignPoint",
     "ExperimentError",
-    "ExperimentReport",
     "MeasurementError",
     "ModelConfig",
     "MosfetParams",

@@ -195,7 +195,7 @@ def _run(args, experiment) -> None:
 
 def cmd_transient(args, point, models, options) -> _Output:
     result = simulate_point(point, args.periods, models, options)
-    return _Output([report_from_result(point, result, models).to_dict()], result)
+    return _Output([report_from_result(point, result, models)], result)
 
 
 def cmd_deadzone(args, point, models, options) -> _Output:
@@ -206,9 +206,9 @@ def cmd_deadzone(args, point, models, options) -> _Output:
 
 
 def cmd_halfperiod(args, point, models, options) -> _Output:
-    report, result = half_period_test(point, n_periods=args.periods, models=models,
-                                      options=options)
-    return _Output([report.to_dict()], result)
+    row, result = half_period_test(point, n_periods=args.periods, models=models,
+                                   options=options)
+    return _Output([row], result)
 
 
 def cmd_fmax(args, point, models, options) -> _Output:
@@ -219,40 +219,39 @@ def cmd_fmax(args, point, models, options) -> _Output:
 
 
 def cmd_mismatch(args, point, models, options) -> _Output:
-    report, result = frequency_mismatch_test(args.f_ref, args.f_fb,
-                                             n_periods=args.periods, point=point,
-                                             models=models, options=options)
-    return _Output([report.to_dict()], result)
+    row, result = frequency_mismatch_test(args.f_ref, args.f_fb, n_periods=args.periods,
+                                          point=point, models=models, options=options)
+    return _Output([row], result)
 
 
 def cmd_sweep_width(args, point, models, options) -> _Output:
-    reports = width_sweep(w_lo=args.w_lo, w_hi=args.w_hi, steps=args.steps,
-                          point=point, n_periods=args.periods, models=models,
-                          options=options, jobs=args.jobs)
-    widths = np.array([r.point.width for r in reports])
+    rows = width_sweep(w_lo=args.w_lo, w_hi=args.w_hi, steps=args.steps,
+                       point=point, n_periods=args.periods, models=models,
+                       options=options, jobs=args.jobs)
+    widths = np.array([r["width"] for r in rows])
     plots = (
         ("plot_width_rise.svg",
-         [("UP rise time", widths, np.array([r.up_rise_time for r in reports]))],
+         [("UP rise time", widths, [r["up_rise_time"] for r in rows])],
          "Rise time vs width", "width (m)", "s"),
         ("plot_width_power.svg",
-         [("average power", widths, np.array([r.avg_power for r in reports]))],
+         [("average power", widths, [r["avg_power"] for r in rows])],
          "Power vs width", "width (m)", "W"),
     )
-    return _Output([r.to_dict() for r in reports], plots=plots)
+    return _Output(rows, plots=plots)
 
 
 def cmd_corners(args, point, models, options) -> _Output:
     names = [c.strip() for c in args.corners.split(",") if c.strip()]
-    reports = corner_sweep(corners=names, point=point, n_periods=args.periods,
-                           models=models, options=options, jobs=args.jobs)
-    idx = np.arange(len(reports), dtype=float)
+    rows = corner_sweep(corners=names, point=point, n_periods=args.periods,
+                        models=models, options=options, jobs=args.jobs)
+    idx = np.arange(len(rows), dtype=float)
     plots = (
         ("plot_corner_rise.svg",
-         [("UP rise time", idx, np.array([r.up_rise_time for r in reports]))],
-         "Rise time vs corner (" + ",".join(r.point.corner for r in reports) + ")",
+         [("UP rise time", idx, [r["up_rise_time"] for r in rows])],
+         "Rise time vs corner (" + ",".join(r["corner"] for r in rows) + ")",
          "corner index", "s"),
     )
-    return _Output([r.to_dict() for r in reports], plots=plots)
+    return _Output(rows, plots=plots)
 
 
 def cmd_report(args) -> None:

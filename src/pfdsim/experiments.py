@@ -2,15 +2,17 @@
 operating frequency searches, width and corner sweeps, the half-period
 stabilization test, unequal-frequency operation, and report rendering.
 
-Sweep points are independent; sweeps optionally farm points out to a
-process pool and assemble results in input order either way.
+An experiment's report is one `report_row` dict, the form the CLI writes
+to report.json; its "decision" holds a `Decision`'s value. Sweep points
+are independent; sweeps optionally farm points out to a process pool and
+assemble rows in input order either way.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -35,20 +37,6 @@ SETTLE_PERIODS = 2  # start-up stretch excluded from the power window
 
 class ExperimentError(Exception):
     """An experiment precondition or behavioral assertion failed."""
-
-
-@dataclass
-class ExperimentReport:
-    point: DesignPoint
-    decision: Decision
-    avg_power: float
-    up_rise_time: float | None
-    mutual_exclusion_overlap: float
-
-    def to_dict(self) -> dict:
-        return report_row(self.point, decision=self.decision.value, avg_power=self.avg_power,
-                          up_rise_time=self.up_rise_time,
-                          mutual_exclusion_overlap=self.mutual_exclusion_overlap)
 
 
 def stimulus_time(point: DesignPoint, periods: int = SETTLE_PERIODS,
@@ -112,21 +100,22 @@ def pulse_table_for(point: DesignPoint, result: TransientResult,
 
 
 def report_from_result(point: DesignPoint, result: TransientResult,
-                       models: ModelConfig = DEFAULT_CONFIG) -> ExperimentReport:
+                       models: ModelConfig = DEFAULT_CONFIG) -> dict:
+    """The report row of a run at the point: its whole-run decision, power
+    over the settled window, UP's rise time and the outputs' overlap."""
     table = pulse_table_for(point, result, models)
     return _report(point, result, table, classify_decision(table), models)
 
 
-def _report(point, result, table, decision, models, frequency_b=None) -> ExperimentReport:
+def _report(point, result, table, decision, models, frequency_b=None) -> dict:
     window = (stimulus_time(point, frequency_b=frequency_b), float(result.time[-1]))
     power = average_power(result.supply_current(), models.vdd, window)
     try:
         up_rise = rise_time(result.voltage("UP"), 0.0, models.vdd)
     except MeasurementError:
         up_rise = None
-    return ExperimentReport(point=point, decision=decision, avg_power=power,
-                            up_rise_time=up_rise,
-                            mutual_exclusion_overlap=mutual_exclusion_overlap(table))
+    return report_row(point, decision=decision.value, avg_power=power, up_rise_time=up_rise,
+                      mutual_exclusion_overlap=mutual_exclusion_overlap(table))
 
 
 def run_offset_experiment(
@@ -134,8 +123,9 @@ def run_offset_experiment(
     n_periods: int = 10,
     models: ModelConfig = DEFAULT_CONFIG,
     options: SimOptions | None = None,
-) -> ExperimentReport:
-    """Fixed phase-offset transient plus the standard measurement set."""
+) -> dict:
+    """Fixed phase-offset transient plus the standard measurement set, as
+    one report row."""
     result = simulate_point(point, n_periods, models, options)
     return report_from_result(point, result, models)
 
@@ -239,8 +229,8 @@ def measure_fmax(
     return _bisect(passes, f_lo, f_hi, lambda lo, hi: (hi - lo) / lo > tol_rel)
 
 
-def _run_points(points, n_periods, models, options, jobs) -> list[ExperimentReport]:
-    """Reports in input order, from min(jobs, points) worker processes."""
+def _run_points(points, n_periods, models, options, jobs) -> list[dict]:
+    """Report rows in input order, from min(jobs, points) worker processes."""
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     _check_periods(n_periods, SETTLE_PERIODS + 1)  # before a pool starts
@@ -265,8 +255,8 @@ def width_sweep(
     models: ModelConfig = DEFAULT_CONFIG,
     options: SimOptions | None = None,
     jobs: int = 1,
-) -> list[ExperimentReport]:
-    """Full report at each of `steps` linearly spaced widths."""
+) -> list[dict]:
+    """A report row at each of `steps` linearly spaced widths."""
     if steps < 2:
         raise ValueError("steps must be >= 2")
     if not 0 < w_lo < w_hi < math.inf:  # NaN fails too
@@ -283,8 +273,8 @@ def corner_sweep(
     models: ModelConfig = DEFAULT_CONFIG,
     options: SimOptions | None = None,
     jobs: int = 1,
-) -> list[ExperimentReport]:
-    """One report per corner; every corner must classify the fixed offset
+) -> list[dict]:
+    """One report row per corner; every corner must classify the fixed offset
     correctly or ExperimentError is raised. A zero offset leads neither
     way, so it raises ValueError before anything is simulated."""
     names = list(STANDARD_CORNERS) if corners is None else list(corners)
@@ -295,12 +285,12 @@ def corner_sweep(
                          f"leads, got {point.offset!r} s")
     expected = Decision.LEAD_A if point.offset > 0 else Decision.LEAD_B
     points = [replace(point, corner=n.upper()) for n in names]
-    reports = _run_points(points, n_periods, models, options, jobs)
-    for rep in reports:
-        if rep.decision is not expected:
-            raise ExperimentError(f"corner {rep.point.corner}: decision "
-                                  f"{rep.decision.value}, expected {expected.value}")
-    return reports
+    rows = _run_points(points, n_periods, models, options, jobs)
+    for row in rows:
+        if row["decision"] != expected.value:
+            raise ExperimentError(f"corner {row['corner']}: decision "
+                                  f"{row['decision']}, expected {expected.value}")
+    return rows
 
 
 def half_period_test(
@@ -308,9 +298,10 @@ def half_period_test(
     n_periods: int = 20,
     models: ModelConfig = DEFAULT_CONFIG,
     options: SimOptions | None = None,
-) -> tuple[ExperimentReport, TransientResult]:
+) -> tuple[dict, TransientResult]:
     """Offset forced to T/2; the classification must settle to the leading
-    input and stay there for the final stretch of the run."""
+    input and stay there for the final stretch of the run. Returns the
+    run's report row and the run."""
     sign = 1.0 if point.offset >= 0 else -1.0
     p = replace(point, offset=sign * 0.5 * point.period)
     result = simulate_point(p, n_periods, models, options)
@@ -332,9 +323,10 @@ def frequency_mismatch_test(
     point: DesignPoint = DesignPoint(),
     models: ModelConfig = DEFAULT_CONFIG,
     options: SimOptions | None = None,
-) -> tuple[ExperimentReport, TransientResult]:
+) -> tuple[dict, TransientResult]:
     """Unequal input frequencies: the slower feedback must accumulate more
-    UP high-time than DN high-time (and mirrored)."""
+    UP high-time than DN high-time (and mirrored). Returns the run's report
+    row and the run."""
     if not 0 < f_fb < math.inf:  # NaN fails too
         raise ValueError(f"feedback frequency f_fb (--f-fb) must be finite and > 0, "
                          f"got {f_fb!r}")

@@ -138,12 +138,12 @@ def test_criterion_2_numerical_hygiene():
 
 def test_criterion_3_functional_behavior(grid_runs, zero_offset_run):
     with criterion(3, "LeadA/LeadB at +/-100 ps, Undetermined at 0, antisymmetric grid"):
-        assert report_from_result(*grid_runs[100e-12]).decision is Decision.LEAD_A
-        assert report_from_result(*grid_runs[-100e-12]).decision is Decision.LEAD_B
-        assert report_from_result(*zero_offset_run).decision is Decision.UNDETERMINED
+        assert report_from_result(*grid_runs[100e-12])["decision"] == Decision.LEAD_A.value
+        assert report_from_result(*grid_runs[-100e-12])["decision"] == Decision.LEAD_B.value
+        assert report_from_result(*zero_offset_run)["decision"] == Decision.UNDETERMINED.value
         for off in (25e-12, 50e-12, 100e-12, 200e-12, 400e-12):
-            assert report_from_result(*grid_runs[off]).decision is Decision.LEAD_A
-            assert report_from_result(*grid_runs[-off]).decision is Decision.LEAD_B
+            assert report_from_result(*grid_runs[off])["decision"] == Decision.LEAD_A.value
+            assert report_from_result(*grid_runs[-off])["decision"] == Decision.LEAD_B.value
 
 
 def test_criterion_4_mutual_exclusion(grid_runs):
@@ -167,7 +167,7 @@ def test_criterion_5_dead_zone():
 def test_criterion_6_half_period():
     with criterion(6, "T/2 offset: stable, correct classification over final periods"):
         report, result = half_period_test(DesignPoint(), n_periods=20)
-        assert report.decision is Decision.LEAD_A
+        assert report["decision"] == Decision.LEAD_A.value
         decisions = per_period_decisions(pulse_table_for(DesignPoint(offset=0.5e-9), result))
         assert len(decisions) >= 20
         assert all(d is Decision.LEAD_A for d in decisions[-10:])
@@ -185,28 +185,28 @@ def test_criterion_7_fmax_and_mismatch():
         assert fm_hs >= 5e9
 
         rep, _ = frequency_mismatch_test(1e9, 0.8e9)  # raises if UP does not dominate
-        assert rep.decision is Decision.LEAD_A
+        assert rep["decision"] == Decision.LEAD_A.value
         rep, _ = frequency_mismatch_test(0.8e9, 1e9)
-        assert rep.decision is Decision.LEAD_B
+        assert rep["decision"] == Decision.LEAD_B.value
 
 
 def test_criterion_8_width_trends(width_sweep_reports):
     with criterion(8, "width sweep: rise time non-increasing, power non-decreasing"):
-        rts = [r.up_rise_time for r in width_sweep_reports]
-        ps = [r.avg_power for r in width_sweep_reports]
+        rts = [r["up_rise_time"] for r in width_sweep_reports]
+        ps = [r["avg_power"] for r in width_sweep_reports]
         assert all(a >= b for a, b in zip(rts, rts[1:]))
         assert all(a <= b for a, b in zip(ps, ps[1:]))
         assert rts[0] > rts[-1] and ps[0] < ps[-1]  # strict across endpoints
-        default_power = [r.avg_power for r in width_sweep_reports
-                         if abs(r.point.width - 262.5e-9) < 1e-12][0]
+        default_power = [r["avg_power"] for r in width_sweep_reports
+                         if abs(r["width"] - 262.5e-9) < 1e-12][0]
         assert abs(default_power / GOLDEN_AVG_POWER - 1.0) < 0.05
 
 
 def test_criterion_9_corner_analysis(corner_reports):
     with criterion(9, "all five corners classify correctly; FF <= TT <= SS rise time"):
         assert len(corner_reports) == 5
-        assert all(r.decision is Decision.LEAD_A for r in corner_reports)
-        rt = {r.point.corner: r.up_rise_time for r in corner_reports}
+        assert all(r["decision"] == Decision.LEAD_A.value for r in corner_reports)
+        rt = {r["corner"]: r["up_rise_time"] for r in corner_reports}
         assert rt["FF"] <= rt["TT"] <= rt["SS"]
 
 

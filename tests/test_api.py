@@ -40,6 +40,7 @@ def test_public_name_resolves_and_is_documented(name):
     (pfdsim.devices, "CornerSet"),
     (pfdsim.devices, "apply_corner"),
     (pfdsim.experiments, "generate_report"),
+    (pfdsim.experiments, "ExperimentReport"),
     (pfdsim.measure, "fall_time"),
     (pfdsim.netlist, "to_lines"),
     (pfdsim.netlist, "from_lines"),

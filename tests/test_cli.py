@@ -20,7 +20,7 @@ import pfdsim.experiments as experiments
 from pfdsim.cli import _Output, _write, build_parser, main
 from pfdsim.engine import INTEGRATORS, SimOptions, SolverError, kcl_residual_ratio
 from pfdsim.measure import Decision
-from pfdsim.netlist import Netlist
+from pfdsim.netlist import DesignPoint, Netlist
 
 FAST = ["--periods", "3"]
 REPO = Path(__file__).resolve().parents[1]
@@ -408,10 +408,11 @@ class TestSweepCommands:
         assert not any("nan" in p.read_text().lower() for p in out.glob("*.svg"))
 
     def test_corner_names_any_case(self, tmp_path, monkeypatch):
-        """The library uppercases corner names; rows and the chart title
-        read them from the reports. Nothing is simulated."""
+        """The library uppercases corner names; report.json and the chart
+        title read them from the rows. Nothing is simulated."""
         def run(point, *args):
-            return experiments.ExperimentReport(point, Decision.LEAD_A, 0.0, 1e-11, 0.0)
+            return experiments.report_row(point, decision=Decision.LEAD_A.value, avg_power=0.0,
+                                          up_rise_time=1e-11, mutual_exclusion_overlap=0.0)
 
         monkeypatch.setattr(experiments, "run_offset_experiment", run)
         out = tmp_path / "o"
@@ -427,6 +428,21 @@ class TestSweepCommands:
                _Output([{"width": 1.0}], plots=(chart,)))
         points = re.search(r'<polyline points="([^"]*)"', (out / "c.svg").read_text())[1]
         assert len(points.split()) == 2
+
+
+class TestLibraryRows:
+    """An experiment returns the rows its subcommand writes: report.json
+    is the library's report after a JSON round trip."""
+
+    @pytest.mark.parametrize("argv, experiment", [
+        (["transient"],
+         lambda: [experiments.run_offset_experiment(DesignPoint(offset=100e-12), n_periods=3)]),
+        (["sweep-width", "--steps", "2"], lambda: experiments.width_sweep(steps=2, n_periods=3)),
+    ], ids=["transient", "sweep-width"])
+    def test_cli_writes_the_library_rows(self, argv, experiment, tmp_path):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out), *FAST]) == 0
+        assert read_json(out)["rows"] == experiment()
 
 
 class TestReportCommand:

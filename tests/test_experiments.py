@@ -137,28 +137,28 @@ class TestOffsetExperiment:
     def test_lead_a_at_plus_100ps(self, grid_runs):
         point, result = grid_runs[100e-12]
         rep = report_from_result(point, result)
-        assert rep.decision is Decision.LEAD_A
-        assert rep.avg_power > 0
-        assert rep.up_rise_time is not None and rep.up_rise_time > 0
-        assert rep.mutual_exclusion_overlap >= 0
+        assert rep["decision"] == Decision.LEAD_A.value
+        assert rep["avg_power"] > 0
+        assert rep["up_rise_time"] is not None and rep["up_rise_time"] > 0
+        assert rep["mutual_exclusion_overlap"] >= 0
 
     def test_lead_b_at_minus_100ps(self, grid_runs):
         point, result = grid_runs[-100e-12]
         rep = report_from_result(point, result)
-        assert rep.decision is Decision.LEAD_B
-        assert rep.up_rise_time is None  # UP never swings on a B lead
+        assert rep["decision"] == Decision.LEAD_B.value
+        assert rep["up_rise_time"] is None  # UP never swings on a B lead
 
     def test_undetermined_at_zero_offset(self, zero_offset_run):
         point, result = zero_offset_run
         rep = report_from_result(point, result)
-        assert rep.decision is Decision.UNDETERMINED
+        assert rep["decision"] == Decision.UNDETERMINED.value
 
     def test_decision_antisymmetry_on_grid(self, grid_runs):
         for off in (25e-12, 50e-12, 100e-12, 200e-12, 400e-12):
             pos = report_from_result(*grid_runs[off])
-            assert pos.decision is Decision.LEAD_A, off
+            assert pos["decision"] == Decision.LEAD_A.value, off
             neg = report_from_result(*grid_runs[-off])
-            assert neg.decision is Decision.LEAD_B, off
+            assert neg["decision"] == Decision.LEAD_B.value, off
 
     def test_up_pulse_train_is_periodic(self, grid_runs):
         """10 simulated periods yield a near-complete train of UP events
@@ -386,22 +386,22 @@ class TestOneScanPerOutput:
         classify = experiments.classify_decision
         monkeypatch.setattr(experiments, "classify_decision",
                             lambda table: calls.append(table) or classify(table))
-        assert experiment(point, result).decision is Decision.LEAD_A
+        assert experiment(point, result)["decision"] == Decision.LEAD_A.value
         assert len(calls) == classified
 
 
 class TestWidthSweep:
     def test_default_grid_values(self, width_sweep_reports):
-        widths = [r.point.width for r in width_sweep_reports]
+        widths = [r["width"] for r in width_sweep_reports]
         assert widths == pytest.approx([120e-9, 167.5e-9, 215e-9, 262.5e-9, 310e-9])
 
     def test_rise_time_non_increasing(self, width_sweep_reports):
-        rts = [r.up_rise_time for r in width_sweep_reports]
+        rts = [r["up_rise_time"] for r in width_sweep_reports]
         assert all(a >= b for a, b in zip(rts, rts[1:]))
         assert rts[0] > rts[-1]  # strict change across the endpoints
 
     def test_power_non_decreasing(self, width_sweep_reports):
-        ps = [r.avg_power for r in width_sweep_reports]
+        ps = [r["avg_power"] for r in width_sweep_reports]
         assert all(a <= b for a, b in zip(ps, ps[1:]))
         assert ps[0] < ps[-1]
 
@@ -414,7 +414,7 @@ class TestWidthSweep:
     def test_parallel_jobs_match_serial(self):
         serial = width_sweep(steps=2, n_periods=3)
         parallel = width_sweep(steps=2, n_periods=3, jobs=2)
-        assert [r.to_dict() for r in serial] == [r.to_dict() for r in parallel]
+        assert serial == parallel
 
     def test_workers_capped_at_point_count(self, monkeypatch):
         """--jobs 5000 for 2 points asks the pool for 2 workers; the fake
@@ -448,18 +448,18 @@ class TestWidthSweep:
 
 class TestCornerSweep:
     def test_all_corners_correct(self, corner_reports):
-        assert [r.point.corner for r in corner_reports] == \
+        assert [r["corner"] for r in corner_reports] == \
             ["TT", "FF", "FS", "SF", "SS"]
-        assert all(r.decision is Decision.LEAD_A for r in corner_reports)
+        assert all(r["decision"] == Decision.LEAD_A.value for r in corner_reports)
 
     def test_corner_timing_order(self, corner_reports):
-        by_name = {r.point.corner: r for r in corner_reports}
-        assert by_name["FF"].up_rise_time <= by_name["TT"].up_rise_time
-        assert by_name["TT"].up_rise_time <= by_name["SS"].up_rise_time
+        by_name = {r["corner"]: r for r in corner_reports}
+        assert by_name["FF"]["up_rise_time"] <= by_name["TT"]["up_rise_time"]
+        assert by_name["TT"]["up_rise_time"] <= by_name["SS"]["up_rise_time"]
 
     def test_tt_row_matches_plain_run(self, corner_reports, default_report):
-        tt = next(r for r in corner_reports if r.point.corner == "TT")
-        assert tt.to_dict() == default_report.to_dict()
+        tt = next(r for r in corner_reports if r["corner"] == "TT")
+        assert tt == default_report
 
     def test_empty_corner_list_rejected(self):
         from pfdsim.experiments import corner_sweep
@@ -468,15 +468,15 @@ class TestCornerSweep:
             corner_sweep(corners=[])
 
     def test_names_any_case_one_point_each(self, monkeypatch):
-        from pfdsim.experiments import ExperimentReport, corner_sweep
+        from pfdsim.experiments import corner_sweep, report_row
 
         def run(point, *args):
-            return ExperimentReport(point, Decision.LEAD_A, 0.0, None, 0.0)
+            return report_row(point, decision=Decision.LEAD_A.value, avg_power=0.0,
+                              up_rise_time=None, mutual_exclusion_overlap=0.0)
 
         monkeypatch.setattr(experiments, "run_offset_experiment", run)
         reports = corner_sweep(corners=["ff", "Ss", "TT"])
-        assert [r.point.corner for r in reports] == ["FF", "SS", "TT"]
-        assert [r.to_dict()["corner"] for r in reports] == ["FF", "SS", "TT"]
+        assert [r["corner"] for r in reports] == ["FF", "SS", "TT"]
         with pytest.raises(ValueError, match="unknown corner 'XX'"):
             corner_sweep(corners=["xx"])
         # a failed decision names the corner as the report does
@@ -527,15 +527,15 @@ class TestPulseTableFor:
 class TestHalfPeriod:
     def test_stable_and_correct(self):
         report, result = half_period_test(DesignPoint(), n_periods=8)
-        assert report.decision is Decision.LEAD_A
+        assert report["decision"] == Decision.LEAD_A.value
         decs = per_period_decisions(pulse_table_for(DesignPoint(offset=0.5e-9), result))
         assert all(d is Decision.LEAD_A for d in decs[-4:])
         # outputs stay mutually exclusive even at the widest offset
-        assert report.mutual_exclusion_overlap <= 0.05 * 1e-9
+        assert report["mutual_exclusion_overlap"] <= 0.05 * 1e-9
 
     def test_mirrored_when_negative(self):
         report, _ = half_period_test(DesignPoint(offset=-1e-12), n_periods=8)
-        assert report.decision is Decision.LEAD_B
+        assert report["decision"] == Decision.LEAD_B.value
 
     def test_window_too_short(self):
         with pytest.raises(ValueError, match="^n_periods 1 must exceed the 2 settle periods"):
@@ -551,11 +551,11 @@ class TestHalfPeriod:
 class TestFrequencyMismatch:
     def test_slow_feedback_up_dominates(self):
         report, result = frequency_mismatch_test(1e9, 0.8e9, n_periods=6)
-        assert report.decision is Decision.LEAD_A
+        assert report["decision"] == Decision.LEAD_A.value
 
     def test_mirror_case(self):
         report, _ = frequency_mismatch_test(0.8e9, 1e9, n_periods=6)
-        assert report.decision is Decision.LEAD_B
+        assert report["decision"] == Decision.LEAD_B.value
 
     def test_equal_frequencies_rejected(self):
         with pytest.raises(ExperimentError, match="equal frequencies"):
@@ -571,10 +571,10 @@ class TestFrequencyMismatch:
 
 
 class TestGenerateReport:
-    """Report generation: `render_rows` over `ExperimentReport.to_dict` rows."""
+    """Report generation: `render_rows` over the rows experiments return."""
 
     def test_single_row_populated(self, default_report):
-        json_text, table = render_rows([default_report.to_dict()])
+        json_text, table = render_rows([default_report])
         data = json.loads(json_text)
         assert len(data["rows"]) == 1
         row = data["rows"][0]
@@ -584,7 +584,7 @@ class TestGenerateReport:
         assert "avg_power" in table.splitlines()[0]
 
     def test_missing_metric_renders_dash(self, default_report):
-        json_text, table = render_rows([default_report.to_dict()])
+        json_text, table = render_rows([default_report])
         assert json.loads(json_text)["rows"][0]["f_max"] is None
         header, _, row = table.splitlines()[:3]
         cols = header.split()
@@ -592,7 +592,7 @@ class TestGenerateReport:
         assert cells[cols.index("f_max")] == "-"
 
     def test_text_and_json_numbers_identical(self, default_report):
-        json_text, table = render_rows([default_report.to_dict()])
+        json_text, table = render_rows([default_report])
         row = json.loads(json_text)["rows"][0]
         header = table.splitlines()[0].split()
         cells = table.splitlines()[2].split()
