@@ -168,11 +168,20 @@ def measure_dead_zone(
     options: SimOptions | None = None,
 ) -> float:
     """Smallest offset classified correctly in both lead directions, by
-    bisection of [search_lo, search_hi] down to tol or to float resolution.
-    The two polarities share one search, so the result is the larger of
-    the two thresholds. search_hi must lie below one period and pass, and
-    search_lo must fail (at 0 it is one circuit, so it is not run); no
-    failing offset may lie above a passing one."""
+    bisection of [search_lo, search_hi] down to tol or to float resolution;
+    the result is the larger of the two thresholds. search_hi must lie
+    below one period and pass, and search_lo must fail (at 0 it is one
+    circuit, so it is not run). For A's lead and for B's, no failing
+    offset may lie above a passing one.
+
+    Probes, one transient each: +search_hi and -search_hi (then
+    +search_lo, and -search_lo if that passes, when search_lo > 0); one
+    per halving for A's lead (+offset) alone; one to confirm B's lead
+    (-offset) at A's result. Only when B needs a larger lead does a
+    second bisection of the same bracket run, one -offset probe per
+    halving above A's result. Every bracket is halved at the same floats
+    whichever lead is bisected, so the result is the float that one
+    bisection on both leads at once gives."""
     if not 0 < tol < math.inf:  # NaN fails too
         raise ValueError("tol must be finite and > 0")
     if not 0 <= search_lo < search_hi < point.period:
@@ -180,12 +189,14 @@ def measure_dead_zone(
                          f"got search_lo = {search_lo!r} s, search_hi = {search_hi!r} s")
     _check_periods(n_periods, 1)  # 0 periods end at the lagging input's first edge
 
+    def leads(off: float) -> bool:
+        """Whether the signed offset is classified as the lead it is."""
+        expected = Decision.LEAD_A if off > 0 else Decision.LEAD_B
+        return _decision_at(replace(point, offset=off), n_periods, models,
+                            options) is expected
+
     def passes(off: float) -> bool:
-        if _decision_at(replace(point, offset=+off), n_periods, models,
-                        options) is not Decision.LEAD_A:
-            return False
-        return _decision_at(replace(point, offset=-off), n_periods, models,
-                            options) is Decision.LEAD_B
+        return leads(+off) and leads(-off)
 
     if not passes(search_hi):
         raise ExperimentError(
@@ -194,7 +205,15 @@ def measure_dead_zone(
     if search_lo > 0 and passes(search_lo):
         raise ExperimentError(f"dead zone below the bracket: search_lo = {search_lo:g} s "
                               "already passes")
-    return _bisect(passes, search_hi, search_lo, lambda hi, lo: hi - lo > tol)
+
+    def unresolved(hi: float, lo: float) -> bool:
+        return hi - lo > tol
+
+    dz = _bisect(leads, search_hi, search_lo, unresolved)
+    if dz == search_hi or leads(-dz):
+        return dz
+    # B's lead fails at dz, so at every offset below it too: not run again
+    return _bisect(lambda off: off > dz and leads(-off), search_hi, search_lo, unresolved)
 
 
 def measure_fmax(

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pfdsim.experiments as experiments
@@ -240,12 +240,16 @@ def solver_failure_at(fails, decide):
             yield runs
 
 
-def lead_beyond(threshold):
-    """Stub decision: a lead of at least `threshold` either way is resolved."""
+def lead_beyond(threshold, threshold_b=None):
+    """Stub decision: A's lead of at least `threshold` is resolved, and B's
+    lead of at least `threshold_b` (`threshold` when None)."""
+    if threshold_b is None:
+        threshold_b = threshold
+
     def decide(point):
         if point.offset >= threshold:
             return Decision.LEAD_A
-        if point.offset <= -threshold:
+        if point.offset <= -threshold_b:
             return Decision.LEAD_B
         return Decision.UNDETERMINED
     return decide
@@ -280,6 +284,30 @@ class TestSearchTermination:
         assert probes <= probe_bound(200e-12, tol, threshold)
 
     @settings(max_examples=300, deadline=None)
+    @given(threshold_a=st.floats(min_value=0.0, max_value=200e-12, exclude_min=True),
+           threshold_b=st.floats(min_value=0.0, max_value=200e-12, exclude_min=True),
+           lo_fraction=st.none() | st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+           tol=st.floats(min_value=1e-40, max_value=1e-10))
+    def test_dead_zone_equals_the_joint_bisection(self, threshold_a, threshold_b,
+                                                  lo_fraction, tol):
+        """A's lead bisected alone, then B's confirmed once at the result,
+        gives the float that one bisection on both leads gives."""
+        search_lo = 0.0 if lo_fraction is None else lo_fraction * min(threshold_a, threshold_b)
+        assume(search_lo < min(threshold_a, threshold_b))
+        decide = lead_beyond(threshold_a, threshold_b)
+        with stubbed_decisions(decide) as runs:
+            dz = measure_dead_zone(DesignPoint(), search_lo=search_lo, tol=tol)
+
+        def both(off):
+            return (decide(DesignPoint(offset=off)) is Decision.LEAD_A
+                    and decide(DesignPoint(offset=-off)) is Decision.LEAD_B)
+
+        assert dz == experiments._bisect(both, 200e-12, search_lo, lambda hi, lo: hi - lo > tol)
+        if threshold_b <= threshold_a:  # B's lead is confirmed at A's result
+            b_probes = [p.offset for p in runs if p.offset < 0]
+            assert b_probes == ([-200e-12, -dz] if dz < 200e-12 else [-200e-12])
+
+    @settings(max_examples=300, deadline=None)
     @given(threshold=st.floats(min_value=0.5e9, max_value=20e9, exclude_max=True),
            tol_rel=st.floats(min_value=1e-40, max_value=1e-2))
     def test_fmax_ends_on_a_passing_frequency(self, threshold, tol_rel):
@@ -311,15 +339,21 @@ class TestSearchTermination:
         assert runs[2].offset == 25e-12
 
     def test_dead_zone_solver_error_names_the_probe(self):
-        """The -100 ps half of the second probe fails: the error says so,
-        keeping its type, time and node."""
-        with solver_failure_at(lambda p: p.offset == -100e-12, lead_beyond(40e-12)) as runs:
+        """B needs a larger lead than A, so B's own bisection runs, and its
+        first probe, at -100 ps, fails: the error says so, keeping its
+        type, time and node."""
+        with solver_failure_at(lambda p: p.offset == -100e-12,
+                               lead_beyond(40e-12, 150e-12)) as runs:
             with pytest.raises(SolverError) as err:
                 measure_dead_zone(DesignPoint())
         assert str(err.value) == ("probe at offset -1e-10 s, 1000000000.0 Hz: transient "
                                   "Newton failed at t = 1.000000e-10 s (worst node 'UP')")
         assert (err.value.time, err.value.node) == (1e-10, "UP")
-        assert [p.offset for p in runs] == [200e-12, -200e-12, 100e-12]
+        # the probes that ran before it: the bracket end, A's nine halvings and
+        # B's confirmation at A's result (not every midpoint is an exact decimal)
+        assert [p.offset for p in runs] == pytest.approx(
+            [200e-12, -200e-12, 100e-12, 50e-12, 25e-12, 37.5e-12, 43.75e-12, 40.625e-12,
+             39.0625e-12, 39.84375e-12, 40.234375e-12, -40.234375e-12], rel=1e-12)
 
     def test_fmax_solver_error_names_the_probe(self):
         """The first bisection probe, midway between 0.5 and 20 GHz, fails."""
