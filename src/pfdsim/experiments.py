@@ -168,20 +168,16 @@ def measure_dead_zone(
     options: SimOptions | None = None,
 ) -> float:
     """Smallest offset classified correctly in both lead directions, by
-    bisection of [search_lo, search_hi] down to tol or to float resolution;
-    the result is the larger of the two thresholds. search_hi must lie
-    below one period and pass, and search_lo must fail (at 0 it is one
-    circuit, so it is not run). For A's lead and for B's, no failing
-    offset may lie above a passing one.
+    bisection of A's lead over [search_lo, search_hi] down to tol or to
+    float resolution. search_hi must lie below one period and pass, and
+    search_lo must fail (at 0 no input leads, so it is not run); no
+    failing offset may lie above a passing one.
 
-    Probes, one transient each: +search_hi and -search_hi (then
-    +search_lo, and -search_lo if that passes, when search_lo > 0); one
-    per halving for A's lead (+offset) alone; one to confirm B's lead
-    (-offset) at A's result. Only when B needs a larger lead does a
-    second bisection of the same bracket run, one -offset probe per
-    halving above A's result. Every bracket is halved at the same floats
-    whichever lead is bisected, so the result is the float that one
-    bisection on both leads at once gives."""
+    Probes, one transient each: +search_hi (then +search_lo, when above
+    0); one +offset probe per halving; then one -offset probe to confirm
+    B's lead at the result. The detector is its own mirror, so B's lead
+    is classified as A's is; if that probe fails, the circuit does not
+    mirror and ExperimentError says so."""
     if not 0 < tol < math.inf:  # NaN fails too
         raise ValueError("tol must be finite and > 0")
     if not 0 <= search_lo < search_hi < point.period:
@@ -195,25 +191,18 @@ def measure_dead_zone(
         return _decision_at(replace(point, offset=off), n_periods, models,
                             options) is expected
 
-    def passes(off: float) -> bool:
-        return leads(+off) and leads(-off)
-
-    if not passes(search_hi):
+    if not leads(search_hi):
         raise ExperimentError(
             f"no lock window found: wrong decision at search_hi = {search_hi:g} s"
         )
-    if search_lo > 0 and passes(search_lo):
+    if search_lo > 0 and leads(search_lo):
         raise ExperimentError(f"dead zone below the bracket: search_lo = {search_lo:g} s "
                               "already passes")
-
-    def unresolved(hi: float, lo: float) -> bool:
-        return hi - lo > tol
-
-    dz = _bisect(leads, search_hi, search_lo, unresolved)
-    if dz == search_hi or leads(-dz):
-        return dz
-    # B's lead fails at dz, so at every offset below it too: not run again
-    return _bisect(lambda off: off > dz and leads(-off), search_hi, search_lo, unresolved)
+    dz = _bisect(leads, search_hi, search_lo, lambda hi, lo: hi - lo > tol)
+    if not leads(-dz):
+        raise ExperimentError(f"B's lead of {dz:g} s is not classified LeadB although A's "
+                              "is: the detector does not mirror")
+    return dz
 
 
 def measure_fmax(
@@ -250,8 +239,8 @@ def measure_fmax(
 
 def _run_points(points, n_periods, models, options, jobs) -> list[dict]:
     """Report rows in input order, from min(jobs, points) worker processes."""
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
+    if not (isinstance(jobs, int) and jobs >= 1):
+        raise ValueError(f"jobs must be >= 1 and an int, got {jobs!r}")
     _check_periods(n_periods, SETTLE_PERIODS + 1)  # before a pool starts
     workers = min(jobs, len(points))
     if workers <= 1:
@@ -276,8 +265,8 @@ def width_sweep(
     jobs: int = 1,
 ) -> list[dict]:
     """A report row at each of `steps` linearly spaced widths."""
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
+    if not (isinstance(steps, int) and steps >= 2):
+        raise ValueError(f"steps must be >= 2 and an int, got {steps!r}")
     if not 0 < w_lo < w_hi < math.inf:  # NaN fails too
         raise ValueError(f"need 0 < w_lo < w_hi < inf, got w_lo = {w_lo!r}, w_hi = {w_hi!r}")
     widths = np.linspace(w_lo, w_hi, steps)

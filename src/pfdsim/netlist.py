@@ -361,13 +361,15 @@ def build_pfd(
 
     # detection core: X discharges when A rises while Y is still high,
     # Y discharges when B rises while X is still high; both precharge
-    # through the series PMOS pairs whenever A and B are low together
+    # through the series PMOS pairs whenever A and B are low together.
+    # Y's side mirrors X's: swapping A<->B, X<->Y and UP<->DN maps the
+    # circuit onto itself, so the UP and DN paths are matched
     net.add(Mosfet("PM1", drain="X.m", gate="A", source="VDD", params=pp))
     net.add(Mosfet("PM2", drain="X", gate="B", source="X.m", params=pp))
     net.add(Mosfet("NM1", drain="X", gate="A", source="X.n", params=np_))
     net.add(Mosfet("NM2", drain="X.n", gate="Y", source=GROUND, params=np_))
-    net.add(Mosfet("PM3", drain="Y.m", gate="A", source="VDD", params=pp))
-    net.add(Mosfet("PM4", drain="Y", gate="B", source="Y.m", params=pp))
+    net.add(Mosfet("PM3", drain="Y.m", gate="B", source="VDD", params=pp))
+    net.add(Mosfet("PM4", drain="Y", gate="A", source="Y.m", params=pp))
     net.add(Mosfet("NM3", drain="Y", gate="B", source="Y.n", params=np_))
     net.add(Mosfet("NM4", drain="Y.n", gate="X", source=GROUND, params=np_))
 

@@ -12,11 +12,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pfdsim.experiments as experiments
-from pfdsim.devices import DEFAULT_CONFIG
+from pfdsim.devices import DEFAULT_CONFIG, STANDARD_CORNERS
 from pfdsim.engine import SolverError
 from pfdsim.experiments import (
     _COLUMNS,
@@ -173,6 +173,43 @@ class TestOffsetExperiment:
             assert b - a == pytest.approx(1e-9, abs=1e-12)
 
 
+# node pairs that swapping A<->B, X<->Y and UP<->DN maps onto each other
+MIRRORED_NODES = [("A", "B"), ("X", "Y"), ("UP", "DN"), ("X.m", "Y.m"), ("X.n", "Y.n"),
+                  ("NORU.m", "NORD.m")]
+MIRRORED_DECISION = {Decision.LEAD_A.value: Decision.LEAD_B.value,
+                     Decision.LEAD_B.value: Decision.LEAD_A.value,
+                     Decision.UNDETERMINED.value: Decision.UNDETERMINED.value}
+
+
+# Near the dead zone the latch's regeneration amplifies rounding: at 1 ps,
+# 4-5 GHz and the SS or SF corner, mirrored nodes differ by up to 9.6e-13 V,
+# so drawn frequencies stay at 2.5 GHz or below, where 1 ps stays under
+# 1.4e-13 V; the explicit example is a fast point far from the dead zone.
+@settings(max_examples=5, deadline=None)
+@given(offset=st.floats(min_value=1e-12, max_value=150e-12),
+       width=st.floats(min_value=120e-9, max_value=310e-9),
+       corner=st.sampled_from(STANDARD_CORNERS),
+       frequency=st.floats(min_value=1e9, max_value=2.5e9))
+@example(offset=20e-12, width=150e-9, corner="FF", frequency=5e9)
+def test_minus_offset_run_mirrors_plus_offset_run(offset, width, corner, frequency):
+    """The detector is its own mirror: B leading by an offset is A leading
+    by it with A<->B, X<->Y and UP<->DN swapped. The two runs share a time
+    axis and every counter; their unknowns are permuted, so sums run in
+    another order, and values agree within rounding, not bit for bit."""
+    plus = DesignPoint(width=width, corner=corner, frequency=frequency, offset=offset)
+    minus = DesignPoint(width=width, corner=corner, frequency=frequency, offset=-offset)
+    run_plus = experiments.simulate_point(plus, 3)
+    run_minus = experiments.simulate_point(minus, 3)
+    assert np.array_equal(run_plus.time, run_minus.time)
+    assert run_plus.stats == run_minus.stats
+    for a, b in MIRRORED_NODES:
+        assert np.max(np.abs(run_plus.voltage(a).v - run_minus.voltage(b).v)) <= 1e-12, (a, b)
+    row_plus = report_from_result(plus, run_plus)
+    row_minus = report_from_result(minus, run_minus)
+    assert row_minus["decision"] == MIRRORED_DECISION[row_plus["decision"]]
+    assert row_minus["avg_power"] == pytest.approx(row_plus["avg_power"], rel=1e-12, abs=0)
+
+
 class TestDeadZone:
     def test_coarse_bisection_brackets_fine_value(self):
         """tol = 10 ps agrees with a finer pass within 10 ps; both runs
@@ -285,27 +322,41 @@ class TestSearchTermination:
 
     @settings(max_examples=300, deadline=None)
     @given(threshold_a=st.floats(min_value=0.0, max_value=200e-12, exclude_min=True),
-           threshold_b=st.floats(min_value=0.0, max_value=200e-12, exclude_min=True),
+           threshold_b=st.none() | st.floats(min_value=0.0, max_value=200e-12,
+                                             exclude_min=True),
            lo_fraction=st.none() | st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
            tol=st.floats(min_value=1e-40, max_value=1e-10))
     def test_dead_zone_equals_the_joint_bisection(self, threshold_a, threshold_b,
                                                   lo_fraction, tol):
-        """A's lead bisected alone, then B's confirmed once at the result,
-        gives the float that one bisection on both leads gives."""
-        search_lo = 0.0 if lo_fraction is None else lo_fraction * min(threshold_a, threshold_b)
-        assume(search_lo < min(threshold_a, threshold_b))
+        """A's lead bisected alone, then B's probed once at the result. On a
+        mirrored detector (threshold_b None: B's threshold is A's), or where
+        B's lead passes at the result, that is the float that one bisection
+        on both leads gives; where it fails, the search says the detector
+        does not mirror."""
+        search_lo = 0.0 if lo_fraction is None else lo_fraction * threshold_a
+        assume(search_lo < threshold_a)
         decide = lead_beyond(threshold_a, threshold_b)
-        with stubbed_decisions(decide) as runs:
-            dz = measure_dead_zone(DesignPoint(), search_lo=search_lo, tol=tol)
+
+        def a_leads(off):
+            return decide(DesignPoint(offset=off)) is Decision.LEAD_A
 
         def both(off):
-            return (decide(DesignPoint(offset=off)) is Decision.LEAD_A
-                    and decide(DesignPoint(offset=-off)) is Decision.LEAD_B)
+            return a_leads(off) and decide(DesignPoint(offset=-off)) is Decision.LEAD_B
 
-        assert dz == experiments._bisect(both, 200e-12, search_lo, lambda hi, lo: hi - lo > tol)
-        if threshold_b <= threshold_a:  # B's lead is confirmed at A's result
-            b_probes = [p.offset for p in runs if p.offset < 0]
-            assert b_probes == ([-200e-12, -dz] if dz < 200e-12 else [-200e-12])
+        def unresolved(hi, lo):
+            return hi - lo > tol
+
+        expected = experiments._bisect(a_leads, 200e-12, search_lo, unresolved)
+        with stubbed_decisions(decide) as runs:
+            if threshold_b is not None and threshold_b > expected:
+                with pytest.raises(ExperimentError, match=re.escape(
+                        f"B's lead of {expected:g} s is not classified LeadB") + ".*mirror"):
+                    measure_dead_zone(DesignPoint(), search_lo=search_lo, tol=tol)
+                return
+            dz = measure_dead_zone(DesignPoint(), search_lo=search_lo, tol=tol)
+        assert dz == expected
+        assert dz == experiments._bisect(both, 200e-12, search_lo, unresolved)
+        assert [p.offset for p in runs if p.offset < 0] == [-dz]
 
     @settings(max_examples=300, deadline=None)
     @given(threshold=st.floats(min_value=0.5e9, max_value=20e9, exclude_max=True),
@@ -329,31 +380,29 @@ class TestSearchTermination:
         with stubbed_decisions(lead_beyond(10e-12)) as runs:
             with pytest.raises(ExperimentError, match="search_lo = 2.5e-11 s already passes"):
                 measure_dead_zone(DesignPoint(), search_lo=25e-12, search_hi=100e-12)
-        assert [p.offset for p in runs] == [100e-12, -100e-12, 25e-12, -25e-12]
+        assert [p.offset for p in runs] == [100e-12, 25e-12]
 
     def test_failing_search_lo_is_probed_first(self):
         with stubbed_decisions(lead_beyond(40e-12)) as runs:
             dz = measure_dead_zone(DesignPoint(), search_lo=25e-12, search_hi=100e-12,
                                    tol=1e-12)
         assert 40e-12 <= dz <= 41e-12
-        assert runs[2].offset == 25e-12
+        assert runs[1].offset == 25e-12
 
     def test_dead_zone_solver_error_names_the_probe(self):
-        """B needs a larger lead than A, so B's own bisection runs, and its
-        first probe, at -100 ps, fails: the error says so, keeping its
-        type, time and node."""
-        with solver_failure_at(lambda p: p.offset == -100e-12,
-                               lead_beyond(40e-12, 150e-12)) as runs:
+        """A's bisection ends at 100 ps, and the one probe of B's lead, at
+        -100 ps, fails: the error says so, keeping its type, time and node."""
+        with solver_failure_at(lambda p: p.offset == -100e-12, lead_beyond(100e-12)) as runs:
             with pytest.raises(SolverError) as err:
                 measure_dead_zone(DesignPoint())
         assert str(err.value) == ("probe at offset -1e-10 s, 1000000000.0 Hz: transient "
                                   "Newton failed at t = 1.000000e-10 s (worst node 'UP')")
         assert (err.value.time, err.value.node) == (1e-10, "UP")
-        # the probes that ran before it: the bracket end, A's nine halvings and
-        # B's confirmation at A's result (not every midpoint is an exact decimal)
+        # the probes that ran before it: the bracket end and A's nine halvings
+        # (not every midpoint is an exact decimal)
         assert [p.offset for p in runs] == pytest.approx(
-            [200e-12, -200e-12, 100e-12, 50e-12, 25e-12, 37.5e-12, 43.75e-12, 40.625e-12,
-             39.0625e-12, 39.84375e-12, 40.234375e-12, -40.234375e-12], rel=1e-12)
+            [200e-12, 100e-12, 50e-12, 75e-12, 87.5e-12, 93.75e-12, 96.875e-12, 98.4375e-12,
+             99.21875e-12, 99.609375e-12], rel=1e-12)
 
     def test_fmax_solver_error_names_the_probe(self):
         """The first bisection probe, midway between 0.5 and 20 GHz, fails."""
@@ -365,7 +414,7 @@ class TestSearchTermination:
         assert (err.value.time, err.value.node) == (1e-10, "UP")
 
     def test_zero_search_lo_is_not_run(self):
-        """At 0 both probes are one circuit, which cannot lead both ways."""
+        """At 0 no input leads, so search_lo = 0 fails without a run."""
         with stubbed_decisions(lead_beyond(0.0)) as runs:
             measure_dead_zone(DesignPoint(), tol=50e-12)
         assert all(p.offset != 0 for p in runs)
@@ -444,6 +493,9 @@ class TestWidthSweep:
             width_sweep(steps=1)
         with pytest.raises(ValueError):
             width_sweep(w_lo=310e-9, w_hi=120e-9)
+        # a non-int count raised a bare TypeError from numpy
+        with pytest.raises(ValueError, match=r"^steps must be >= 2 and an int, got 2\.5$"):
+            width_sweep(steps=2.5)
 
     def test_parallel_jobs_match_serial(self):
         serial = width_sweep(steps=2, n_periods=3)
@@ -478,6 +530,9 @@ class TestWidthSweep:
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             width_sweep(steps=2, jobs=0)
+        # a non-int count raised a bare TypeError from concurrent.futures
+        with pytest.raises(ValueError, match=r"^jobs must be >= 1 and an int, got 1\.5$"):
+            width_sweep(steps=2, jobs=1.5)
 
 
 class TestCornerSweep:

@@ -30,16 +30,16 @@ from pfdsim.netlist import (
 ROOT = Path(__file__).resolve().parents[1]
 
 CORNER_NETLIST_SHA256 = {
-    ("default", "TT"): "128fd75481a432971e35e33aa5c0fc17079cfe533200e7e7ada9dacd8838d2ad",
-    ("default", "FF"): "0bbc1a615c66cf1c217adcc059f9ed6757d4a64ce429d6689bb104cbb11b74fb",
-    ("default", "FS"): "d47f60583414d8e83acbf62d9dc30f04721f75453816f411916a20ee1ab26234",
-    ("default", "SF"): "e9ff57f1fcdcb15546b4147ea61436e668b4791d67c55f9e8cc0043cda6b1351",
-    ("default", "SS"): "c504e0930d116bf0fe3fcc4e87d0b7d4655dfa5d0b18c12d523539501fffd8ae",
-    ("highspeed", "TT"): "7c412a523aa71f603894cd269f33483da0a8e9946d7ef506f66666629243f3d8",
-    ("highspeed", "FF"): "c0e74d8072f86d3fb309c100a06052d32230b452e71658908d575e2295ced781",
-    ("highspeed", "FS"): "2c45c97fd78d8aed4d756749f7a709e21c734f0e45d193ae192aedb2258a614f",
-    ("highspeed", "SF"): "a933cf739f23dde297b0e523cfc0b700ac8c04a0f799c8503539908b22ec160a",
-    ("highspeed", "SS"): "97eedbbe85eade2a31cdad3aebba29ad0b8ba6d4885a80ad6e38910c62809234",
+    ("default", "TT"): "fae0dd634715939aff415208ea76b58b49a326ecba682833de696335c0672ef5",
+    ("default", "FF"): "76d8c6455652b0039645f4be34e189263f3ea70eab6c0a5ee82941c6c6ae3ccd",
+    ("default", "FS"): "3bfad1b521e81bfe2d0485cd861ec272368e6dc7482328b450a30844fab1793c",
+    ("default", "SF"): "e21f40c9ccc8754f2075856e3ff6c81bd795330b1afbe928cb348a0b0dc8bcb1",
+    ("default", "SS"): "3a811078ac7de63ed0ea1620211abea3ec991db49aa3316c9d5190ea62de355e",
+    ("highspeed", "TT"): "42bc978e39e34c062ef06fe0212be63aadc1b0544c040310e4c03a916fcb23bd",
+    ("highspeed", "FF"): "335262f4d29d3fc7fc7666a8f40520dd86d1fada4bb7f7cfe729ca748187a940",
+    ("highspeed", "FS"): "3eff0c42324dd6902b93c3173619393e8789e3aa657e4d327cf70d838b2fd107",
+    ("highspeed", "SF"): "a07b33e4063409ca1310efc7649f6871d04da765f17f1c24746c90c878e743d3",
+    ("highspeed", "SS"): "0df9e31aa6437509a94155c0acea5c29fd98523e74fce9725ec5045d52f37da6",
 }
 
 NM = DEFAULT_CONFIG.mosfet("nmos", 260e-9, 100e-9)
@@ -301,9 +301,9 @@ class TestBuildPfd:
     @pytest.mark.parametrize("calibration", ["default", "highspeed"])
     def test_corner_netlist_text_unchanged(self, calibration, corner):
         """The PFD at each corner, under the built-in and the shipped
-        calibration, is exactly the netlist it was when a corner was a
-        separate set of scales applied to each device (SHA-256 of its
-        dataclass `repr`, which prints every node, device and parameter)."""
+        calibration, is exactly the recorded netlist (SHA-256 of its
+        dataclass `repr`, which prints every node, device and parameter),
+        recorded with Y's precharge stack mirroring X's."""
         models = (DEFAULT_CONFIG if calibration == "default"
                   else load_config(ROOT / "calibrations" / "highspeed.params"))
         text = repr(build_pfd(DesignPoint(corner=corner), models=models))
