@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from pfdsim.devices import DEFAULT_CONFIG, ModelConfig, load_config
+from pfdsim.devices import DEFAULT_CONFIG, load_config
 from pfdsim.engine import INTEGRATORS, SimOptions, SolverError, TransientResult
 from pfdsim.experiments import (
     STANDARD_CORNERS,
@@ -55,85 +55,83 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: argparse.ArgumentParser, omit: tuple[str, ...] = ()) -> None:
-    """The shared flags but `omit`: a subcommand takes only those it reads."""
+    """The shared flags but `omit`: a subcommand takes only those it reads.
+    Each dest is the name of the parameter the flag sets. Only --offset
+    (100 ps, so that A leads; DesignPoint's 0 leads neither way) and --out
+    have a default here."""
     def add(flag, **kwargs):
         if flag not in omit:
             p.add_argument(flag, **kwargs)
 
-    add("--width", type=float, default=DesignPoint.width, help="gate width, m")
-    add("--length", type=float, default=DesignPoint.length, help="gate length, m")
-    add("--corner", default=DesignPoint.corner, choices=list(STANDARD_CORNERS))
-    add("--freq", dest="frequency", type=float, default=DesignPoint.frequency,
-        help="input frequency, Hz")
+    add("--width", type=float, help="gate width, m")
+    add("--length", type=float, help="gate length, m")
+    add("--corner", choices=list(STANDARD_CORNERS))
+    add("--freq", dest="frequency", type=float, help="input frequency, Hz")
     add("--offset", type=float, default=100e-12,
         help="phase offset, s (positive: A leads)")
-    add("--load-cap", type=float, default=DesignPoint.load_cap, help="output load, F")
-    add("--periods", type=int, default=10, help="simulated input periods")
-    add("--dt", type=float, default=None, help="fixed step, s")
-    add("--integrator", default=INTEGRATORS[0], choices=INTEGRATORS)
-    add("--params", default=None, help="device calibration file")
+    add("--load-cap", type=float, help="output load, F")
+    add("--periods", dest="n_periods", metavar="PERIODS", type=int,
+        help="simulated input periods")
+    add("--dt", type=float, help="fixed step, s")
+    add("--integrator", choices=INTEGRATORS)
+    add("--params", help="device calibration file")
     add("--out", default="out", help="output directory")
     add("--plot", action="store_true", help="write SVG plots")
-    add("--jobs", type=int, default=1, help="parallel sweep workers")
+    add("--jobs", type=int, help="parallel sweep workers")
+
+
+def _names(text: str) -> list[str]:
+    """The names of a comma-separated list, blanks dropped."""
+    return [c.strip() for c in text.split(",") if c.strip()]
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="pfdsim", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("transient", help="fixed-offset lead/lag run")
-    _add_common(p, omit=("--jobs",))
+    def experiment(name, run, about, omit=()):
+        # a flag left out is not in the namespace, so its owner's default applies
+        p = sub.add_parser(name, help=about, argument_default=argparse.SUPPRESS)
+        p.set_defaults(run=run)
+        _add_common(p, omit)
+        return p
 
-    p = sub.add_parser("deadzone", help="bisect the smallest resolvable offset")
-    _add_common(p, omit=("--offset", "--plot", "--jobs"))
-    p.add_argument("--search-lo", type=float, default=0.0)
-    p.add_argument("--search-hi", type=float, default=200e-12)
-    p.add_argument("--tol", type=float, default=0.5e-12)
+    experiment("transient", cmd_transient, "fixed-offset lead/lag run", omit=("--jobs",))
 
-    p = sub.add_parser("halfperiod", help="T/2 offset stabilization test")
-    _add_common(p, omit=("--jobs",))
-    p.set_defaults(periods=20)
+    p = experiment("deadzone", cmd_deadzone, "bisect the smallest resolvable offset",
+                   omit=("--offset", "--plot", "--jobs"))
+    p.add_argument("--search-lo", type=float)
+    p.add_argument("--search-hi", type=float)
+    p.add_argument("--tol", type=float)
 
-    p = sub.add_parser("fmax", help="binary-search the maximum operating frequency")
-    _add_common(p, omit=("--freq", "--offset", "--plot", "--jobs"))
-    p.add_argument("--f-lo", type=float, default=0.5e9)
-    p.add_argument("--f-hi", type=float, default=20e9)
-    p.add_argument("--tol-rel", type=float, default=0.01)
-    p.add_argument("--offset-fraction", type=float, default=0.1)
+    experiment("halfperiod", cmd_halfperiod, "T/2 offset stabilization test",
+               omit=("--jobs",))
 
-    p = sub.add_parser("mismatch", help="unequal reference/feedback frequencies")
-    _add_common(p, omit=("--freq", "--offset", "--jobs"))
+    p = experiment("fmax", cmd_fmax, "binary-search the maximum operating frequency",
+                   omit=("--freq", "--offset", "--plot", "--jobs"))
+    p.add_argument("--f-lo", type=float)
+    p.add_argument("--f-hi", type=float)
+    p.add_argument("--tol-rel", type=float)
+    p.add_argument("--offset-fraction", type=float)
+
+    p = experiment("mismatch", cmd_mismatch, "unequal reference/feedback frequencies",
+                   omit=("--freq", "--offset", "--jobs"))
     p.add_argument("--f-ref", type=float, default=1e9)
     p.add_argument("--f-fb", type=float, default=0.8e9)
 
-    p = sub.add_parser("sweep-width", help="width parametric sweep")
-    _add_common(p, omit=("--width",))
-    p.add_argument("--w-lo", type=float, default=120e-9)
-    p.add_argument("--w-hi", type=float, default=310e-9)
-    p.add_argument("--steps", type=int, default=5)
+    p = experiment("sweep-width", cmd_sweep_width, "width parametric sweep",
+                   omit=("--width",))
+    p.add_argument("--w-lo", type=float)
+    p.add_argument("--w-hi", type=float)
+    p.add_argument("--steps", type=int)
 
-    p = sub.add_parser("corners", help="process-corner sweep")
-    _add_common(p, omit=("--corner",))
-    p.add_argument("--corners", default=",".join(STANDARD_CORNERS),
-                   help="comma-separated corner names")
+    p = experiment("corners", cmd_corners, "process-corner sweep", omit=("--corner",))
+    p.add_argument("--corners", type=_names, help="comma-separated corner names")
 
     p = sub.add_parser("report", help="merge prior report.json files into a summary")
     p.add_argument("inputs", nargs="+", help="report.json files from earlier runs")
     p.add_argument("--out", default="out", help="output directory")
     return parser
-
-
-def _models(args) -> ModelConfig:
-    if args.params is None:
-        return DEFAULT_CONFIG
-    return load_config(args.params)
-
-
-def _point(args) -> DesignPoint:
-    """A field whose flag the subcommand does not take keeps DesignPoint's
-    default; the experiment sets it."""
-    given = vars(args)
-    return DesignPoint(**{f.name: given[f.name] for f in fields(DesignPoint) if f.name in given})
 
 
 class _Output(NamedTuple):
@@ -181,53 +179,56 @@ def _write(args, out: _Output) -> None:
             line_chart(outdir / name, defined, title=title, xlabel=xlabel, ylabel=ylabel)
 
 
-def _run(args, experiment) -> None:
-    """The path of every experiment subcommand from its flags to its files:
-    models, design point and options, the experiment, then its output. Each
-    is checked where it is made: SimOptions checks --dt and --integrator,
-    and the experiment checks --periods (its n_periods) before it
-    simulates."""
-    models = _models(args)
-    point = _point(args)
-    options = SimOptions(dt=args.dt, integrator=args.integrator)
-    _write(args, experiment(args, point, models, options))
+def _take(given: dict, owner) -> dict:
+    """Remove from `given` and return the entries that are fields of the
+    dataclass `owner`."""
+    return {f.name: given.pop(f.name) for f in fields(owner) if f.name in given}
 
 
-def cmd_transient(args, point, models, options) -> _Output:
-    result = simulate_point(point, args.periods, models, options)
+def _run(args) -> None:
+    """The one path of every experiment subcommand from its flags to its
+    files. Each flag given goes to its owner: --params to load_config, the
+    design point's to DesignPoint, the solver's to SimOptions and the rest
+    to the experiment as keywords; a flag left out is absent, so its
+    owner's default applies. Each owner checks its values when it gets
+    them, in that order, and the experiment checks --periods (its
+    n_periods) before it simulates."""
+    given = {k: v for k, v in vars(args).items()
+             if k not in ("command", "run", "out", "plot")}
+    params = given.pop("params", None)
+    models = DEFAULT_CONFIG if params is None else load_config(params)
+    point = DesignPoint(**_take(given, DesignPoint))
+    options = SimOptions(**_take(given, SimOptions))
+    _write(args, args.run(point, models, options, **given))
+
+
+def cmd_transient(point, models, options, **kw) -> _Output:
+    result = simulate_point(point, models=models, options=options, **kw)
     return _Output([report_from_result(point, result, models)], result)
 
 
-def cmd_deadzone(args, point, models, options) -> _Output:
-    dz = measure_dead_zone(point, search_lo=args.search_lo, search_hi=args.search_hi,
-                           tol=args.tol, n_periods=args.periods, models=models,
-                           options=options)
+def cmd_deadzone(point, models, options, **kw) -> _Output:
+    dz = measure_dead_zone(point, models=models, options=options, **kw)
     return _Output([report_row(point, offset=None, dead_zone=dz)])
 
 
-def cmd_halfperiod(args, point, models, options) -> _Output:
-    row, result = half_period_test(point, n_periods=args.periods, models=models,
-                                   options=options)
+def cmd_halfperiod(point, models, options, **kw) -> _Output:
+    row, result = half_period_test(point, models=models, options=options, **kw)
     return _Output([row], result)
 
 
-def cmd_fmax(args, point, models, options) -> _Output:
-    fm = measure_fmax(point, offset_fraction=args.offset_fraction, f_lo=args.f_lo,
-                      f_hi=args.f_hi, tol_rel=args.tol_rel, n_periods=args.periods,
-                      models=models, options=options)
+def cmd_fmax(point, models, options, **kw) -> _Output:
+    fm = measure_fmax(point, models=models, options=options, **kw)
     return _Output([report_row(point, frequency=None, offset=None, f_max=fm)])
 
 
-def cmd_mismatch(args, point, models, options) -> _Output:
-    row, result = frequency_mismatch_test(args.f_ref, args.f_fb, n_periods=args.periods,
-                                          point=point, models=models, options=options)
+def cmd_mismatch(point, models, options, **kw) -> _Output:
+    row, result = frequency_mismatch_test(point=point, models=models, options=options, **kw)
     return _Output([row], result)
 
 
-def cmd_sweep_width(args, point, models, options) -> _Output:
-    rows = width_sweep(w_lo=args.w_lo, w_hi=args.w_hi, steps=args.steps,
-                       point=point, n_periods=args.periods, models=models,
-                       options=options, jobs=args.jobs)
+def cmd_sweep_width(point, models, options, **kw) -> _Output:
+    rows = width_sweep(point=point, models=models, options=options, **kw)
     widths = np.array([r["width"] for r in rows])
     plots = (
         ("plot_width_rise.svg",
@@ -240,10 +241,8 @@ def cmd_sweep_width(args, point, models, options) -> _Output:
     return _Output(rows, plots=plots)
 
 
-def cmd_corners(args, point, models, options) -> _Output:
-    names = [c.strip() for c in args.corners.split(",") if c.strip()]
-    rows = corner_sweep(corners=names, point=point, n_periods=args.periods,
-                        models=models, options=options, jobs=args.jobs)
+def cmd_corners(point, models, options, **kw) -> _Output:
+    rows = corner_sweep(point=point, models=models, options=options, **kw)
     idx = np.arange(len(rows), dtype=float)
     plots = (
         ("plot_corner_rise.svg",
@@ -270,18 +269,6 @@ def cmd_report(args) -> None:
     _write(args, _Output(rows))
 
 
-# the experiment subcommands, each run by _run
-_EXPERIMENTS = {
-    "transient": cmd_transient,
-    "deadzone": cmd_deadzone,
-    "halfperiod": cmd_halfperiod,
-    "fmax": cmd_fmax,
-    "mismatch": cmd_mismatch,
-    "sweep-width": cmd_sweep_width,
-    "corners": cmd_corners,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -292,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             cmd_report(args)
         else:
-            _run(args, _EXPERIMENTS[args.command])
+            _run(args)
         return 0
     except (ValueError, NetlistError, OSError, KeyError) as exc:
         print(f"pfdsim: error: {exc}", file=sys.stderr)

@@ -525,7 +525,11 @@ def _resolve_dt(net: Netlist, opt: SimOptions, t_stop: float) -> float:
 
 def _time_axis(net: Netlist, dt: float, t_stop: float) -> np.ndarray:
     n = int(np.floor(t_stop / dt + 1e-9))
-    points = [np.arange(n + 1) * dt]
+    try:
+        points = [np.arange(n + 1) * dt]
+    except (MemoryError, ValueError):  # numpy refuses an array of that size at once
+        raise ValueError(f"t_stop = {t_stop!r} s at dt = {dt!r} s is {n:.3g} steps, "
+                         "a time axis too large to allocate") from None
     for d in net.devices:
         if isinstance(d, PulseSource):
             points.append(np.array(d.spec.breakpoints(t_stop)))  # in [0, t_stop]
@@ -554,7 +558,8 @@ def transient(
     """Integrate from 0 to t_stop seconds, starting at the DC operating
     point (or at explicit initial node voltages). t_stop must exceed the
     resolved dt and t_stop / dt must be finite, so NaN, 0, negative and
-    infinite values raise ValueError before anything is solved.
+    infinite values raise ValueError before anything is solved, as does a
+    step count whose time axis numpy cannot allocate.
     Pulse-source corner times are exact time points; a non-convergent
     step is bisected up to 8 times before raising."""
     k = _Kernel(netlist, options)

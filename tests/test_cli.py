@@ -8,17 +8,22 @@ import argparse
 import ast
 import concurrent.futures
 import importlib
+import inspect
 import json
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pfdsim.cli as cli
 import pfdsim.experiments as experiments
 from pfdsim.cli import _Output, _write, build_parser, main
+from pfdsim.devices import DEFAULT_CONFIG
 from pfdsim.engine import INTEGRATORS, SimOptions, SolverError, kcl_residual_ratio
+from pfdsim.experiments import ExperimentError
 from pfdsim.measure import Decision
 from pfdsim.netlist import DesignPoint, Netlist
 
@@ -53,6 +58,25 @@ UNREAD_FLAGS = [
     ("sweep-width", "--width"),
     ("corners", "--corner"),
 ]
+
+
+# each experiment subcommand and the library function it runs, by its
+# name in pfdsim.cli
+EXPERIMENTS = {
+    "transient": "simulate_point",
+    "deadzone": "measure_dead_zone",
+    "halfperiod": "half_period_test",
+    "fmax": "measure_fmax",
+    "mismatch": "frequency_mismatch_test",
+    "sweep-width": "width_sweep",
+    "corners": "corner_sweep",
+}
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    """build_parser()'s subcommand parsers by name."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def _no_simulation(*args, **kwargs):
@@ -167,7 +191,7 @@ class TestUsageErrors:
 
     def test_integrator_choices_are_the_engines(self):
         """--integrator takes the engine's one list of names, in its
-        order, with its default."""
+        order, and carries no default of its own: SimOptions has it."""
         subparsers = next(a for a in build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
         for name, sub in subparsers.choices.items():
@@ -176,7 +200,20 @@ class TestUsageErrors:
                 assert action is None
             else:
                 assert tuple(action.choices) == INTEGRATORS, name
-                assert action.default == INTEGRATORS[0] == SimOptions().integrator, name
+                assert action.default is argparse.SUPPRESS, name
+
+    @pytest.mark.parametrize("dt, steps", [("1e-25", "3.35e+16"), ("1e-30", "3.35e+21")])
+    def test_time_axis_too_large_to_allocate_exits_1(self, dt, steps, tmp_path, capsys):
+        """A step count whose time axis numpy refuses at once: one error
+        line naming t_stop, dt and the count, exit 1 and no output, not a
+        numpy MemoryError traceback or a bare 'Maximum allowed size
+        exceeded'. Only counts of 1e16 and more, which no host allocates."""
+        out = tmp_path / "o"
+        assert main(["transient", "--periods", "3", "--dt", dt, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"pfdsim: error: t_stop = 3.3500000000000002e-09 s at dt = {dt} s is {steps} "
+            "steps, a time axis too large to allocate\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("f_fb", ["nan", "0", "inf"])
     def test_bad_f_fb_exits_1_naming_the_flag(self, f_fb, tmp_path, capsys, monkeypatch):
@@ -534,6 +571,55 @@ class TestTracePoints:
         for net, opt, res in runs:
             assert isinstance(net, Netlist) and isinstance(opt, SimOptions)
             assert kcl_residual_ratio(net, res, opt) <= 1
+
+
+class TestFlagRouting:
+    """Each flag the user gives goes to its one owner, and a flag left out
+    reaches no call, so the owner's own default applies."""
+
+    @pytest.mark.parametrize("command", list(EXPERIMENTS))
+    def test_left_out_flags_reach_no_call(self, command, tmp_path, monkeypatch):
+        """With only --out given, the subcommand's library function gets the
+        default models and options, the default design point but for the
+        CLI's --offset where the subcommand takes it, and no keyword of its
+        own but mismatch's two frequencies. Nothing is simulated: the
+        recording stub raises."""
+        name = EXPERIMENTS[command]
+        signature = inspect.signature(getattr(cli, name))
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(signature.bind(*args, **kwargs).arguments)
+            raise ExperimentError("recorded")
+
+        monkeypatch.setattr(cli, name, record)
+        assert main([command, "--out", str(tmp_path / "o")]) == 3
+        [call] = calls
+        takes_offset = "--offset" in subparsers()[command]._option_string_actions
+        point = DesignPoint(offset=100e-12) if takes_offset else DesignPoint()
+        own = {"f_ref": 1e9, "f_fb": 0.8e9} if command == "mismatch" else {}
+        assert call == {"point": point, "models": DEFAULT_CONFIG, "options": SimOptions(),
+                        **own}
+        assert call["models"] is DEFAULT_CONFIG
+
+    def test_each_flag_sets_a_parameter_of_its_owner(self):
+        """Every experiment flag's dest is a DesignPoint or SimOptions field,
+        one of the CLI's own (params, out, plot) or a keyword of the
+        subcommand's library function; and only the four flags the library
+        has no default for carry one here."""
+        fixed = ({f.name for f in fields(DesignPoint)} | {f.name for f in fields(SimOptions)}
+                 | {"params", "out", "plot"})
+        defaults = {}
+        for command, name in EXPERIMENTS.items():
+            keywords = set(inspect.signature(getattr(cli, name)).parameters)
+            for action in subparsers()[command]._actions:
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                assert action.dest in fixed | keywords, (command, action.dest)
+                if action.default is not argparse.SUPPRESS:
+                    defaults[action.option_strings[0]] = action.default
+        assert defaults == {"--offset": 100e-12, "--out": "out", "--f-ref": 1e9,
+                            "--f-fb": 0.8e9}
 
 
 class TestReadme:

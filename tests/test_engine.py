@@ -1689,6 +1689,24 @@ class TestOptionsAndErrors:
                                              rf"got t_stop = {re.escape(repr(t_stop))} s and dt = 5e-13 s$"):
             transient(build_pfd(), SimOptions(), t_stop)
 
+    @pytest.mark.parametrize("dt, steps", [(1e-25, "3.35e+16"), (1e-30, "3.35e+21")])
+    def test_step_count_too_large_to_allocate(self, dt, steps, monkeypatch):
+        """A step count whose time axis numpy refuses at once (with a
+        MemoryError, or with 'Maximum allowed size exceeded' beyond its
+        index range) is refused with a ValueError naming t_stop, dt and the
+        count, before anything is solved. Only counts of 1e16 and more,
+        which no host allocates."""
+        import pfdsim.engine as engine
+
+        def no_solve(*args):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(engine, "_dc_solve", no_solve)
+        with pytest.raises(ValueError, match=rf"^t_stop = 3.35e-09 s at dt = {dt!r} s is "
+                                             rf"{re.escape(steps)} steps, a time axis too "
+                                             "large to allocate$"):
+            transient(build_pfd(), SimOptions(dt=dt), 3.35e-9)
+
     def test_invalid_netlist_rejected(self):
         """An invalid netlist is an input error, not a failed solve."""
         net = Netlist()
