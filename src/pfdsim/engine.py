@@ -7,8 +7,10 @@ docstring keeps the invariants the code relies on.
   has no entry.
 - `SimOptions` is frozen, holds solver settings only and checks each field
   when it is made. The run length is `transient(netlist, options, t_stop)`'s
-  own argument, checked against the dt the run resolves, as SPICE2 keeps
-  `.OPTIONS` apart from `.TRAN`'s stop time. Every time axis starts at
+  own argument, as SPICE2 keeps `.OPTIONS` apart from `.TRAN`'s stop
+  time. `_time_axis` is the one owner of a run's time axis: it resolves
+  dt, checks t_stop against it and builds the step grid and every pulse
+  corner, refusing what numpy cannot allocate. Every time axis starts at
   t = 0, where the DC operating point is solved. Each run
   (`transient`, `dc_operating_point`, `kcl_residual_ratio`) builds one
   step kernel, `_Kernel(netlist, options)`, which refuses an invalid
@@ -127,7 +129,7 @@ class SolverError(Exception):
 class SimOptions:
     """Solver settings, each field checked at construction (`replace`
     included). The run length is not one of them: it is `transient`'s
-    t_stop, which `transient` checks against the dt it resolves."""
+    t_stop, which `_time_axis` checks against the dt it resolves."""
 
     reltol: float = 1e-3
     abstol_v: float = 1e-6
@@ -185,16 +187,15 @@ class TransientResult:
     voltages: np.ndarray  # (n_points, n_nodes)
     source_names: list[str]
     branch_currents: np.ndarray  # (n_points, n_sources), current p->m through source
-    probes: dict[str, str]
+    probes: list[str]  # the nodes written to waves.csv
     supply_source: str | None
     stats: SimStats
 
     def voltage(self, name: str) -> Waveform:
-        node = self.probes.get(name, name)
         try:
-            col = self.node_names.index(node)
+            col = self.node_names.index(name)
         except ValueError:
-            raise KeyError(f"unknown node or probe {name!r}") from None
+            raise KeyError(f"unknown node {name!r}") from None
         return Waveform(self.time, self.voltages[:, col])
 
     def supply_current(self) -> Waveform:
@@ -514,26 +515,36 @@ def dc_operating_point(netlist: Netlist, options: SimOptions | None = None) -> d
     return out
 
 
-def _resolve_dt(net: Netlist, opt: SimOptions, t_stop: float) -> float:
-    if opt.dt is not None:
-        return opt.dt
-    periods = [d.spec.period for d in net.devices if isinstance(d, PulseSource)]
-    if periods:
-        return min(0.5e-12, min(periods) / 2000.0)
-    return t_stop / 1000.0
-
-
-def _time_axis(net: Netlist, dt: float, t_stop: float) -> np.ndarray:
+def _time_axis(net: Netlist, opt: SimOptions, t_stop: float) -> np.ndarray:
+    """The run's time axis: the step grid of the resolved dt, every pulse
+    corner and t_stop. Refuses with ValueError, before anything is solved,
+    a t_stop that does not exceed dt, a step count t_stop / dt that is not
+    finite, and a grid or corner set numpy cannot allocate."""
+    dt = opt.dt
+    if dt is None:
+        periods = [d.spec.period for d in net.devices if isinstance(d, PulseSource)]
+        dt = min(0.5e-12, min(periods) / 2000.0) if periods else t_stop / 1000.0
+    if not t_stop > dt:
+        raise ValueError("t_stop must exceed dt")
+    if not math.isfinite(t_stop / dt):
+        raise ValueError(f"t_stop / dt must be a finite step count, got t_stop = "
+                         f"{t_stop!r} s and dt = {dt!r} s")
     n = int(np.floor(t_stop / dt + 1e-9))
+    # numpy refuses an array too large at once (MemoryError, or ValueError
+    # beyond its index range; a period count past float range overflows):
+    # the refusal names the grid, or the pulse source last sized
+    refused = f"t_stop = {t_stop!r} s at dt = {dt!r} s is {n:.3g} steps"
     try:
         points = [np.arange(n + 1) * dt]
-    except (MemoryError, ValueError):  # numpy refuses an array of that size at once
-        raise ValueError(f"t_stop = {t_stop!r} s at dt = {dt!r} s is {n:.3g} steps, "
-                         "a time axis too large to allocate") from None
-    for d in net.devices:
-        if isinstance(d, PulseSource):
-            points.append(np.array(d.spec.breakpoints(t_stop)))  # in [0, t_stop]
-    t = np.unique(np.concatenate(points))
+        for d in net.devices:
+            if isinstance(d, PulseSource):
+                corners = 4 * (t_stop - d.spec.delay) / d.spec.period
+                refused = (f"pulse source {d.name!r} has {corners:.3g} corners "
+                           f"up to t_stop = {t_stop!r} s")
+                points.append(d.spec.breakpoints(t_stop))  # in [0, t_stop]
+        t = np.unique(np.concatenate(points))
+    except (MemoryError, OverflowError, ValueError):
+        raise ValueError(f"{refused}, a time axis too large to allocate") from None
     # merge points closer than dt * 1e-6 (keeps companion steps well scaled)
     eps = dt * 1e-6
     mask = np.concatenate([[True], np.diff(t) > eps])
@@ -556,20 +567,14 @@ def transient(
     initial_voltages: dict[str, float] | None = None,
 ) -> TransientResult:
     """Integrate from 0 to t_stop seconds, starting at the DC operating
-    point (or at explicit initial node voltages). t_stop must exceed the
-    resolved dt and t_stop / dt must be finite, so NaN, 0, negative and
-    infinite values raise ValueError before anything is solved, as does a
-    step count whose time axis numpy cannot allocate.
-    Pulse-source corner times are exact time points; a non-convergent
-    step is bisected up to 8 times before raising."""
+    point (or at explicit initial node voltages), on the axis of
+    `_time_axis`: the fixed steps plus every pulse-source corner time. A
+    t_stop that `_time_axis` refuses (NaN, 0, negative, infinite, or a
+    step grid or corner set numpy cannot allocate) raises ValueError
+    before anything is solved; a non-convergent step is bisected up to 8
+    times before raising."""
     k = _Kernel(netlist, options)
-    dt = _resolve_dt(netlist, options, t_stop)
-    if not t_stop > dt:
-        raise ValueError("t_stop must exceed dt")
-    if not math.isfinite(t_stop / dt):
-        raise ValueError(f"t_stop / dt must be a finite step count, got t_stop = "
-                         f"{t_stop!r} s and dt = {dt!r} s")
-    axis = _time_axis(netlist, dt, t_stop)
+    axis = _time_axis(netlist, options, t_stop)
     vsrc = _source_values(k, axis)
     # same[j]: the source row of axis[j] is bitwise that of axis[j - 1]
     bits = vsrc.view(np.uint64)
@@ -667,7 +672,7 @@ def transient(
         voltages=states[:, : k.n_nodes],
         source_names=[s.name for s in k.sources],
         branch_currents=states[:, k.n_nodes :],
-        probes=dict(netlist.probes),
+        probes=list(netlist.probes),
         supply_source=k.supply,
         stats=stats,
     )

@@ -36,8 +36,7 @@ class PulseSpec:
     period: float
 
     def __post_init__(self):
-        # finite first: NaN would pass every comparison below, and a NaN
-        # period would never end `breakpoints`
+        # finite first: NaN would pass every comparison below
         for name, v in vars(self).items():
             if not math.isfinite(v):
                 raise ValueError(f"pulse {name} must be finite, got {v!r}")
@@ -79,20 +78,16 @@ class PulseSpec:
                        self.v_low + (self.v_high - self.v_low) * tau / self.rise, out)
         return np.where(t < self.delay, self.v_low, out)
 
-    def breakpoints(self, t_stop: float) -> list[float]:
-        """Waveform corner times in [0, t_stop]."""
-        out = []
-        k = 0
-        while True:
-            base = self.delay + k * self.period
-            if base > t_stop:
-                break
-            for c in (0.0, self.rise, self.rise + self.width, self.rise + self.width + self.fall):
-                t = base + c
-                if 0.0 <= t <= t_stop:
-                    out.append(t)
-            k += 1
-        return out
+    def breakpoints(self, t_stop: float) -> np.ndarray:
+        """Waveform corner times in [0, t_stop], in time order: the four
+        corners of every period that starts by t_stop, counted from the
+        delay, in closed form over one period more than that count."""
+        k = np.arange(math.floor((t_stop - self.delay) / self.period) + 2)
+        base = self.delay + k * self.period
+        base = base[base <= t_stop]
+        t = base[:, None] + np.array([0.0, self.rise, self.rise + self.width,
+                                      self.rise + self.width + self.fall])
+        return t[(0.0 <= t) & (t <= t_stop)]
 
 
 @dataclass(frozen=True)
@@ -167,7 +162,7 @@ class Netlist:
     ground: str = GROUND
     nodes: list[str] = field(default_factory=list)
     devices: list[Device] = field(default_factory=list)
-    probes: dict[str, str] = field(default_factory=dict)  # alias -> node
+    probes: list[str] = field(default_factory=list)  # nodes written to waves.csv
 
     def add_node(self, name: str) -> str:
         if name in self.nodes:
@@ -184,10 +179,10 @@ class Netlist:
         self.devices.append(device)
         return device
 
-    def add_probe(self, alias: str, node: str) -> None:
+    def add_probe(self, node: str) -> None:
         if node not in self.nodes:
-            raise NetlistError(f"unknown node {node!r} for probe {alias!r}")
-        self.probes[alias] = node
+            raise NetlistError(f"unknown node {node!r} for a probe")
+        self.probes.append(node)
 
     def sources(self) -> list[DcSource | PulseSource]:
         return [d for d in self.devices if isinstance(d, (DcSource, PulseSource))]
@@ -383,6 +378,6 @@ def build_pfd(
     net.add(Capacitor("CUP", a="UP", b=GROUND, farads=point.load_cap))
     net.add(Capacitor("CDN", a="DN", b=GROUND, farads=point.load_cap))
 
-    for alias in ("A", "B", "X", "Y", "UP", "DN"):
-        net.add_probe(alias, alias)
+    for node in ("A", "B", "X", "Y", "UP", "DN"):
+        net.add_probe(node)
     return net

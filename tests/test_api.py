@@ -49,6 +49,7 @@ def test_public_name_resolves_and_is_documented(name):
     (pfdsim.cli, "_check_run_length"),
     (pfdsim.engine.SimOptions, "validate"),
     (pfdsim.engine.SimOptions, "t_stop"),
+    (pfdsim.engine, "_resolve_dt"),
 ])
 def test_deleted_helper_is_gone(owner, name):
     assert not hasattr(owner, name)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import pfdsim.cli as cli
+import pfdsim.engine as engine
 import pfdsim.experiments as experiments
 from pfdsim.cli import _Output, _write, build_parser, main
 from pfdsim.devices import DEFAULT_CONFIG
@@ -213,6 +214,21 @@ class TestUsageErrors:
         assert capsys.readouterr().err == (
             f"pfdsim: error: t_stop = 3.3500000000000002e-09 s at dt = {dt} s is {steps} "
             "steps, a time axis too large to allocate\n")
+        assert not out.exists()
+
+    def test_corner_count_too_large_to_allocate_exits_1(self, tmp_path, capsys, monkeypatch):
+        """1e15 periods at --dt 1: a step grid of 1e6 points, but 4e15
+        corners of input A, which numpy refuses at once. One error line
+        naming the source, the count and t_stop, exit 1, no output and
+        nothing solved, where the corners were built one period at a time
+        until memory ran out."""
+        monkeypatch.setattr(engine, "_dc_solve", _no_simulation)
+        out = tmp_path / "o"
+        assert main(["transient", "--periods", "1000000000000000", "--dt", "1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "pfdsim: error: pulse source 'VA' has 4e+15 corners up to t_stop = "
+            "1000000.0000000005 s, a time axis too large to allocate\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("f_fb", ["nan", "0", "inf"])

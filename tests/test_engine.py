@@ -58,7 +58,7 @@ def rc_lowpass(r=1e3, c=1e-12) -> Netlist:
     net.add(step_source("VIN", "in", 1.0))
     net.add(Resistor("R1", a="in", b="out", ohms=r))
     net.add(Capacitor("C1", a="out", b="0", farads=c))
-    net.add_probe("out", "out")
+    net.add_probe("out")
     return net
 
 
@@ -278,7 +278,7 @@ class TestPfdTransient:
         net, opt, res = lead_a_run
         delta = 40e-12  # 80 grid steps at the default 0.5 ps
         shifted = Netlist(ground=net.ground, nodes=list(net.nodes),
-                          probes=dict(net.probes))
+                          probes=list(net.probes))
         for d in net.devices:
             if isinstance(d, PulseSource):
                 d = replace(d, spec=replace(d.spec, delay=d.spec.delay + delta))
@@ -293,8 +293,9 @@ class TestPfdTransient:
         net, _, res = lead_a_run
         for d in net.devices:
             if isinstance(d, PulseSource):
-                for bp in d.spec.breakpoints(float(res.time[-1])):
-                    assert np.min(np.abs(res.time - bp)) < 1e-18
+                bps = d.spec.breakpoints(float(res.time[-1]))
+                assert len(bps) > 0
+                assert (np.abs(res.time[:, None] - bps).min(axis=0) < 1e-18).all()
 
     def test_ends_exactly_at_t_stop(self):
         """10.25 ns is 20500 steps of 0.5 ps, which round to one ulp below
@@ -584,12 +585,12 @@ def ref_converged(r, opt, f, scale):
 def ref_transient(net, opt, t_stop, initial=None):
     """The engine's time loop over the reference assembly, started from the
     DC point or from initial node voltages."""
-    from pfdsim.engine import _MAX_STEP_HALVINGS, _NEWTON_DAMP_V, _resolve_dt, _time_axis
+    from pfdsim.engine import _MAX_STEP_HALVINGS, _NEWTON_DAMP_V, _time_axis
 
     c = ref_compile(net, opt.gmin)
     r = ref_index(net, c, opt.gmin)
     keep, _ = ref_rows(r)
-    axis = _time_axis(net, _resolve_dt(net, opt, t_stop), t_stop)
+    axis = _time_axis(net, opt, t_stop)
 
     def vsrc(t):
         return [s.volts if isinstance(s, DcSource) else s.spec.value(t) for s in r.sources]
@@ -925,7 +926,7 @@ def test_transient_matches_scatter_reference(offset, options):
     if options:  # the halving path ran
         from pfdsim.engine import _time_axis
 
-        assert len(res.time) > len(_time_axis(net, opt.dt, t_stop))
+        assert len(res.time) > len(_time_axis(net, opt, t_stop))
 
 
 @ONE_PERIOD_RUNS
@@ -1071,13 +1072,12 @@ class RefKernel:
     def transient(self, net, t_stop, initial=None):
         from pfdsim.engine import (
             _MAX_STEP_HALVINGS,
-            _resolve_dt,
             _source_values,
             _time_axis,
         )
 
         c, opt, stats = self.c, self.opt, self.stats
-        axis = _time_axis(net, _resolve_dt(net, opt, t_stop), t_stop).tolist()
+        axis = _time_axis(net, opt, t_stop).tolist()
         vsrc = _source_values(c, axis)
         if initial is None:
             x, ev = self.dc_solve()
@@ -1206,7 +1206,7 @@ def test_stats_count_the_run(offset, options, monkeypatch):
     and device evaluations by patching, points from the result, halvings
     from the time axis (each halving adds one point)."""
     import pfdsim.engine as engine
-    from pfdsim.engine import _resolve_dt, _time_axis
+    from pfdsim.engine import _time_axis
 
     net, opt, t_stop, initial = one_period_run(offset, options)
     calls = {"solve": 0, "eval": 0}
@@ -1224,7 +1224,7 @@ def test_stats_count_the_run(offset, options, monkeypatch):
     monkeypatch.setattr(engine, "mosfet_eval", counted_eval)
     res = transient(net, opt, t_stop, initial_voltages=initial)
     stats = res.stats
-    axis = _time_axis(net, _resolve_dt(net, opt, t_stop), t_stop)
+    axis = _time_axis(net, opt, t_stop)
     assert stats.points == len(res.time)
     assert stats.lu_solves == calls["solve"] > 0
     assert stats.device_evals == calls["eval"] == stats.lu_solves + 1
@@ -1677,14 +1677,16 @@ class TestOptionsAndErrors:
     @pytest.mark.parametrize("t_stop", [math.inf, 1e300])
     def test_step_count_must_be_finite(self, t_stop, monkeypatch):
         """A run whose step count t_stop / dt overflows to inf is refused
-        with a ValueError naming t_stop and dt, before the time axis is
-        built (it ended in an OverflowError from `_time_axis`)."""
+        with a ValueError naming t_stop and dt, before a pulse corner is
+        built or anything is solved (it ended in an OverflowError from
+        `_time_axis`)."""
         import pfdsim.engine as engine
 
-        def no_axis(*args):
-            raise AssertionError("_time_axis ran")
+        def fail(*args):
+            raise AssertionError("ran")
 
-        monkeypatch.setattr(engine, "_time_axis", no_axis)
+        monkeypatch.setattr(PulseSpec, "breakpoints", fail)
+        monkeypatch.setattr(engine, "_dc_solve", fail)
         with pytest.raises(ValueError, match=r"^t_stop / dt must be a finite step count, "
                                              rf"got t_stop = {re.escape(repr(t_stop))} s and dt = 5e-13 s$"):
             transient(build_pfd(), SimOptions(), t_stop)
@@ -1706,6 +1708,25 @@ class TestOptionsAndErrors:
                                              rf"{re.escape(steps)} steps, a time axis too "
                                              "large to allocate$"):
             transient(build_pfd(), SimOptions(dt=dt), 3.35e-9)
+
+    @pytest.mark.parametrize("t_stop, corners", [(1e6, "4e+15"), (1e300, "inf")])
+    def test_corner_count_too_large_to_allocate(self, t_stop, corners, monkeypatch):
+        """A step grid numpy allocates with more pulse corners than it can:
+        at dt = 1 s, 1e6 s is 1e6 steps but 1e15 periods of the 1 GHz
+        input A. The refusal names the pulse source, its corner count and
+        t_stop, before anything is solved (the corners were built one
+        period at a time until memory ran out). At 1e300 s the period
+        count overflows a float."""
+        import pfdsim.engine as engine
+
+        def no_solve(*args):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(engine, "_dc_solve", no_solve)
+        message = (f"pulse source 'VA' has {corners} corners up to t_stop = {t_stop!r} s, "
+                   "a time axis too large to allocate")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            transient(build_pfd(), SimOptions(dt=t_stop / 1e6), t_stop)
 
     def test_invalid_netlist_rejected(self):
         """An invalid netlist is an input error, not a failed solve."""

@@ -30,16 +30,16 @@ from pfdsim.netlist import (
 ROOT = Path(__file__).resolve().parents[1]
 
 CORNER_NETLIST_SHA256 = {
-    ("default", "TT"): "fae0dd634715939aff415208ea76b58b49a326ecba682833de696335c0672ef5",
-    ("default", "FF"): "76d8c6455652b0039645f4be34e189263f3ea70eab6c0a5ee82941c6c6ae3ccd",
-    ("default", "FS"): "3bfad1b521e81bfe2d0485cd861ec272368e6dc7482328b450a30844fab1793c",
-    ("default", "SF"): "e21f40c9ccc8754f2075856e3ff6c81bd795330b1afbe928cb348a0b0dc8bcb1",
-    ("default", "SS"): "3a811078ac7de63ed0ea1620211abea3ec991db49aa3316c9d5190ea62de355e",
-    ("highspeed", "TT"): "42bc978e39e34c062ef06fe0212be63aadc1b0544c040310e4c03a916fcb23bd",
-    ("highspeed", "FF"): "335262f4d29d3fc7fc7666a8f40520dd86d1fada4bb7f7cfe729ca748187a940",
-    ("highspeed", "FS"): "3eff0c42324dd6902b93c3173619393e8789e3aa657e4d327cf70d838b2fd107",
-    ("highspeed", "SF"): "a07b33e4063409ca1310efc7649f6871d04da765f17f1c24746c90c878e743d3",
-    ("highspeed", "SS"): "0df9e31aa6437509a94155c0acea5c29fd98523e74fce9725ec5045d52f37da6",
+    ("default", "TT"): "90549e675d77744f954bf5ff50823e371cd79033b8ffe722961f6157719bcd2b",
+    ("default", "FF"): "94520907bdb3e736449d73088399547c027e1723965cddb54a63698fef39b025",
+    ("default", "FS"): "976a67b8b363759eeba26c9a8a225bcf623fb05d0f1842dd7fcc8d45282e1bb3",
+    ("default", "SF"): "7b9127f2044ae2f0420d8e404bb09bad16caa46f77a87c61ffb5065b50f2cbd1",
+    ("default", "SS"): "51c20b7301b339816c193433eaa483fa07b49631e904ab3b4ae992055be70194",
+    ("highspeed", "TT"): "b0c83cfddfb01ba7fe13252a333a9503783c6385511fa1ce47dadc0180a3b862",
+    ("highspeed", "FF"): "ed98d18ef3e52998cdb70ed502f5e070e1afff1a86f0f1308ca294a2035a1ef6",
+    ("highspeed", "FS"): "584632648ca89a73009f7f4321faf77e0539a73a816af9ad98170736ca176c16",
+    ("highspeed", "SF"): "b744c4d560659eeea8d4fe2bac896692962342f47ef201830132000ea78a0ee3",
+    ("highspeed", "SS"): "8cc501a40825454b4b90d4aa8e8eb29c27323170a5d1d02943955342562f9b0d",
 }
 
 NM = DEFAULT_CONFIG.mosfet("nmos", 260e-9, 100e-9)
@@ -68,6 +68,12 @@ class TestConstruction:
         net = simple_net()
         with pytest.raises(NetlistError, match="unknown node"):
             net.add(Resistor("R9", a="a", b="zz", ohms=1.0))
+
+    def test_probe_on_unknown_node_rejected(self):
+        net = simple_net()
+        with pytest.raises(NetlistError, match=r"^unknown node 'zz' for a probe$"):
+            net.add_probe("zz")
+        assert net.probes == []
 
     def test_duplicate_device_rejected(self):
         net = simple_net()
@@ -175,7 +181,7 @@ def pulse_times(draw, spec):
     neighbouring floats, times before the delay, exact multiples of the
     period (from 0 and from the delay), and times many periods out."""
     p, d = spec.period, spec.delay
-    corners = spec.breakpoints(d + 2 * p) or [max(d, 0.0)]
+    corners = spec.breakpoints(d + 2 * p).tolist() or [max(d, 0.0)]
     periods = st.integers(0, 10**6)
     near = st.sampled_from([-math.inf, 0.0, math.inf])
     kinds = st.one_of(
@@ -237,8 +243,8 @@ class TestPulseSpec:
         s = PulseSpec(v_low=0.0, v_high=1.0, delay=2e-10, rise=1e-10,
                       fall=1e-10, width=3e-10, period=1e-9)
         bps = s.breakpoints(1e-9)
-        for expect in (2e-10, 3e-10, 6e-10, 7e-10):
-            assert any(abs(b - expect) < 1e-18 for b in bps)
+        assert isinstance(bps, np.ndarray)
+        assert np.abs(bps - [2e-10, 3e-10, 6e-10, 7e-10]).max() < 1e-18
 
 
 class TestNor2:
@@ -282,8 +288,9 @@ class TestBuildPfd:
         assert a == b
 
     def test_probe_aliases(self):
+        """Probes are node names, in the column order of waves.csv."""
         net = build_pfd()
-        assert set(net.probes) == {"A", "B", "X", "Y", "UP", "DN"}
+        assert net.probes == ["A", "B", "X", "Y", "UP", "DN"]
 
     def test_corner_changes_parameters_only(self):
         tt = build_pfd()
@@ -303,7 +310,8 @@ class TestBuildPfd:
         """The PFD at each corner, under the built-in and the shipped
         calibration, is exactly the recorded netlist (SHA-256 of its
         dataclass `repr`, which prints every node, device and parameter),
-        recorded with Y's precharge stack mirroring X's."""
+        recorded with Y's precharge stack mirroring X's and the probes as
+        a list of node names."""
         models = (DEFAULT_CONFIG if calibration == "default"
                   else load_config(ROOT / "calibrations" / "highspeed.params"))
         text = repr(build_pfd(DesignPoint(corner=corner), models=models))
@@ -347,7 +355,7 @@ class TestProperties:
     @given(drawn=pulse_specs())
     def test_breakpoints_one_per_corner(self, drawn):
         spec, t_stop = drawn
-        bps = spec.breakpoints(t_stop)
+        bps = spec.breakpoints(t_stop).tolist()
         assert bps == sorted(bps)
         assert all(0.0 <= t <= t_stop for t in bps)
         corners = (0.0, spec.rise, spec.rise + spec.width, spec.rise + spec.width + spec.fall)
