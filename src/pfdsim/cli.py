@@ -56,9 +56,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: argparse.ArgumentParser, omit: tuple[str, ...] = ()) -> None:
     """The shared flags but `omit`: a subcommand takes only those it reads.
-    Each dest is the name of the parameter the flag sets. Only --offset
-    (100 ps, so that A leads; DesignPoint's 0 leads neither way) and --out
-    have a default here."""
+    Each dest is the name of the parameter the flag sets, as is that of a
+    subcommand's own flag (mismatch's --f-ref sets DesignPoint.frequency).
+    Only --offset (100 ps, so that A leads; DesignPoint's 0 leads neither
+    way) and --out have a default in the CLI; every other flag's owner
+    holds its default."""
     def add(flag, **kwargs):
         if flag not in omit:
             p.add_argument(flag, **kwargs)
@@ -116,8 +118,8 @@ def build_parser() -> _Parser:
 
     p = experiment("mismatch", cmd_mismatch, "unequal reference/feedback frequencies",
                    omit=("--freq", "--offset", "--jobs"))
-    p.add_argument("--f-ref", type=float, default=1e9)
-    p.add_argument("--f-fb", type=float, default=0.8e9)
+    p.add_argument("--f-ref", dest="frequency", metavar="F_REF", type=float)
+    p.add_argument("--f-fb", type=float)
 
     p = experiment("sweep-width", cmd_sweep_width, "width parametric sweep",
                    omit=("--width",))
@@ -223,12 +225,12 @@ def cmd_fmax(point, models, options, **kw) -> _Output:
 
 
 def cmd_mismatch(point, models, options, **kw) -> _Output:
-    row, result = frequency_mismatch_test(point=point, models=models, options=options, **kw)
+    row, result = frequency_mismatch_test(point, models=models, options=options, **kw)
     return _Output([row], result)
 
 
 def cmd_sweep_width(point, models, options, **kw) -> _Output:
-    rows = width_sweep(point=point, models=models, options=options, **kw)
+    rows = width_sweep(point, models=models, options=options, **kw)
     widths = np.array([r["width"] for r in rows])
     plots = (
         ("plot_width_rise.svg",
@@ -242,7 +244,7 @@ def cmd_sweep_width(point, models, options, **kw) -> _Output:
 
 
 def cmd_corners(point, models, options, **kw) -> _Output:
-    rows = corner_sweep(point=point, models=models, options=options, **kw)
+    rows = corner_sweep(point, models=models, options=options, **kw)
     idx = np.arange(len(rows), dtype=float)
     plots = (
         ("plot_corner_rise.svg",

@@ -71,18 +71,18 @@ def simulate_point(
     n_periods: int = 10,
     models: ModelConfig = DEFAULT_CONFIG,
     options: SimOptions | None = None,
-    frequency_b: float | None = None,
 ) -> TransientResult:
     """Build the PFD at the design point and run n_periods of stimulus, a
     run long enough for a power report: ValueError before simulating if
     n_periods <= SETTLE_PERIODS."""
     _check_periods(n_periods, SETTLE_PERIODS + 1)
-    return _simulate(point, n_periods, models, options, frequency_b)
+    return _simulate(point, n_periods, models, options)
 
 
 def _simulate(point, n_periods, models, options, frequency_b=None) -> TransientResult:
-    """simulate_point without the run-length check: a search probe needs
-    only whole periods, which its search checks once."""
+    """simulate_point without the run-length check, input B optionally at
+    frequency_b: a search probe needs only whole periods, which its search
+    checks once, and the mismatch run checks its own length."""
     t_stop = stimulus_time(point, n_periods, frequency_b)
     net = build_pfd(point, frequency_b=frequency_b, models=models)
     return transient(net, options or SimOptions(), t_stop)
@@ -255,16 +255,17 @@ def _run_points(points, n_periods, models, options, jobs) -> list[dict]:
 
 
 def width_sweep(
+    point: DesignPoint,
     w_lo: float = 120e-9,
     w_hi: float = 310e-9,
     steps: int = 5,
-    point: DesignPoint = DesignPoint(offset=100e-12),
     n_periods: int = 10,
     models: ModelConfig = DEFAULT_CONFIG,
     options: SimOptions | None = None,
     jobs: int = 1,
 ) -> list[dict]:
-    """A report row at each of `steps` linearly spaced widths."""
+    """A report row at each of `steps` linearly spaced widths, the rest of
+    the design from the point."""
     if not (isinstance(steps, int) and steps >= 2):
         raise ValueError(f"steps must be >= 2 and an int, got {steps!r}")
     if not 0 < w_lo < w_hi < math.inf:  # NaN fails too
@@ -275,16 +276,17 @@ def width_sweep(
 
 
 def corner_sweep(
+    point: DesignPoint,
     corners: list[str] | None = None,
-    point: DesignPoint = DesignPoint(offset=100e-12),
     n_periods: int = 10,
     models: ModelConfig = DEFAULT_CONFIG,
     options: SimOptions | None = None,
     jobs: int = 1,
 ) -> list[dict]:
-    """One report row per corner; every corner must classify the fixed offset
-    correctly or ExperimentError is raised. A zero offset leads neither
-    way, so it raises ValueError before anything is simulated."""
+    """One report row per corner, the rest of the design from the point;
+    every corner must classify the point's offset correctly or
+    ExperimentError is raised. A zero offset leads neither way, so it
+    raises ValueError before anything is simulated."""
     names = list(STANDARD_CORNERS) if corners is None else list(corners)
     if not names:
         raise ValueError("corners must be non-empty")
@@ -325,26 +327,27 @@ def half_period_test(
 
 
 def frequency_mismatch_test(
-    f_ref: float,
-    f_fb: float,
+    point: DesignPoint,
+    f_fb: float = 0.8e9,
     n_periods: int = 10,
-    point: DesignPoint = DesignPoint(),
     models: ModelConfig = DEFAULT_CONFIG,
     options: SimOptions | None = None,
 ) -> tuple[dict, TransientResult]:
-    """Unequal input frequencies: the slower feedback must accumulate more
-    UP high-time than DN high-time (and mirrored). Returns the run's report
-    row and the run."""
+    """Unequal input frequencies, A at the point's frequency and B at f_fb,
+    with the offset forced to 0: the slower feedback must accumulate more
+    UP high-time than DN high-time (and mirrored). Returns the run's
+    report row and the run."""
     if not 0 < f_fb < math.inf:  # NaN fails too
         raise ValueError(f"feedback frequency f_fb (--f-fb) must be finite and > 0, "
                          f"got {f_fb!r}")
-    if f_ref == f_fb:
+    if point.frequency == f_fb:
         raise ExperimentError("equal frequencies: use run_offset_experiment instead")
-    p = replace(point, frequency=f_ref, offset=0.0)
-    result = simulate_point(p, n_periods, models, options, frequency_b=f_fb)
+    _check_periods(n_periods, SETTLE_PERIODS + 1)
+    p = replace(point, offset=0.0)
+    result = _simulate(p, n_periods, models, options, frequency_b=f_fb)
     table = pulse_table_for(p, result, models)
     up_ht, dn_ht = high_time(table.up), high_time(table.dn)
-    lead = "UP" if f_fb < f_ref else "DN"
+    lead = "UP" if f_fb < point.frequency else "DN"
     if not (up_ht > dn_ht if lead == "UP" else dn_ht > up_ht):
         raise ExperimentError(
             f"expected {lead} high-time to dominate (up {up_ht:g} s vs dn {dn_ht:g} s)")

@@ -97,7 +97,13 @@ class PulseTable:
 def pulse_table(up: Waveform, dn: Waveform, *, vdd: float, anchor: float,
                 period: float) -> PulseTable:
     """The table of UP and DN on one time axis; its periods are [anchor +
-    k*period, anchor + (k+1)*period), each ending by the run's end."""
+    k*period, anchor + (k+1)*period), each ending by the run's end. A
+    period that is not finite and > 0, or an anchor that is not finite,
+    raises ValueError: its periods would never stop being counted, or a
+    NaN would count none."""
+    if not (0 < period < np.inf and np.isfinite(anchor)):  # NaN fails too
+        raise ValueError(f"need a finite period > 0 and a finite anchor, "
+                         f"got period = {period!r} s, anchor = {anchor!r} s")
     t_end = up.t[-1] + 1e-15 * period
     n = 0
     while anchor + (n + 1) * period <= t_end:

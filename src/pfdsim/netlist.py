@@ -180,9 +180,21 @@ class Netlist:
         return device
 
     def add_probe(self, node: str) -> None:
-        if node not in self.nodes:
-            raise NetlistError(f"unknown node {node!r} for a probe")
+        problem = self._probe_problem(node, self.probes)
+        if problem:
+            raise NetlistError(problem)
         self.probes.append(node)
+
+    def _probe_problem(self, node: str, earlier: list[str]) -> str | None:
+        """Why `node` cannot follow the probes `earlier` in waves.csv, if it
+        cannot: a column holds one non-ground node's voltage, once."""
+        if node == self.ground:
+            return f"probe on the ground node {node!r}"
+        if node not in self.nodes:
+            return f"unknown node {node!r} for a probe"
+        if node in earlier:
+            return f"duplicate probe {node!r}"
+        return None
 
     def sources(self) -> list[DcSource | PulseSource]:
         return [d for d in self.devices if isinstance(d, (DcSource, PulseSource))]
@@ -212,6 +224,10 @@ class Netlist:
             kind = _BRANCH_KINDS.get(type(d))
             if kind and d.nodes[0] == d.nodes[1]:
                 violations.append(f"{kind} {d.name!r} connects node {d.nodes[0]!r} to itself")
+        for i, node in enumerate(self.probes):
+            problem = self._probe_problem(node, self.probes[:i])
+            if problem:
+                violations.append(problem)
 
         # connectivity: every non-ground node reachable from ground through
         # device terminals (each device links all of its terminals)

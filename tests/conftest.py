@@ -35,11 +35,11 @@ def default_report(grid_runs):
 
 @pytest.fixture(scope="session")
 def width_sweep_reports():
-    return width_sweep()
+    return width_sweep(DesignPoint(offset=100e-12))
 
 
 @pytest.fixture(scope="session")
 def corner_reports():
     from pfdsim.experiments import corner_sweep
 
-    return corner_sweep()
+    return corner_sweep(DesignPoint(offset=100e-12))

@@ -184,9 +184,9 @@ def test_criterion_7_fmax_and_mismatch():
         fm_hs = measure_fmax(DesignPoint(), f_lo=4e9, models=models)
         assert fm_hs >= 5e9
 
-        rep, _ = frequency_mismatch_test(1e9, 0.8e9)  # raises if UP does not dominate
+        rep, _ = frequency_mismatch_test(DesignPoint(), 0.8e9)  # raises if UP does not dominate
         assert rep["decision"] == Decision.LEAD_A.value
-        rep, _ = frequency_mismatch_test(0.8e9, 1e9)
+        rep, _ = frequency_mismatch_test(DesignPoint(frequency=0.8e9), 1e9)
         assert rep["decision"] == Decision.LEAD_B.value
 
 

@@ -95,3 +95,22 @@ def test_build_pfd_takes_the_design_point():
     assert list(inspect.signature(pfdsim.build_pfd).parameters) == [
         "point", "frequency_b", "models"]
     assert pfdsim.DesignPoint is pfdsim.experiments.DesignPoint is pfdsim.netlist.DesignPoint
+
+
+EXPERIMENTS = ["run_offset_experiment", "measure_dead_zone", "measure_fmax", "width_sweep",
+               "corner_sweep", "half_period_test", "frequency_mismatch_test"]
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_experiment_takes_its_design_point_first(name):
+    """Every experiment reads the design it does not sweep or search from
+    its point, which it must be given: the mismatch run's reference
+    frequency is the point's, and no sweep keeps a default point of its
+    own."""
+    first = next(iter(inspect.signature(getattr(pfdsim, name)).parameters.values()))
+    assert (first.name, first.default) == ("point", inspect.Parameter.empty)
+
+
+def test_mismatch_frequency_has_one_owner():
+    assert "f_ref" not in inspect.signature(pfdsim.frequency_mismatch_test).parameters
+    assert "frequency_b" not in inspect.signature(pfdsim.experiments.simulate_point).parameters

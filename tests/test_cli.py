@@ -490,7 +490,8 @@ class TestLibraryRows:
     @pytest.mark.parametrize("argv, experiment", [
         (["transient"],
          lambda: [experiments.run_offset_experiment(DesignPoint(offset=100e-12), n_periods=3)]),
-        (["sweep-width", "--steps", "2"], lambda: experiments.width_sweep(steps=2, n_periods=3)),
+        (["sweep-width", "--steps", "2"],
+         lambda: experiments.width_sweep(DesignPoint(offset=100e-12), steps=2, n_periods=3)),
     ], ids=["transient", "sweep-width"])
     def test_cli_writes_the_library_rows(self, argv, experiment, tmp_path):
         out = tmp_path / "o"
@@ -598,8 +599,7 @@ class TestFlagRouting:
         """With only --out given, the subcommand's library function gets the
         default models and options, the default design point but for the
         CLI's --offset where the subcommand takes it, and no keyword of its
-        own but mismatch's two frequencies. Nothing is simulated: the
-        recording stub raises."""
+        own. Nothing is simulated: the recording stub raises."""
         name = EXPERIMENTS[command]
         signature = inspect.signature(getattr(cli, name))
         calls = []
@@ -613,16 +613,15 @@ class TestFlagRouting:
         [call] = calls
         takes_offset = "--offset" in subparsers()[command]._option_string_actions
         point = DesignPoint(offset=100e-12) if takes_offset else DesignPoint()
-        own = {"f_ref": 1e9, "f_fb": 0.8e9} if command == "mismatch" else {}
-        assert call == {"point": point, "models": DEFAULT_CONFIG, "options": SimOptions(),
-                        **own}
+        assert call == {"point": point, "models": DEFAULT_CONFIG, "options": SimOptions()}
         assert call["models"] is DEFAULT_CONFIG
 
     def test_each_flag_sets_a_parameter_of_its_owner(self):
         """Every experiment flag's dest is a DesignPoint or SimOptions field,
         one of the CLI's own (params, out, plot) or a keyword of the
-        subcommand's library function; and only the four flags the library
-        has no default for carry one here."""
+        subcommand's library function (mismatch's --f-ref is the point's
+        frequency); and only --offset, whose library default leads neither
+        way, and --out carry a default here."""
         fixed = ({f.name for f in fields(DesignPoint)} | {f.name for f in fields(SimOptions)}
                  | {"params", "out", "plot"})
         defaults = {}
@@ -634,8 +633,7 @@ class TestFlagRouting:
                 assert action.dest in fixed | keywords, (command, action.dest)
                 if action.default is not argparse.SUPPRESS:
                     defaults[action.option_strings[0]] = action.default
-        assert defaults == {"--offset": 100e-12, "--out": "out", "--f-ref": 1e9,
-                            "--f-fb": 0.8e9}
+        assert defaults == {"--offset": 100e-12, "--out": "out"}
 
 
 class TestReadme:

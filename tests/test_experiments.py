@@ -67,6 +67,9 @@ class TestDesignPoint:
             DesignPoint(**{field: value})
 
 
+LEAD = DesignPoint(offset=100e-12)  # A leads by the CLI's default offset
+
+
 def _no_simulation(*args, **kwargs):
     raise AssertionError("simulated despite an invalid argument")
 
@@ -118,9 +121,9 @@ def test_dead_zone_bracket_error_names_the_period():
 @pytest.mark.parametrize("experiment", [
     lambda n: experiments.simulate_point(DesignPoint(), n),
     lambda n: experiments.run_offset_experiment(DesignPoint(), n),
-    lambda n: frequency_mismatch_test(1e9, 0.8e9, n_periods=n),
-    lambda n: experiments.corner_sweep(["TT"], n_periods=n),
-    lambda n: width_sweep(steps=2, n_periods=n, jobs=2),
+    lambda n: frequency_mismatch_test(DesignPoint(), 0.8e9, n_periods=n),
+    lambda n: experiments.corner_sweep(LEAD, ["TT"], n_periods=n),
+    lambda n: width_sweep(LEAD, steps=2, n_periods=n, jobs=2),
 ], ids=["simulate_point", "run_offset_experiment", "frequency_mismatch_test",
         "corner_sweep", "width_sweep"])
 def test_power_run_without_a_window_refused_before_simulating(experiment, n_periods,
@@ -443,7 +446,7 @@ class TestOneScanPerOutput:
     @pytest.mark.parametrize("experiment", [
         lambda point, result: report_from_result(point, result),
         lambda point, result: half_period_test(point, n_periods=10),
-        lambda point, result: frequency_mismatch_test(1e9, 0.8e9, n_periods=10),
+        lambda point, result: frequency_mismatch_test(DesignPoint(), 0.8e9, n_periods=10),
         lambda point, result: experiments._decision_at(point, 10, DEFAULT_CONFIG, None),
     ], ids=["report_from_result", "half_period_test", "frequency_mismatch_test",
             "_decision_at"])
@@ -457,7 +460,7 @@ class TestOneScanPerOutput:
     @pytest.mark.parametrize("experiment,classified", [
         (lambda point, result: report_from_result(point, result), 1),
         (lambda point, result: half_period_test(point, n_periods=10)[0], 0),
-        (lambda point, result: frequency_mismatch_test(1e9, 0.8e9, n_periods=10)[0], 0),
+        (lambda point, result: frequency_mismatch_test(DesignPoint(), 0.8e9, n_periods=10)[0], 0),
     ], ids=["report_from_result", "half_period_test", "frequency_mismatch_test"])
     def test_whole_run_classified_only_where_reported(self, scans, experiment, classified,
                                                       monkeypatch):
@@ -490,16 +493,16 @@ class TestWidthSweep:
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
-            width_sweep(steps=1)
+            width_sweep(LEAD, steps=1)
         with pytest.raises(ValueError):
-            width_sweep(w_lo=310e-9, w_hi=120e-9)
+            width_sweep(LEAD, w_lo=310e-9, w_hi=120e-9)
         # a non-int count raised a bare TypeError from numpy
         with pytest.raises(ValueError, match=r"^steps must be >= 2 and an int, got 2\.5$"):
-            width_sweep(steps=2.5)
+            width_sweep(LEAD, steps=2.5)
 
     def test_parallel_jobs_match_serial(self):
-        serial = width_sweep(steps=2, n_periods=3)
-        parallel = width_sweep(steps=2, n_periods=3, jobs=2)
+        serial = width_sweep(LEAD, steps=2, n_periods=3)
+        parallel = width_sweep(LEAD, steps=2, n_periods=3, jobs=2)
         assert serial == parallel
 
     def test_workers_capped_at_point_count(self, monkeypatch):
@@ -523,16 +526,16 @@ class TestWidthSweep:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(experiments, "run_offset_experiment",
                             lambda point, n_periods, models, options: point.width)
-        widths = width_sweep(steps=2, jobs=5000)
+        widths = width_sweep(LEAD, steps=2, jobs=5000)
         assert seen == [2]
         assert widths == [120e-9, 310e-9]
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
-            width_sweep(steps=2, jobs=0)
+            width_sweep(LEAD, steps=2, jobs=0)
         # a non-int count raised a bare TypeError from concurrent.futures
         with pytest.raises(ValueError, match=r"^jobs must be >= 1 and an int, got 1\.5$"):
-            width_sweep(steps=2, jobs=1.5)
+            width_sweep(LEAD, steps=2, jobs=1.5)
 
 
 class TestCornerSweep:
@@ -554,7 +557,7 @@ class TestCornerSweep:
         from pfdsim.experiments import corner_sweep
 
         with pytest.raises(ValueError):
-            corner_sweep(corners=[])
+            corner_sweep(LEAD, corners=[])
 
     def test_names_any_case_one_point_each(self, monkeypatch):
         from pfdsim.experiments import corner_sweep, report_row
@@ -564,13 +567,13 @@ class TestCornerSweep:
                               up_rise_time=None, mutual_exclusion_overlap=0.0)
 
         monkeypatch.setattr(experiments, "run_offset_experiment", run)
-        reports = corner_sweep(corners=["ff", "Ss", "TT"])
+        reports = corner_sweep(LEAD, corners=["ff", "Ss", "TT"])
         assert [r["corner"] for r in reports] == ["FF", "SS", "TT"]
         with pytest.raises(ValueError, match="unknown corner 'XX'"):
-            corner_sweep(corners=["xx"])
+            corner_sweep(LEAD, corners=["xx"])
         # a failed decision names the corner as the report does
         with pytest.raises(ExperimentError, match="^corner FF: decision LeadA, expected LeadB"):
-            corner_sweep(corners=["ff"], point=DesignPoint(offset=-100e-12))
+            corner_sweep(DesignPoint(offset=-100e-12), corners=["ff"])
 
     def test_zero_offset_refused_before_simulating(self, monkeypatch):
         """At offset 0 no input leads, so no decision can be expected of a
@@ -579,7 +582,7 @@ class TestCornerSweep:
 
         monkeypatch.setattr(experiments, "_simulate", _no_simulation)
         with pytest.raises(ValueError, match=r"nonzero offset \(--offset\).*got 0\.0 s$"):
-            corner_sweep(corners=["TT"], point=DesignPoint(offset=0.0), n_periods=3)
+            corner_sweep(DesignPoint(offset=0.0), corners=["TT"], n_periods=3)
 
 
 class TestFmaxTrend:
@@ -639,24 +642,24 @@ class TestHalfPeriod:
 
 class TestFrequencyMismatch:
     def test_slow_feedback_up_dominates(self):
-        report, result = frequency_mismatch_test(1e9, 0.8e9, n_periods=6)
+        report, result = frequency_mismatch_test(DesignPoint(), 0.8e9, n_periods=6)
         assert report["decision"] == Decision.LEAD_A.value
 
     def test_mirror_case(self):
-        report, _ = frequency_mismatch_test(0.8e9, 1e9, n_periods=6)
+        report, _ = frequency_mismatch_test(DesignPoint(frequency=0.8e9), 1e9, n_periods=6)
         assert report["decision"] == Decision.LEAD_B.value
 
     def test_equal_frequencies_rejected(self):
         with pytest.raises(ExperimentError, match="equal frequencies"):
-            frequency_mismatch_test(1e9, 1e9)
+            frequency_mismatch_test(DesignPoint(), 1e9)
 
     @pytest.mark.parametrize("f_fb", [math.nan, 0.0, -1e9, math.inf])
     def test_bad_feedback_frequency_rejected_before_simulating(self, f_fb, monkeypatch):
         """A NaN f_fb made a NaN input period, on which the time axis never
         ended; 0 divided by zero and inf failed as a pulse period error."""
-        monkeypatch.setattr(experiments, "simulate_point", _no_simulation)
+        monkeypatch.setattr(experiments, "_simulate", _no_simulation)
         with pytest.raises(ValueError, match="--f-fb"):
-            frequency_mismatch_test(1e9, f_fb)
+            frequency_mismatch_test(DesignPoint(), f_fb)
 
 
 class TestGenerateReport:

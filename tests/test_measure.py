@@ -2,6 +2,7 @@
 pulse table's reductions against the per-reader scans they replaced."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,23 @@ def trapezoid_pulse(t0=1e-9, rise=1e-10, width=3e-10, fall=1e-10, vhi=1.2, t_end
     ts = [0.0, t0, t0 + rise, t0 + rise + width, t0 + rise + width + fall, t_end]
     vs = [0.0, 0.0, vhi, vhi, 0.0, 0.0]
     return Waveform(np.array(ts), np.array(vs))
+
+
+class TestPulseTablePeriods:
+    @pytest.mark.parametrize("anchor, period", [
+        (0.0, 0.0), (0.0, -1e-10), (0.0, math.inf), (0.0, math.nan),
+        (-math.inf, 1e-9), (math.inf, 1e-9), (math.nan, 1e-9),
+    ], ids=["period-0", "period-negative", "period-inf", "period-nan",
+            "anchor--inf", "anchor-inf", "anchor-nan"])
+    def test_malformed_period_or_anchor_refused(self, anchor, period):
+        """Refused before the periods are counted: a zero, negative or
+        infinite period and an anchor of -inf never stopped counting, and a
+        NaN or an anchor of +inf counted no period."""
+        w = trapezoid_pulse()
+        message = (f"need a finite period > 0 and a finite anchor, "
+                   f"got period = {period!r} s, anchor = {anchor!r} s")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pulse_table(w, w, vdd=1.2, anchor=anchor, period=period)
 
 
 class TestRiseFallTime:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfdsim.devices import DEFAULT_CONFIG, STANDARD_CORNERS, load_config
-from pfdsim.engine import dc_operating_point
+from pfdsim.engine import SimOptions, dc_operating_point, transient
 from pfdsim.netlist import (
     Capacitor,
     DcSource,
@@ -41,6 +42,13 @@ CORNER_NETLIST_SHA256 = {
     ("highspeed", "SF"): "b744c4d560659eeea8d4fe2bac896692962342f47ef201830132000ea78a0ee3",
     ("highspeed", "SS"): "8cc501a40825454b4b90d4aa8e8eb29c27323170a5d1d02943955342562f9b0d",
 }
+
+# probes that waves.csv cannot hold, after a probe on node b, and why
+BAD_PROBES = pytest.mark.parametrize("node, message", [
+    ("0", "probe on the ground node '0'"),
+    ("zz", "unknown node 'zz' for a probe"),
+    ("b", "duplicate probe 'b'"),
+], ids=["ground", "unknown", "repeat"])
 
 NM = DEFAULT_CONFIG.mosfet("nmos", 260e-9, 100e-9)
 PM = DEFAULT_CONFIG.mosfet("pmos", 260e-9, 100e-9)
@@ -75,6 +83,16 @@ class TestConstruction:
             net.add_probe("zz")
         assert net.probes == []
 
+    @BAD_PROBES
+    def test_probe_waves_csv_cannot_hold_rejected(self, node, message):
+        """Ground and an unknown node have no voltage column, so to_csv
+        failed after the whole run; a repeat wrote its column twice."""
+        net = simple_net()
+        net.add_probe("b")
+        with pytest.raises(NetlistError, match=f"^{re.escape(message)}$"):
+            net.add_probe(node)
+        assert net.probes == ["b"]
+
     def test_duplicate_device_rejected(self):
         net = simple_net()
         with pytest.raises(NetlistError, match="duplicate identifier"):
@@ -89,6 +107,23 @@ class TestConstruction:
 class TestValidate:
     def test_valid_netlist_has_no_violations(self):
         assert simple_net().validate() == []
+
+    @BAD_PROBES
+    def test_probe_waves_csv_cannot_hold_refused_before_solving(self, node, message,
+                                                                monkeypatch):
+        """A probe put in `probes` past add_probe is reported, so transient
+        refuses the netlist before anything is solved."""
+        import pfdsim.engine as engine
+
+        def no_solve(*args):
+            raise AssertionError("solved")
+
+        net = simple_net()
+        net.probes += ["b", node]
+        assert net.validate() == [message]
+        monkeypatch.setattr(engine, "_dc_solve", no_solve)
+        with pytest.raises(NetlistError, match=f"^invalid netlist: {re.escape(message)}$"):
+            transient(net, SimOptions(dt=1e-12), 1e-9)
 
     def test_no_ground(self):
         net = Netlist(ground="gnd")
