@@ -8,6 +8,7 @@ results do not inherit the integrator's step granularity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -84,9 +85,10 @@ def detect_pulses(w: Waveform, vdd: float) -> list[PulseEvent]:
 
 @dataclass(frozen=True)
 class PulseTable:
-    """One run's UP and DN, each scanned once: every pulse, and the highest
-    sample of each in each full period from the anchor (-inf when a period
-    holds no sample)."""
+    """One run's UP and DN on their one time axis, each scanned once: every
+    pulse, and the highest sample of each in each full period from the
+    anchor (-inf when a period holds no sample). One set of period cuts,
+    counted in closed form, serves both rows."""
 
     vdd: float
     up: list[PulseEvent]
@@ -97,20 +99,40 @@ class PulseTable:
 def pulse_table(up: Waveform, dn: Waveform, *, vdd: float, anchor: float,
                 period: float) -> PulseTable:
     """The table of UP and DN on one time axis; its periods are [anchor +
-    k*period, anchor + (k+1)*period), each ending by the run's end. A
-    period that is not finite and > 0, or an anchor that is not finite,
-    raises ValueError: its periods would never stop being counted, or a
-    NaN would count none."""
+    k*period, anchor + (k+1)*period), each ending by the run's end. Each
+    raises ValueError: a period that is not finite and > 0, or an anchor
+    that is not finite (its periods would never stop being counted, or a
+    NaN would count none); UP and DN sampled at different times; and a
+    period count numpy cannot allocate."""
     if not (0 < period < np.inf and np.isfinite(anchor)):  # NaN fails too
         raise ValueError(f"need a finite period > 0 and a finite anchor, "
                          f"got period = {period!r} s, anchor = {anchor!r} s")
-    t_end = up.t[-1] + 1e-15 * period
-    n = 0
-    while anchor + (n + 1) * period <= t_end:
-        n += 1
-    cuts = np.searchsorted(up.t, anchor + np.arange(n + 1) * period)
+    # pulse_table_for passes one array for both: compare only other axes
+    if up.t is not dn.t and not np.array_equal(up.t, dn.t):
+        raise ValueError(f"UP and DN must be sampled at the same times, "
+                         f"got {up.t.size} UP and {dn.t.size} DN samples")
+    # Python floats: their arithmetic is numpy's, bit for bit, but an
+    # overflowing quotient gives inf without a RuntimeWarning
+    anchor, period = float(anchor), float(period)
+    t_end = float(up.t[-1]) + 1e-15 * period
+    # The full periods are the j >= 1 with anchor + j*period <= t_end, a test
+    # monotone in j as rounding is monotone. The slack, 2^-49 of the larger
+    # magnitude, exceeds the rounding of the quotient, the product and the
+    # sum, so j = k + 2 fails the test even where period is below the
+    # resolution of anchor and successive period starts round together.
+    slack = 2.0 ** -49 * max(abs(anchor), abs(t_end))
+    count = max((t_end - anchor + slack) / period, -1.0)  # -inf: no period
+    # numpy refuses an array too large at once (MemoryError, or ValueError
+    # beyond its index range; a count past the float range overflows)
+    try:
+        starts = anchor + np.arange(math.floor(count) + 3) * period
+        n = int(np.count_nonzero(starts[1:] <= t_end))
+        cuts = np.searchsorted(up.t, starts[:n + 1])
+        peaks = np.full((2, n), -np.inf)
+    except (MemoryError, OverflowError, ValueError):
+        raise ValueError(f"{count:.3g} periods of {period!r} s from anchor = {anchor!r} s, "
+                         f"a pulse table too large to allocate") from None
     held = cuts[:-1] < cuts[1:]
-    peaks = np.full((2, n), -np.inf)
     for row, w in zip(peaks, (up, dn)):
         row[held] = np.maximum.reduceat(w.v[:cuts[-1]], cuts[:-1][held])
     return PulseTable(vdd, detect_pulses(up, vdd), detect_pulses(dn, vdd), peaks)

@@ -219,6 +219,8 @@ class Netlist:
                 violations.append(f"resistor {d.name!r} must have finite ohms > 0")
             if isinstance(d, Capacitor) and not 0 < d.farads < math.inf:
                 violations.append(f"capacitor {d.name!r} must have finite farads > 0")
+            if isinstance(d, DcSource) and not math.isfinite(d.volts):
+                violations.append(f"source {d.name!r} must have finite volts")
             # a branch from a node to itself carries no current, and a
             # source's constraint row would be all zero
             kind = _BRANCH_KINDS.get(type(d))

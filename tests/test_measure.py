@@ -3,10 +3,11 @@ pulse table's reductions against the per-reader scans they replaced."""
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfdsim.engine import Waveform
@@ -49,6 +50,33 @@ def trapezoid_pulse(t0=1e-9, rise=1e-10, width=3e-10, fall=1e-10, vhi=1.2, t_end
     return Waveform(np.array(ts), np.array(vs))
 
 
+def ref_period_count(up, anchor, period):
+    """The loop that pulse_table counted its full periods with, one pass
+    per period: the reference for the closed form."""
+    t_end = up.t[-1] + 1e-15 * period
+    n = 0
+    while anchor + (n + 1) * period <= t_end:
+        n += 1
+    return n
+
+
+@st.composite
+def period_counts(draw):
+    """A time axis of 1 to 60 samples, steps of 0.001 to 5 units of 10 ps;
+    an anchor before, at, between or after its samples; and a period from
+    a thousandth of the mean step to 40 of them."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    steps = draw(st.lists(st.floats(min_value=1e-3, max_value=5.0), min_size=n - 1,
+                          max_size=n - 1))
+    t = np.cumsum([0.0] + steps) * 1e-11
+    mean_step = t[-1] / (n - 1) if n > 1 else 1e-11
+    span = t[-1] + mean_step
+    anchor = draw(st.one_of(st.sampled_from(t.tolist()),
+                            st.floats(min_value=-1.0, max_value=2.0).map(lambda f: f * span)))
+    period = mean_step * draw(st.floats(min_value=1e-3, max_value=40.0))
+    return Waveform(t, np.zeros(n)), anchor, period
+
+
 class TestPulseTablePeriods:
     @pytest.mark.parametrize("anchor, period", [
         (0.0, 0.0), (0.0, -1e-10), (0.0, math.inf), (0.0, math.nan),
@@ -64,6 +92,40 @@ class TestPulseTablePeriods:
                    f"got period = {period!r} s, anchor = {anchor!r} s")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             pulse_table(w, w, vdd=1.2, anchor=anchor, period=period)
+
+    @settings(max_examples=300, deadline=None)
+    @given(run=period_counts())
+    # the anchor at the last sample, the period below its float resolution:
+    # 206 period starts round to the anchor before one exceeds the run's end
+    @example(run=(trapezoid_pulse(), 3e-9, 1e-27))
+    def test_count_equals_the_loop(self, run):
+        w, anchor, period = run
+        tab = pulse_table(w, w, vdd=1.2, anchor=anchor, period=period)
+        assert tab.period_peaks.shape == (2, ref_period_count(w, anchor, period))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("period", [1e-30, 5e-324])
+    def test_count_too_large_refused_at_once(self, period):
+        """3e21 periods, and a quotient past the float range: the loop that
+        counted them one at a time never returned."""
+        w = trapezoid_pulse()
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f" periods of {re.escape(repr(period))} s "
+                                             f"from anchor = 0.0 s, a pulse table too large"):
+            pulse_table(w, w, vdd=1.2, anchor=0.0, period=period)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("dn_axis", ["ten-samples", "doubled"])
+    def test_up_and_dn_on_different_axes_refused(self, dn_axis):
+        """A 10-sample DN raised numpy's IndexError in reduceat, and a DN on
+        the doubled axis had its 2.5-2.9 ns pulse read in period 1, giving
+        [LeadA, LeadB, Undetermined]."""
+        t = np.linspace(0.0, 3e-9, 31)
+        up = Waveform(t, np.where((0.15e-9 < t) & (t < 0.45e-9), 1.2, 0.0))
+        dn_t = np.linspace(0.0, 3e-9, 10) if dn_axis == "ten-samples" else 2 * t
+        dn = Waveform(dn_t, np.where((2.5e-9 <= dn_t) & (dn_t <= 2.9e-9), 1.2, 0.0))
+        with pytest.raises(ValueError, match="^UP and DN must be sampled at the same times"):
+            pulse_table(up, dn, vdd=1.2, anchor=0.0, period=1e-9)
 
 
 class TestRiseFallTime:
@@ -134,7 +196,8 @@ class TestDetectPulses:
 
 class TestClassifyDecision:
     def flat(self):
-        return Waveform(np.linspace(0, 1e-9, 50), np.zeros(50))
+        """Low throughout, on trapezoid_pulse's time axis."""
+        return Waveform(trapezoid_pulse().t, np.zeros(6))
 
     def test_up_pulsing_dn_flat(self):
         assert classify_decision(table(trapezoid_pulse(), self.flat())) == Decision.LEAD_A
@@ -176,6 +239,8 @@ class TestMutualExclusionOverlap:
     def test_partial_overlap_geometry(self):
         a = trapezoid_pulse(t0=1e-9)
         b = trapezoid_pulse(t0=1.2e-9)
+        t = np.union1d(a.t, b.t)  # both are linear between these times
+        a, b = (Waveform(t, np.interp(t, w.t, w.v)) for w in (a, b))
         # both above 0.6 V in [1.25, 1.45] ns
         assert mutual_exclusion_overlap(table(a, b)) == pytest.approx(0.2e-9, rel=1e-6)
 

@@ -178,6 +178,19 @@ class TestValidate:
         net.devices.append(Capacitor("CBAD", a="a", b="0", farads=value))
         assert any("CBAD" in v and "finite farads" in v for v in net.validate())
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_dc_source_refused(self, value):
+        """Such a source passed validate() and ended in 'DC operating point
+        did not converge'; it is now refused before anything is solved."""
+        net = simple_net()
+        net.add(DcSource("VBAD", plus="b", minus="0", volts=value))
+        assert net.validate() == ["source 'VBAD' must have finite volts"]
+        message = "^invalid netlist: source 'VBAD' must have finite volts$"
+        with pytest.raises(NetlistError, match=message):
+            transient(net, SimOptions(dt=1e-12), 1e-9)
+        with pytest.raises(NetlistError, match=message):
+            dc_operating_point(net)
+
 
     @pytest.mark.parametrize("device,kind", [
         (DcSource("VBAD", plus="a", minus="a", volts=1.0), "source"),
