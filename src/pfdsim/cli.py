@@ -79,7 +79,6 @@ def _add_common(p: argparse.ArgumentParser, omit: tuple[str, ...] = ()) -> None:
     add("--params", help="device calibration file")
     add("--out", default="out", help="output directory")
     add("--plot", action="store_true", help="write SVG plots")
-    add("--jobs", type=int, help="parallel sweep workers")
 
 
 def _names(text: str) -> list[str]:
@@ -98,26 +97,25 @@ def build_parser() -> _Parser:
         _add_common(p, omit)
         return p
 
-    experiment("transient", cmd_transient, "fixed-offset lead/lag run", omit=("--jobs",))
+    experiment("transient", cmd_transient, "fixed-offset lead/lag run")
 
     p = experiment("deadzone", cmd_deadzone, "bisect the smallest resolvable offset",
-                   omit=("--offset", "--plot", "--jobs"))
+                   omit=("--offset", "--plot"))
     p.add_argument("--search-lo", type=float)
     p.add_argument("--search-hi", type=float)
     p.add_argument("--tol", type=float)
 
-    experiment("halfperiod", cmd_halfperiod, "T/2 offset stabilization test",
-               omit=("--jobs",))
+    experiment("halfperiod", cmd_halfperiod, "T/2 offset stabilization test")
 
     p = experiment("fmax", cmd_fmax, "binary-search the maximum operating frequency",
-                   omit=("--freq", "--offset", "--plot", "--jobs"))
+                   omit=("--freq", "--offset", "--plot"))
     p.add_argument("--f-lo", type=float)
     p.add_argument("--f-hi", type=float)
     p.add_argument("--tol-rel", type=float)
     p.add_argument("--offset-fraction", type=float)
 
     p = experiment("mismatch", cmd_mismatch, "unequal reference/feedback frequencies",
-                   omit=("--freq", "--offset", "--jobs"))
+                   omit=("--freq", "--offset"))
     p.add_argument("--f-ref", dest="frequency", metavar="F_REF", type=float)
     p.add_argument("--f-fb", type=float)
 

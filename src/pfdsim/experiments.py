@@ -3,9 +3,8 @@ operating frequency searches, width and corner sweeps, the half-period
 stabilization test, unequal-frequency operation, and report rendering.
 
 An experiment's report is one `report_row` dict, the form the CLI writes
-to report.json; its "decision" holds a `Decision`'s value. Sweep points
-are independent; sweeps optionally farm points out to a process pool and
-assemble rows in input order either way.
+to report.json; its "decision" holds a `Decision`'s value. A sweep runs
+its points one after another in this process, its rows in input order.
 """
 
 from __future__ import annotations
@@ -237,23 +236,6 @@ def measure_fmax(
     return _bisect(passes, f_lo, f_hi, lambda lo, hi: (hi - lo) / lo > tol_rel)
 
 
-def _run_points(points, n_periods, models, options, jobs) -> list[dict]:
-    """Report rows in input order, from min(jobs, points) worker processes."""
-    if not (isinstance(jobs, int) and jobs >= 1):
-        raise ValueError(f"jobs must be >= 1 and an int, got {jobs!r}")
-    _check_periods(n_periods, SETTLE_PERIODS + 1)  # before a pool starts
-    workers = min(jobs, len(points))
-    if workers <= 1:
-        return [run_offset_experiment(p, n_periods, models, options) for p in points]
-    # imported here: the pool's modules are about a tenth of the CLI's import time
-    from concurrent.futures import ProcessPoolExecutor
-
-    k = len(points)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_offset_experiment, points, [n_periods] * k,
-                             [models] * k, [options] * k))
-
-
 def width_sweep(
     point: DesignPoint,
     w_lo: float = 120e-9,
@@ -262,7 +244,6 @@ def width_sweep(
     n_periods: int = 10,
     models: ModelConfig = DEFAULT_CONFIG,
     options: SimOptions | None = None,
-    jobs: int = 1,
 ) -> list[dict]:
     """A report row at each of `steps` linearly spaced widths, the rest of
     the design from the point."""
@@ -272,7 +253,7 @@ def width_sweep(
         raise ValueError(f"need 0 < w_lo < w_hi < inf, got w_lo = {w_lo!r}, w_hi = {w_hi!r}")
     widths = np.linspace(w_lo, w_hi, steps)
     points = [replace(point, width=float(w)) for w in widths]
-    return _run_points(points, n_periods, models, options, jobs)
+    return [run_offset_experiment(p, n_periods, models, options) for p in points]
 
 
 def corner_sweep(
@@ -281,7 +262,6 @@ def corner_sweep(
     n_periods: int = 10,
     models: ModelConfig = DEFAULT_CONFIG,
     options: SimOptions | None = None,
-    jobs: int = 1,
 ) -> list[dict]:
     """One report row per corner, the rest of the design from the point;
     every corner must classify the point's offset correctly or
@@ -295,7 +275,7 @@ def corner_sweep(
                          f"leads, got {point.offset!r} s")
     expected = Decision.LEAD_A if point.offset > 0 else Decision.LEAD_B
     points = [replace(point, corner=n.upper()) for n in names]
-    rows = _run_points(points, n_periods, models, options, jobs)
+    rows = [run_offset_experiment(p, n_periods, models, options) for p in points]
     for row in rows:
         if row["decision"] != expected.value:
             raise ExperimentError(f"corner {row['corner']}: decision "

@@ -103,7 +103,8 @@ def pulse_table(up: Waveform, dn: Waveform, *, vdd: float, anchor: float,
     raises ValueError: a period that is not finite and > 0, or an anchor
     that is not finite (its periods would never stop being counted, or a
     NaN would count none); UP and DN sampled at different times; and a
-    period count numpy cannot allocate."""
+    period count numpy cannot allocate. Empty UP and DN raise
+    MeasurementError."""
     if not (0 < period < np.inf and np.isfinite(anchor)):  # NaN fails too
         raise ValueError(f"need a finite period > 0 and a finite anchor, "
                          f"got period = {period!r} s, anchor = {anchor!r} s")
@@ -111,6 +112,8 @@ def pulse_table(up: Waveform, dn: Waveform, *, vdd: float, anchor: float,
     if up.t is not dn.t and not np.array_equal(up.t, dn.t):
         raise ValueError(f"UP and DN must be sampled at the same times, "
                          f"got {up.t.size} UP and {dn.t.size} DN samples")
+    if not up.t.size:
+        raise MeasurementError("UP and DN are empty waveforms: no sample to tabulate")
     # Python floats: their arithmetic is numpy's, bit for bit, but an
     # overflowing quotient gives inf without a RuntimeWarning
     anchor, period = float(anchor), float(period)
@@ -173,7 +176,11 @@ def mutual_exclusion_overlap(table: PulseTable) -> float:
 
 
 def average_power(supply: Waveform, vdd: float, window: tuple[float, float]) -> float:
-    """vdd times the windowed mean of the supply current (trapezoid rule)."""
+    """vdd times the windowed mean of the supply current (trapezoid rule).
+    MeasurementError when the supply waveform is empty or does not span
+    the window."""
+    if not supply.t.size:
+        raise MeasurementError("supply waveform is empty: no span to average power over")
     t0, t1 = window
     if not (supply.t[0] <= t0 < t1 <= supply.t[-1]):
         raise MeasurementError(

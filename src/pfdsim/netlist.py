@@ -2,7 +2,7 @@
 
 A netlist is a named node set with an ordered device list. Builders
 mutate while assembling; once handed to the engine a netlist is treated
-as immutable, so one template can back any number of concurrent runs.
+as immutable, so one template can back any number of runs.
 """
 
 from __future__ import annotations

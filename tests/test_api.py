@@ -50,6 +50,7 @@ def test_public_name_resolves_and_is_documented(name):
     (pfdsim.engine.SimOptions, "validate"),
     (pfdsim.engine.SimOptions, "t_stop"),
     (pfdsim.engine, "_resolve_dt"),
+    (pfdsim.experiments, "_run_points"),
 ])
 def test_deleted_helper_is_gone(owner, name):
     assert not hasattr(owner, name)
@@ -109,6 +110,13 @@ def test_experiment_takes_its_design_point_first(name):
     own."""
     first = next(iter(inspect.signature(getattr(pfdsim, name)).parameters.values()))
     assert (first.name, first.default) == ("point", inspect.Parameter.empty)
+
+
+@pytest.mark.parametrize("name", ["width_sweep", "corner_sweep"])
+def test_sweep_runs_in_one_process(name):
+    """A sweep runs its points one after another in the calling process:
+    no keyword sets a count of worker processes."""
+    assert "jobs" not in inspect.signature(getattr(pfdsim, name)).parameters
 
 
 def test_mismatch_frequency_has_one_owner():

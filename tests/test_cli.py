@@ -6,7 +6,6 @@ not depend on the argument values.
 
 import argparse
 import ast
-import concurrent.futures
 import importlib
 import inspect
 import json
@@ -32,25 +31,25 @@ FAST = ["--periods", "3"]
 REPO = Path(__file__).resolve().parents[1]
 
 # (argv, message): searches shorter than a period, power runs that end at or
-# before the settle start; the sweeps are refused before a process pool starts
+# before the settle start; a sweep is refused before its first point runs
 SHORT_RUNS = [
     (["deadzone", "--periods", "0"], "n_periods 0 must be >= 1"),
     (["fmax", "--periods", "-1"], "n_periods -1 must be >= 1"),
     (["transient", "--periods", "2"], "n_periods 2 must exceed the 2 settle periods"),
     (["halfperiod", "--periods", "2"], "n_periods 2 must exceed the 2 settle periods"),
     (["mismatch", "--periods", "2"], "n_periods 2 must exceed the 2 settle periods"),
-    (["sweep-width", "--periods", "2", "--jobs", "2"],
-     "n_periods 2 must exceed the 2 settle periods"),
-    (["corners", "--periods", "1", "--jobs", "2"],
-     "n_periods 1 must exceed the 2 settle periods"),
+    (["sweep-width", "--periods", "2"], "n_periods 2 must exceed the 2 settle periods"),
+    (["corners", "--periods", "1"], "n_periods 1 must exceed the 2 settle periods"),
 ]
 
-# (subcommand, flag) pairs the parser refuses: no subcommand takes --t-stop, and
-# the others' experiments would ignore or overwrite the flag
+# (subcommand, flag) pairs the parser refuses: no subcommand takes --t-stop, or
+# --jobs (every run is one process), and the others' experiments would ignore
+# or overwrite the flag
 UNREAD_FLAGS = [
     ("transient", "--t-stop"),
     ("deadzone", "--t-stop"),
-    *((c, "--jobs") for c in ("transient", "deadzone", "halfperiod", "fmax", "mismatch")),
+    *((c, "--jobs") for c in ("transient", "deadzone", "halfperiod", "fmax", "mismatch",
+                              "sweep-width", "corners")),
     ("deadzone", "--plot"),
     ("fmax", "--plot"),
     *((c, "--offset") for c in ("deadzone", "fmax", "mismatch")),
@@ -124,9 +123,8 @@ class TestUsageErrors:
     def test_short_run_names_the_limit(self, tmp_path, capsys, monkeypatch):
         """A search shorter than one period, or a power-reporting run that
         would end at or before the settle start, is a usage error, raised
-        by the experiment before anything is simulated or a pool starts."""
+        by the experiment before anything is simulated."""
         monkeypatch.setattr(experiments, "transient", _no_simulation)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_simulation)
         for k, (argv, message) in enumerate(SHORT_RUNS):
             out = tmp_path / str(k)
             assert main([*argv, "--out", str(out)]) == 1, argv
@@ -306,13 +304,6 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("pfdsim: error: corner sweep needs a nonzero offset (--offset)")
         assert err.count("\n") == 1
-        assert not out.exists()
-
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
-        out = tmp_path / "o"
-        assert main(["sweep-width", "--steps", "2", f"--jobs={jobs}", "--out", str(out)]) == 1
-        assert "pfdsim: error: jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_report_without_rows_names_the_limit(self, tmp_path, capsys):

@@ -3,7 +3,6 @@ and report rendering. Heavy searches (dead zone, f_max) run once in the
 acceptance suite; here we exercise the cheap logic and reuse the shared
 simulation fixtures."""
 
-import concurrent.futures
 import json
 import math
 import re
@@ -123,15 +122,14 @@ def test_dead_zone_bracket_error_names_the_period():
     lambda n: experiments.run_offset_experiment(DesignPoint(), n),
     lambda n: frequency_mismatch_test(DesignPoint(), 0.8e9, n_periods=n),
     lambda n: experiments.corner_sweep(LEAD, ["TT"], n_periods=n),
-    lambda n: width_sweep(LEAD, steps=2, n_periods=n, jobs=2),
+    lambda n: width_sweep(LEAD, steps=2, n_periods=n),
 ], ids=["simulate_point", "run_offset_experiment", "frequency_mismatch_test",
         "corner_sweep", "width_sweep"])
 def test_power_run_without_a_window_refused_before_simulating(experiment, n_periods,
                                                               message, monkeypatch):
     """A power report needs a run past the settle start and a period count
-    a float can hold; the sweep refuses before it starts a process pool."""
+    a float can hold; a sweep refuses before its first point runs."""
     monkeypatch.setattr(experiments, "transient", _no_simulation)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_simulation)
     with pytest.raises(ValueError, match=message):
         experiment(n_periods)
 
@@ -499,43 +497,6 @@ class TestWidthSweep:
         # a non-int count raised a bare TypeError from numpy
         with pytest.raises(ValueError, match=r"^steps must be >= 2 and an int, got 2\.5$"):
             width_sweep(LEAD, steps=2.5)
-
-    def test_parallel_jobs_match_serial(self):
-        serial = width_sweep(LEAD, steps=2, n_periods=3)
-        parallel = width_sweep(LEAD, steps=2, n_periods=3, jobs=2)
-        assert serial == parallel
-
-    def test_workers_capped_at_point_count(self, monkeypatch):
-        """--jobs 5000 for 2 points asks the pool for 2 workers; the fake
-        pool runs map serially, so no process starts."""
-        seen = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(experiments, "run_offset_experiment",
-                            lambda point, n_periods, models, options: point.width)
-        widths = width_sweep(LEAD, steps=2, jobs=5000)
-        assert seen == [2]
-        assert widths == [120e-9, 310e-9]
-
-    def test_jobs_below_one_rejected(self):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            width_sweep(LEAD, steps=2, jobs=0)
-        # a non-int count raised a bare TypeError from concurrent.futures
-        with pytest.raises(ValueError, match=r"^jobs must be >= 1 and an int, got 1\.5$"):
-            width_sweep(LEAD, steps=2, jobs=1.5)
 
 
 class TestCornerSweep:

@@ -127,6 +127,13 @@ class TestPulseTablePeriods:
         with pytest.raises(ValueError, match="^UP and DN must be sampled at the same times"):
             pulse_table(up, dn, vdd=1.2, anchor=0.0, period=1e-9)
 
+    def test_empty_waveforms_refused(self):
+        """No sample to tabulate: numpy's IndexError from the run's end
+        (t[-1]) used to escape instead."""
+        w = Waveform(np.array([]), np.array([]))
+        with pytest.raises(MeasurementError, match="^UP and DN are empty waveforms"):
+            pulse_table(w, w, vdd=1.2, anchor=0.0, period=1e-9)
+
 
 class TestRiseFallTime:
     def test_linear_ramp_80_percent(self):
@@ -276,6 +283,12 @@ class TestAveragePower:
         i = Waveform(np.linspace(0, 1e-9, 10), np.zeros(10))
         with pytest.raises(MeasurementError, match="outside"):
             average_power(i, 1.2, (0, 2e-9))
+
+    def test_empty_waveform_refused(self):
+        """numpy's IndexError from the span's start (t[0]) used to escape."""
+        i = Waveform(np.array([]), np.array([]))
+        with pytest.raises(MeasurementError, match="^supply waveform is empty"):
+            average_power(i, 1.2, (0.0, 1e-9))
 
     def test_capacitor_charge_transfer_oracle(self):
         """Supply charging C through a switch: integral i dt = C * VDD."""
