@@ -35,7 +35,6 @@ from pfdsim.experiments import (
 from pfdsim.measure import (
     Decision,
     MeasurementError,
-    PulseEvent,
     average_power,
     classify_decision,
     mutual_exclusion_overlap,
@@ -54,7 +53,6 @@ __all__ = [
     "MosfetParams",
     "Netlist",
     "NetlistError",
-    "PulseEvent",
     "PulseSpec",
     "SimOptions",
     "SolverError",

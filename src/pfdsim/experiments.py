@@ -23,7 +23,6 @@ from pfdsim.measure import (
     PulseTable,
     average_power,
     classify_decision,
-    high_time,
     mutual_exclusion_overlap,
     per_period_decisions,
     pulse_table,
@@ -326,7 +325,8 @@ def frequency_mismatch_test(
     p = replace(point, offset=0.0)
     result = _simulate(p, n_periods, models, options, frequency_b=f_fb)
     table = pulse_table_for(p, result, models)
-    up_ht, dn_ht = high_time(table.up), high_time(table.dn)
+    # each output's time at or above 0.5*vdd, added pulse by pulse
+    up_ht, dn_ht = (sum((ends - starts).tolist()) for starts, ends in (table.up, table.dn))
     lead = "UP" if f_fb < point.frequency else "DN"
     if not (up_ht > dn_ht if lead == "UP" else dn_ht > up_ht):
         raise ExperimentError(

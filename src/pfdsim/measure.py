@@ -29,17 +29,6 @@ class Decision(Enum):
     UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
-class PulseEvent:
-    start: float
-    end: float
-    peak: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
 def _crossings(t: np.ndarray, v: np.ndarray, above: np.ndarray, level: float):
     """Where the mask `above` (v against `level`) flips: the index of the
     sample after each flip, and the interpolated crossing time."""
@@ -64,35 +53,30 @@ def rise_time(w: Waveform, v_low: float, v_high: float) -> float:
     return float(times[1] - times[0])
 
 
-def detect_pulses(w: Waveform, vdd: float) -> list[PulseEvent]:
-    """Maximal intervals with v >= 0.5*vdd, crossings interpolated, each
-    with its highest sample. Intervals clipped by the waveform ends still
-    count as events."""
-    threshold = 0.5 * vdd
+def _pulses(w: Waveform, threshold: float) -> np.ndarray:
+    """The maximal intervals with v >= threshold, crossings interpolated,
+    as a (2, k) array of starts over ends. Intervals clipped by the
+    waveform ends still count."""
     above = w.v >= threshold
     k, when = _crossings(w.t, w.v, above, threshold)
     rising = above[k]
-    starts, ends, first = when[rising], when[~rising], k[rising]
-    if above[:1].any():  # an empty waveform has no pulses
-        starts, first = np.concatenate((w.t[:1], starts)), np.concatenate(([0], first))
-    if above[-1:].any():
-        ends = np.concatenate((ends, w.t[-1:]))
-    # a slice from one pulse's first sample to the next also holds samples below
-    peaks = np.maximum.reduceat(w.v, first)
-    return [PulseEvent(start=float(s), end=float(e), peak=float(p))
-            for s, e, p in zip(starts, ends, peaks)]
+    # the first and last sample, where they lie inside a clipped interval
+    return np.array((np.concatenate((w.t[:1][above[:1]], when[rising])),
+                     np.concatenate((when[~rising], w.t[-1:][above[-1:]]))), dtype=float)
 
 
 @dataclass(frozen=True)
 class PulseTable:
-    """One run's UP and DN on their one time axis, each scanned once: every
-    pulse, and the highest sample of each in each full period from the
-    anchor (-inf when a period holds no sample). One set of period cuts,
-    counted in closed form, serves both rows."""
+    """One run's UP and DN on their one time axis, each scanned once: the
+    starts and ends of every pulse, the highest sample of the run, and the
+    highest sample in each full period from the anchor (-inf when a period
+    holds no sample). One set of period cuts, counted in closed form,
+    serves both rows."""
 
     vdd: float
-    up: list[PulseEvent]
-    dn: list[PulseEvent]
+    up: np.ndarray  # rows: pulse starts, pulse ends
+    dn: np.ndarray
+    run_peaks: tuple[float, float]  # UP's, DN's
     period_peaks: np.ndarray  # rows UP and DN, one column per period
 
 
@@ -102,18 +86,26 @@ def pulse_table(up: Waveform, dn: Waveform, *, vdd: float, anchor: float,
     k*period, anchor + (k+1)*period), each ending by the run's end. Each
     raises ValueError: a period that is not finite and > 0, or an anchor
     that is not finite (its periods would never stop being counted, or a
-    NaN would count none); UP and DN sampled at different times; and a
-    period count numpy cannot allocate. Empty UP and DN raise
-    MeasurementError."""
+    NaN would count none); a vdd that is not finite and > 0 (no sample
+    would be read as full swing, or every one); UP and DN sampled at
+    different times; a voltage sample that is not finite; and a period
+    count numpy cannot allocate. Empty UP and DN raise MeasurementError."""
     if not (0 < period < np.inf and np.isfinite(anchor)):  # NaN fails too
         raise ValueError(f"need a finite period > 0 and a finite anchor, "
                          f"got period = {period!r} s, anchor = {anchor!r} s")
+    if not 0 < vdd < np.inf:
+        raise ValueError(f"need a finite vdd > 0, got vdd = {vdd!r} V")
     # pulse_table_for passes one array for both: compare only other axes
     if up.t is not dn.t and not np.array_equal(up.t, dn.t):
         raise ValueError(f"UP and DN must be sampled at the same times, "
                          f"got {up.t.size} UP and {dn.t.size} DN samples")
     if not up.t.size:
         raise MeasurementError("UP and DN are empty waveforms: no sample to tabulate")
+    for name, w in (("UP", up), ("DN", dn)):
+        bad = np.flatnonzero(~np.isfinite(w.v))
+        if bad.size:
+            raise ValueError(f"{name} has a non-finite voltage sample: "
+                             f"{w.v[bad[0]]} V at t = {w.t[bad[0]]} s")
     # Python floats: their arithmetic is numpy's, bit for bit, but an
     # overflowing quotient gives inf without a RuntimeWarning
     anchor, period = float(anchor), float(period)
@@ -138,7 +130,8 @@ def pulse_table(up: Waveform, dn: Waveform, *, vdd: float, anchor: float,
     held = cuts[:-1] < cuts[1:]
     for row, w in zip(peaks, (up, dn)):
         row[held] = np.maximum.reduceat(w.v[:cuts[-1]], cuts[:-1][held])
-    return PulseTable(vdd, detect_pulses(up, vdd), detect_pulses(dn, vdd), peaks)
+    return PulseTable(vdd, _pulses(up, 0.5 * vdd), _pulses(dn, 0.5 * vdd),
+                      (float(up.v.max()), float(dn.v.max())), peaks)
 
 
 def _decide(up_peak: float, dn_peak: float, vdd: float) -> Decision:
@@ -150,9 +143,9 @@ def _decide(up_peak: float, dn_peak: float, vdd: float) -> Decision:
 
 def classify_decision(table: PulseTable) -> Decision:
     """The whole run's decision: LeadA when only UP carries a full-swing
-    pulse, LeadB when only DN does, Undetermined otherwise."""
-    up, dn = (max((ev.peak for ev in p), default=-np.inf) for p in (table.up, table.dn))
-    return _decide(up, dn, table.vdd)
+    pulse, LeadB when only DN does, Undetermined otherwise. A sample that
+    reaches 0.8*vdd lies in a pulse, so the run's highest sample decides."""
+    return _decide(*table.run_peaks, table.vdd)
 
 
 def per_period_decisions(table: PulseTable) -> list[Decision]:
@@ -161,24 +154,28 @@ def per_period_decisions(table: PulseTable) -> list[Decision]:
     return [_decide(u, d, table.vdd) for u, d in table.period_peaks.T]
 
 
-def high_time(pulses: list[PulseEvent]) -> float:
-    """Total duration of the pulses (time at or above 0.5*vdd)."""
-    return sum(ev.duration for ev in pulses)
-
-
 def mutual_exclusion_overlap(table: PulseTable) -> float:
-    """Total duration with UP and DN both at or above 0.5*vdd."""
-    total = 0.0
-    for a in table.up:
-        for b in table.dn:
-            total += max(0.0, min(a.end, b.end) - max(a.start, b.start))
-    return float(total)
+    """Total duration with UP and DN both at or above 0.5*vdd: the positive
+    overlaps of UP and DN pulses, added UP pulse by UP pulse in order."""
+    (s, e), (ds, de) = table.up, table.dn
+    # starts and ends are each sorted: only DN pulses lo..hi-1 end after
+    # an UP pulse starts and start before it ends
+    lo, hi = np.searchsorted(de, s, side="right"), np.searchsorted(ds, e, side="left")
+    counts = np.maximum(hi - lo, 0)
+    i = np.repeat(np.arange(s.size), counts)  # the pairs, UP-major
+    j = np.arange(i.size) - (np.cumsum(counts) - counts - lo)[i]
+    overlap = np.minimum(e[i], de[j]) - np.maximum(s[i], ds[j])
+    overlap = overlap[overlap > 0.0]
+    # a running sum adds in a loop's order, where numpy's sum pairs terms
+    return float(np.cumsum(overlap)[-1]) if overlap.size else 0.0
 
 
 def average_power(supply: Waveform, vdd: float, window: tuple[float, float]) -> float:
     """vdd times the windowed mean of the supply current (trapezoid rule).
-    MeasurementError when the supply waveform is empty or does not span
-    the window."""
+    ValueError for a vdd that is not finite and > 0; MeasurementError when
+    the supply waveform is empty or does not span the window."""
+    if not 0 < vdd < np.inf:  # NaN fails too
+        raise ValueError(f"need a finite vdd > 0, got vdd = {vdd!r} V")
     if not supply.t.size:
         raise MeasurementError("supply waveform is empty: no span to average power over")
     t0, t1 = window

@@ -42,6 +42,9 @@ def test_public_name_resolves_and_is_documented(name):
     (pfdsim.experiments, "generate_report"),
     (pfdsim.experiments, "ExperimentReport"),
     (pfdsim.measure, "fall_time"),
+    (pfdsim.measure, "PulseEvent"),
+    (pfdsim.measure, "detect_pulses"),
+    (pfdsim.measure, "high_time"),
     (pfdsim.netlist, "to_lines"),
     (pfdsim.netlist, "from_lines"),
     (pfdsim.netlist, "save"),

@@ -162,14 +162,10 @@ class TestOffsetExperiment:
             assert neg["decision"] == Decision.LEAD_B.value, off
 
     def test_up_pulse_train_is_periodic(self, grid_runs):
-        """10 simulated periods yield a near-complete train of UP events
+        """10 simulated periods yield a near-complete train of UP pulses
         spaced one period apart."""
-        from pfdsim.measure import detect_pulses
-
-        _, result = grid_runs[100e-12]
-        events = detect_pulses(result.voltage("UP"), vdd=1.2)
-        assert len(events) >= 8
-        starts = [ev.start for ev in events]
+        starts, _ = pulse_table_for(*grid_runs[100e-12]).up
+        assert starts.size >= 8
         for a, b in zip(starts, starts[1:]):
             assert b - a == pytest.approx(1e-9, abs=1e-12)
 
@@ -422,8 +418,8 @@ class TestSearchTermination:
 
 
 class TestOneScanPerOutput:
-    """Each run's UP and DN are scanned once each: one detect_pulses call
-    per output, whatever the experiment reads from them."""
+    """Each run's UP and DN are scanned once each: one pulse scan per
+    output, whatever the experiment reads from them."""
 
     @pytest.fixture
     def scans(self, grid_runs, monkeypatch):
@@ -432,13 +428,13 @@ class TestOneScanPerOutput:
         point, result = grid_runs[100e-12]
         monkeypatch.setattr(experiments, "_simulate", lambda *args, **kwargs: result)
         calls = []
-        detect = measure.detect_pulses
+        scan = measure._pulses
 
         def counted(w, *args, **kwargs):
             calls.append(w.v)
-            return detect(w, *args, **kwargs)
+            return scan(w, *args, **kwargs)
 
-        monkeypatch.setattr(measure, "detect_pulses", counted)
+        monkeypatch.setattr(measure, "_pulses", counted)
         return point, result, calls
 
     @pytest.mark.parametrize("experiment", [
@@ -571,7 +567,10 @@ class TestPulseTableFor:
                                    wraps=experiments.pulse_table) as spy:
                 table = pulse_table_for(point, result)
             cut = spy.call_args.kwargs["anchor"]
-            starts = [ev.start for ev in getattr(table, lead) if ev.peak >= 0.8 * table.vdd]
+            w = result.voltage(lead.upper())
+            # a full-swing pulse: one of its samples reaches 0.8*vdd
+            starts = [s for s, e in getattr(table, lead).T
+                      if w.v[(w.t >= s) & (w.t <= e)].max(initial=-np.inf) >= 0.8 * table.vdd]
             phases[lead] = (np.array(starts) - cut) / point.period % 1.0
             assert len(starts) >= 8 and np.all((phases[lead] > 0.0) & (phases[lead] < 0.1))
         assert abs(np.median(phases["up"]) - np.median(phases["dn"])) < 0.01

@@ -4,6 +4,7 @@ pulse table's reductions against the per-reader scans they replaced."""
 import math
 import re
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,11 +15,9 @@ from pfdsim.engine import Waveform
 from pfdsim.measure import (
     Decision,
     MeasurementError,
-    PulseEvent,
+    PulseTable,
     average_power,
     classify_decision,
-    detect_pulses,
-    high_time,
     mutual_exclusion_overlap,
     per_period_decisions,
     pulse_table,
@@ -42,6 +41,18 @@ def ramp(t_start, t_end, v0, v1, n=200, pre=None, post=None):
 def table(up, dn, vdd=1.2):
     """Pulse table for the whole-run readings: no full period (1 s)."""
     return pulse_table(up, dn, vdd=vdd, anchor=0.0, period=1.0)
+
+
+def pulses(w, vdd=1.2):
+    """The table's (2, k) row of w's pulse starts over ends."""
+    return table(w, w, vdd).up
+
+
+def high_time(rows) -> float:
+    """Summed pulse durations, added pulse by pulse as frequency_mismatch_test
+    adds them."""
+    starts, ends = rows
+    return sum((ends - starts).tolist())
 
 
 def trapezoid_pulse(t0=1e-9, rise=1e-10, width=3e-10, fall=1e-10, vhi=1.2, t_end=3e-9):
@@ -127,6 +138,29 @@ class TestPulseTablePeriods:
         with pytest.raises(ValueError, match="^UP and DN must be sampled at the same times"):
             pulse_table(up, dn, vdd=1.2, anchor=0.0, period=1e-9)
 
+    @pytest.mark.parametrize("vdd", [math.nan, math.inf, 0.0, -1.2])
+    def test_malformed_vdd_refused(self, vdd):
+        """Refused before the outputs are scanned: each of these made every
+        whole-run and per-period decision of a three-period square wave on
+        UP Undetermined."""
+        t = np.linspace(0.0, 3e-9, 301)
+        up = Waveform(t, 1.2 * ((t % 1e-9) < 0.5e-9))
+        dn = Waveform(t, np.zeros_like(t))
+        with pytest.raises(ValueError, match=f"^need a finite vdd > 0, got vdd = {vdd!r} V$"):
+            pulse_table(up, dn, vdd=vdd, anchor=0.0, period=1e-9)
+
+    @pytest.mark.parametrize("output", ["UP", "DN"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_refused(self, output, value):
+        """One NaN sample gave a pulse ending at NaN, a NaN period peak and
+        a silent Undetermined."""
+        w = trapezoid_pulse()
+        bad = Waveform(w.t, np.where(np.arange(w.t.size) == 2, value, w.v))
+        up, dn = (bad, w) if output == "UP" else (w, bad)
+        message = f"{output} has a non-finite voltage sample: {value!r} V at t = {float(w.t[2])!r} s"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pulse_table(up, dn, vdd=1.2, anchor=0.0, period=1e-9)
+
     def test_empty_waveforms_refused(self):
         """No sample to tabulate: numpy's IndexError from the run's end
         (t[-1]) used to escape instead."""
@@ -165,40 +199,35 @@ class TestRiseFallTime:
 class TestDetectPulses:
     def test_constant_low_empty(self):
         w = Waveform(np.linspace(0, 1e-9, 20), np.zeros(20))
-        assert detect_pulses(w, vdd=1.2) == []
+        assert pulses(w).shape == (2, 0)
 
     def test_single_trapezoid(self):
         w = trapezoid_pulse()
-        events = detect_pulses(w, vdd=1.2)
-        assert len(events) == 1
-        ev = events[0]
-        assert ev.start == pytest.approx(1e-9 + 0.5e-10, rel=1e-9)
-        assert ev.end == pytest.approx(1e-9 + 1e-10 + 3e-10 + 0.5e-10, rel=1e-9)
-        assert ev.peak == 1.2
+        (start,), (end,) = pulses(w)
+        assert start == pytest.approx(1e-9 + 0.5e-10, rel=1e-9)
+        assert end == pytest.approx(1e-9 + 1e-10 + 3e-10 + 0.5e-10, rel=1e-9)
+        assert table(w, w).run_peaks == (1.2, 1.2)
 
     def test_concatenation_doubles_count(self):
         w = trapezoid_pulse()
         shift = w.t[-1] + 1e-10
         w2 = Waveform(np.concatenate([w.t, w.t + shift]), np.concatenate([w.v, w.v]))
-        assert len(detect_pulses(w2, vdd=1.2)) == 2 * len(detect_pulses(w, vdd=1.2))
+        assert pulses(w2).shape[1] == 2 * pulses(w).shape[1]
 
     def test_events_disjoint_and_sorted(self):
         t = np.linspace(0, 1, 1001)
         v = np.sin(2 * np.pi * 5 * t)
-        events = detect_pulses(Waveform(t, v), vdd=1.0)
-        assert len(events) == 5
-        for a, b in zip(events, events[1:]):
-            assert a.end < b.start
+        starts, ends = pulses(Waveform(t, v), vdd=1.0)
+        assert starts.size == 5
+        assert np.all(starts < ends) and np.all(ends[:-1] < starts[1:])
 
     def test_clipped_interval_counts(self):
         w = Waveform(np.linspace(0, 1e-9, 10), np.full(10, 1.0))
-        events = detect_pulses(w, vdd=1.2)
-        assert len(events) == 1
-        assert events[0].start == 0.0 and events[0].end == 1e-9
+        assert pulses(w).tolist() == [[0.0], [1e-9]]
 
     def test_high_time_sums_durations(self):
         w = trapezoid_pulse()
-        assert high_time(detect_pulses(w, vdd=1.2)) == pytest.approx(4e-10, rel=1e-9)
+        assert high_time(pulses(w)) == pytest.approx(4e-10, rel=1e-9)
 
 
 class TestClassifyDecision:
@@ -241,7 +270,7 @@ class TestMutualExclusionOverlap:
         v = 1.2 * ((t % 1e-9) < 0.5e-9)
         w = Waveform(t, v)
         overlap = mutual_exclusion_overlap(table(w, w))
-        assert overlap == pytest.approx(high_time(detect_pulses(w, vdd=1.2)), rel=1e-9)
+        assert overlap == pytest.approx(high_time(pulses(w)), rel=1e-9)
 
     def test_partial_overlap_geometry(self):
         a = trapezoid_pulse(t0=1e-9)
@@ -289,6 +318,13 @@ class TestAveragePower:
         i = Waveform(np.array([]), np.array([]))
         with pytest.raises(MeasurementError, match="^supply waveform is empty"):
             average_power(i, 1.2, (0.0, 1e-9))
+
+    @pytest.mark.parametrize("vdd", [math.nan, math.inf, 0.0, -1.0])
+    def test_malformed_vdd_refused(self, vdd):
+        """vdd = nan gave nan W, and vdd = -1.0 a negative power."""
+        i = Waveform(np.linspace(0, 1e-8, 100), np.full(100, 10e-6))
+        with pytest.raises(ValueError, match=f"^need a finite vdd > 0, got vdd = {vdd!r} V$"):
+            average_power(i, vdd, (0, 1e-8))
 
     def test_capacitor_charge_transfer_oracle(self):
         """Supply charging C through a switch: integral i dt = C * VDD."""
@@ -351,6 +387,19 @@ def ref_rise_time(w, v_low, v_high):
     return float(t2 - t1)
 
 
+@dataclass(frozen=True)
+class PulseEvent:
+    """One pulse as the package once returned it, a record per pulse."""
+
+    start: float
+    end: float
+    peak: float
+
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
+
+
 def ref_detect_pulses(w, threshold):
     v, t = w.v, w.t
     above = v >= threshold
@@ -399,6 +448,22 @@ def ref_high_time(w, threshold):
     return sum(ev.duration for ev in ref_detect_pulses(w, threshold))
 
 
+def loop_high_time(pulses):
+    """The package's high time over a list of events, before the table held
+    columns."""
+    return sum(ev.duration for ev in pulses)
+
+
+def loop_overlap(up, dn):
+    """The package's overlap over two lists of events, before the table held
+    columns: every UP pulse against every DN pulse."""
+    total = 0.0
+    for a in up:
+        for b in dn:
+            total += max(0.0, min(a.end, b.end) - max(a.start, b.start))
+    return float(total)
+
+
 def ref_per_period_decisions(up, dn, vdd, t_first, period):
     """Each full period cut out of the run and classified again."""
     out = []
@@ -417,11 +482,15 @@ def bits(x: float) -> str:
 def assert_table_matches_reference(up, dn, vdd, anchor, period):
     tab = pulse_table(up, dn, vdd=vdd, anchor=anchor, period=period)
     threshold = 0.5 * vdd
-    for pulses, w in ((tab.up, up), (tab.dn, dn)):
+    for rows, run_peak, w in ((tab.up, tab.run_peaks[0], up), (tab.dn, tab.run_peaks[1], dn)):
         ref = ref_detect_pulses(w, threshold)
-        assert [(bits(e.start), bits(e.end), bits(e.peak)) for e in pulses] == \
-            [(bits(e.start), bits(e.end), bits(e.peak)) for e in ref]
-        assert bits(high_time(pulses)) == bits(ref_high_time(w, threshold))
+        assert rows.dtype == np.float64 and rows.shape == (2, len(ref))
+        assert [(bits(s), bits(e)) for s, e in rows.T] == \
+            [(bits(e.start), bits(e.end)) for e in ref]
+        # a run whose highest sample reaches the threshold has a pulse holding it
+        assert max((e.peak for e in ref), default=None) == \
+            (run_peak if run_peak >= threshold else None)
+        assert bits(high_time(rows)) == bits(ref_high_time(w, threshold))
     assert classify_decision(tab) is ref_classify(up, dn, vdd)
     assert per_period_decisions(tab) == ref_per_period_decisions(up, dn, vdd, anchor, period)
     assert bits(mutual_exclusion_overlap(tab)) == bits(ref_overlap(up, dn, threshold))
@@ -450,6 +519,29 @@ def runs(draw):
     return Waveform(t, np.array(up)), Waveform(t, np.array(dn)), anchor, period
 
 
+# pulse edges on a 10 ps grid, which UP and DN share, or anywhere in 200 ps
+EDGES = st.one_of(st.integers(min_value=0, max_value=20).map(lambda k: k * 1e-11),
+                  st.floats(min_value=0.0, max_value=2e-10))
+
+
+@st.composite
+def pulse_rows(draw):
+    """Up to 15 sorted, disjoint pulses as a (2, k) row of starts over ends;
+    a pulse may end where the next starts, or last no time."""
+    edges = sorted(draw(st.lists(EDGES, max_size=30)))
+    return np.array(edges[:len(edges) // 2 * 2]).reshape(-1, 2).T
+
+
+def many_overlaps():
+    """200 overlapping pairs, where numpy's pairwise sum differs from a
+    loop's running sum in the last bits."""
+    rng = np.random.default_rng(7)
+    up = np.cumsum(rng.uniform(1e-12, 1e-10, 400)).reshape(-1, 2).T
+    dn = up + rng.uniform(0.0, 1e-12, up.shape)
+    dn[1] = np.minimum(dn[1], np.append(up[0, 1:], np.inf))
+    return {"up": up, "dn": dn}
+
+
 class TestPulseTableReference:
     @settings(max_examples=500, deadline=None)
     @given(run=runs())
@@ -464,6 +556,20 @@ class TestPulseTableReference:
             anchor = input_delays(point.period, point.offset)[0]
             assert_table_matches_reference(result.voltage("UP"), result.voltage("DN"),
                                            VDD, anchor, point.period)
+
+    @settings(max_examples=500, deadline=None)
+    @given(up=pulse_rows(), dn=pulse_rows())
+    @example(up=np.array([[0.0, 2e-11], [1e-11, 3e-11]]), dn=np.array([[1e-11], [2e-11]]))
+    @example(**many_overlaps())
+    def test_overlap_and_high_time_equal_the_loops(self, up, dn):
+        """On drawn sorted, disjoint pulses that overlap across the outputs
+        and share endpoints: every transient checked above has no overlap,
+        so the sum's order is exercised here."""
+        tab = PulseTable(VDD, up, dn, (VDD, VDD), np.full((2, 0), -np.inf))
+        events = [[PulseEvent(s, e, VDD) for s, e in rows.T.tolist()] for rows in (up, dn)]
+        assert bits(mutual_exclusion_overlap(tab)) == bits(loop_overlap(*events))
+        for rows, evs in zip((up, dn), events):
+            assert bits(high_time(rows)) == bits(loop_high_time(evs))
 
     @settings(max_examples=500, deadline=None)
     @given(run=runs())
