@@ -5,10 +5,15 @@ docstring keeps the invariants the code relies on.
 - A state vector is exactly the n unknowns: the non-ground node voltages,
   then one branch current per voltage source. Ground is the reference and
   has no entry.
-- `SimOptions` is frozen, holds solver settings only and checks each field
-  when it is made. The run length is `transient(netlist, options, t_stop)`'s
-  own argument, as SPICE2 keeps `.OPTIONS` apart from `.TRAN`'s stop
-  time. `_time_axis` is the one owner of a run's time axis: it resolves
+- `SimOptions` is frozen, holds the three solver settings a run varies
+  (reltol, dt, integrator) and checks each field when it is made. The
+  tolerance floors `_ABSTOL_I` (KCL rows) and `_ABSTOL_V` (source rows),
+  the node shunt `_GMIN` and the Newton limit `_MAX_NEWTON_ITERS` are
+  module constants: a kernel reads the floors and gmin when it is built
+  (the DC solve's gmin ladder reads gmin too), `newton` the limit at each
+  call that does not pass `iters`. The run length is
+  `transient(netlist, options, t_stop)`'s own argument, as SPICE2 keeps
+  `.OPTIONS` apart from `.TRAN`'s stop time. `_time_axis` is the one owner of a run's time axis: it resolves
   dt, checks t_stop against it and builds the step grid and every pulse
   corner, refusing what numpy cannot allocate. Every time axis starts at
   t = 0, where the DC operating point is solved. Each run
@@ -101,6 +106,11 @@ from pfdsim.netlist import (
 # the companion models, the default first
 INTEGRATORS = ("trapezoidal", "backward_euler")
 
+# Solver constants no caller varies (SPICE2's VNTOL, ABSTOL, GMIN and ITL4)
+_ABSTOL_V = 1e-6  # source-row (voltage constraint) tolerance floor, volts
+_ABSTOL_I = 1e-9  # node-row (KCL) tolerance floor, amperes
+_GMIN = 1e-12  # shunt conductance from each node to ground, siemens
+_MAX_NEWTON_ITERS = 50  # LU solves per Newton call
 _GMIN_LADDER_START = 1e-3
 _MAX_STEP_HALVINGS = 8
 _NEWTON_DAMP_V = np.array(0.3)  # max node-voltage move per iteration, volts
@@ -127,33 +137,25 @@ class SolverError(Exception):
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Solver settings, each field checked at construction (`replace`
-    included). The run length is not one of them: it is `transient`'s
-    t_stop, which `_time_axis` checks against the dt it resolves."""
+    """The solver settings a run varies, each field checked at
+    construction (`replace` included). The run length is not one of them:
+    it is `transient`'s t_stop, which `_time_axis` checks against the dt it
+    resolves. The tolerance floors, gmin and the Newton iteration limit
+    are the module's constants."""
 
     reltol: float = 1e-3
-    abstol_v: float = 1e-6
-    abstol_i: float = 1e-9
     dt: float | None = None  # None -> min(0.5 ps, fastest period / 2000)
     integrator: str = INTEGRATORS[0]
-    max_newton_iters: int = 50
-    gmin: float = 1e-12
 
     def __post_init__(self):
         # written as `not (0 < x < inf)` so that NaN fails too; an
         # infinite tolerance would accept every state unsolved
-        for name in ("reltol", "abstol_v", "abstol_i"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        if not 0 < self.reltol < math.inf:
+            raise ValueError(f"reltol must be finite and > 0, got {self.reltol!r}")
         if self.dt is not None and not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be finite and > 0, got {self.dt!r}")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"unknown integrator {self.integrator!r}")
-        if not (isinstance(self.max_newton_iters, int) and self.max_newton_iters >= 1):
-            raise ValueError(f"max_newton_iters must be an int >= 1, "
-                             f"got {self.max_newton_iters!r}")
-        if not 0 <= self.gmin < math.inf:
-            raise ValueError(f"gmin must be finite and >= 0, got {self.gmin!r}")
 
 
 @dataclass
@@ -258,7 +260,6 @@ class _Kernel:
         violations = net.validate()
         if violations:
             raise NetlistError("invalid netlist: " + "; ".join(violations))
-        self.opt = opt
         self.stats = SimStats()
         self.node_names = [name for name in net.nodes if name != net.ground]
         self.sources = net.sources()
@@ -316,7 +317,7 @@ class _Kernel:
         self.g_static = res_rows.T @ (self.r_g[:, None] * res_rows)  # resistors, sources, gmin
         self.g_static[n_nodes:] += src_rows
         self.g_static[:, n_nodes:] += src_rows.T
-        self.g_static[:n_nodes, :n_nodes] += opt.gmin * np.eye(n_nodes)
+        self.g_static[:n_nodes, :n_nodes] += _GMIN * np.eye(n_nodes)
         self.cap_pattern = cap_rows.T @ (self.c_val[:, None] * cap_rows)  # scaled by a0 per step
         self.gather = np.vstack([
             incidence(bias, np.concatenate([self.m_sign, self.m_sign])),
@@ -340,8 +341,8 @@ class _Kernel:
 
         self.trap = opt.integrator == "trapezoidal"
         self.a0_num = 2.0 if self.trap else 1.0
-        self.abs_tol = np.concatenate([np.full(n_nodes, opt.abstol_i),
-                                       np.full(n - n_nodes, opt.abstol_v)])
+        self.abs_tol = np.concatenate([np.full(n_nodes, _ABSTOL_I),
+                                       np.full(n - n_nodes, _ABSTOL_V)])
         self.reltol = np.array(opt.reltol)
         # what `.tobytes()` of an all-True comparison over n rows or over
         # the n_nodes node rows gives: a numpy comparison writes bytes 0, 1
@@ -401,7 +402,7 @@ class _Kernel:
                iters: int | None = None):
         """Newton iteration with per-node voltage damping from x0, whose
         device evaluation is ev0 (None: evaluate x0 first). It makes at most
-        `iters` LU solves (default `max_newton_iters`); 0 only evaluates
+        `iters` LU solves (default `_MAX_NEWTON_ITERS`); 0 only evaluates
         the residual at x0.
 
         Returns (x, converged, f, tol, cur, ev), f/tol/cur/ev at x:
@@ -418,7 +419,7 @@ class _Kernel:
         evaluation. A singular Jacobian gives a NaN update (the run's error
         state ignores the invalid flag) and ends the iteration unconverged.
         """
-        stats, opt = self.stats, self.opt
+        stats = self.stats
         solve, device = _lu_solve, mosfet_eval
         n, n_nodes, m = self.n, self.n_nodes, len(self.m_sign)
         gather, m_kcl, j_stamps = self.gather, self.m_kcl, self.j_stamps
@@ -427,7 +428,7 @@ class _Kernel:
         abs_tol, all_rows, all_nodes = self.abs_tol, self.all_rows, self.all_nodes
         a_lin, weights, ieq, rhs = p
         if iters is None:
-            iters = opt.max_newton_iters
+            iters = _MAX_NEWTON_ITERS
         x, ev = x0.copy(), ev0
         for it in range(iters + 1):
             if ev is None:
@@ -486,7 +487,7 @@ def _dc_solve(k: _Kernel) -> tuple[np.ndarray, tuple]:
     # finishing with a pass at the bare target gmin (already in g_static)
     ladder = []
     g = _GMIN_LADDER_START
-    while g > max(k.opt.gmin, 1e-15):
+    while g > max(_GMIN, 1e-15):
         ladder.append(g)
         g /= 10.0
     ladder.append(0.0)
@@ -505,9 +506,9 @@ def _dc_solve(k: _Kernel) -> tuple[np.ndarray, tuple]:
     return x, ev
 
 
-def dc_operating_point(netlist: Netlist, options: SimOptions | None = None) -> dict[str, float]:
+def dc_operating_point(netlist: Netlist) -> dict[str, float]:
     """Newton DC solve; returns node-name -> voltage (ground included)."""
-    k = _Kernel(netlist, options or SimOptions())
+    k = _Kernel(netlist, SimOptions())
     with np.errstate(all="ignore"):
         x, _ = _dc_solve(k)
     out = {name: float(x[i]) for i, name in enumerate(k.node_names)}

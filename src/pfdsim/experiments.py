@@ -4,7 +4,9 @@ stabilization test, unequal-frequency operation, and report rendering.
 
 An experiment's report is one `report_row` dict, the form the CLI writes
 to report.json; its "decision" holds a `Decision`'s value. A sweep runs
-its points one after another in this process, its rows in input order.
+its points one after another in this process, its rows in input order;
+a SolverError at a point names it by its swept value, as one in a search
+names the probe.
 """
 
 from __future__ import annotations
@@ -128,15 +130,21 @@ def run_offset_experiment(
     return report_from_result(point, result, models)
 
 
-def _decision_at(point: DesignPoint, n_periods, models, options) -> Decision:
-    """The whole-run decision of one search probe; a SolverError raised in
-    its transient is raised again with the probe's signed offset and its
-    frequency before its message."""
+def _named(label: str, run, point: DesignPoint, n_periods, models, options):
+    """run(point, n_periods, models, options) for a search probe or a sweep
+    point; a SolverError it raises is raised again with `label`, which
+    names the point, before its message, keeping its time and node."""
     try:
-        result = _simulate(point, n_periods, models, options)
+        return run(point, n_periods, models, options)
     except SolverError as exc:
-        raise SolverError(f"probe at offset {point.offset:+} s, {point.frequency} Hz: {exc}",
-                          time=exc.time, node=exc.node) from exc
+        raise SolverError(f"{label}: {exc}", time=exc.time, node=exc.node) from exc
+
+
+def _decision_at(point: DesignPoint, n_periods, models, options) -> Decision:
+    """The whole-run decision of one search probe, named in a SolverError
+    by its signed offset and its frequency."""
+    result = _named(f"probe at offset {point.offset:+} s, {point.frequency} Hz", _simulate,
+                    point, n_periods, models, options)
     return classify_decision(pulse_table_for(point, result, models))
 
 
@@ -252,7 +260,8 @@ def width_sweep(
         raise ValueError(f"need 0 < w_lo < w_hi < inf, got w_lo = {w_lo!r}, w_hi = {w_hi!r}")
     widths = np.linspace(w_lo, w_hi, steps)
     points = [replace(point, width=float(w)) for w in widths]
-    return [run_offset_experiment(p, n_periods, models, options) for p in points]
+    return [_named(f"width {p.width:g} m", run_offset_experiment, p, n_periods, models, options)
+            for p in points]
 
 
 def corner_sweep(
@@ -274,7 +283,8 @@ def corner_sweep(
                          f"leads, got {point.offset!r} s")
     expected = Decision.LEAD_A if point.offset > 0 else Decision.LEAD_B
     points = [replace(point, corner=n.upper()) for n in names]
-    rows = [run_offset_experiment(p, n_periods, models, options) for p in points]
+    rows = [_named(f"corner {p.corner}", run_offset_experiment, p, n_periods, models, options)
+            for p in points]
     for row in rows:
         if row["decision"] != expected.value:
             raise ExperimentError(f"corner {row['corner']}: decision "

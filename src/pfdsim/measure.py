@@ -31,9 +31,13 @@ class Decision(Enum):
 
 def _crossings(t: np.ndarray, v: np.ndarray, above: np.ndarray, level: float):
     """Where the mask `above` (v against `level`) flips: the index of the
-    sample after each flip, and the interpolated crossing time."""
+    sample after each flip, and the interpolated crossing time, clamped
+    into its sample interval [t[k], t[k+1]]. Rounding alone can carry an
+    interpolation past an end, so that a pulse whose only sample lies at
+    the level would end before it starts."""
     k = np.flatnonzero(above[1:] != above[:-1])
-    return k + 1, t[k] + (level - v[k]) * (t[k + 1] - t[k]) / (v[k + 1] - v[k])
+    when = t[k] + (level - v[k]) * (t[k + 1] - t[k]) / (v[k + 1] - v[k])
+    return k + 1, np.minimum(np.maximum(when, t[k]), t[k + 1])
 
 
 def rise_time(w: Waveform, v_low: float, v_high: float) -> float:

@@ -3,6 +3,8 @@ suite, so anything used by more than one test is session-scoped."""
 
 import pytest
 
+import pfdsim.experiments as experiments
+from pfdsim.engine import SolverError
 from pfdsim.experiments import DesignPoint, simulate_point, width_sweep
 
 OFFSET_GRID = (25e-12, 50e-12, 100e-12, 200e-12, 400e-12)
@@ -43,3 +45,21 @@ def corner_reports():
     from pfdsim.experiments import corner_sweep
 
     return corner_sweep(DesignPoint(offset=100e-12))
+
+
+@pytest.fixture
+def second_transient_fails(monkeypatch):
+    """The second `experiments.transient` call raises a SolverError at
+    0.1 ns, node UP, and the first runs; the list of calls made."""
+    calls = []
+    transient = experiments.transient
+
+    def second_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise SolverError("transient Newton failed at t = 1.000000e-10 s "
+                              "(worst node 'UP')", time=1e-10, node="UP")
+        return transient(*args)
+
+    monkeypatch.setattr(experiments, "transient", second_fails)
+    return calls

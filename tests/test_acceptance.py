@@ -7,9 +7,12 @@ only, never oracles: absolute figures depend on the device calibration.
 Run with `pytest -s tests/test_acceptance.py` to see the criterion lines.
 """
 
+import json
 import math
 import random
+import re
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -250,3 +253,19 @@ def test_criterion_10_cli_reproducibility(tmp_path):
         for fname in ("report.json", "summary.txt"):
             assert (tmp_path / "report" / "r1" / fname).read_bytes() == \
                 (tmp_path / "report" / "r2" / fname).read_bytes()
+
+
+def test_readme_figures_are_the_default_runs(grid_runs, default_report):
+    """README's engine "stats" block and the 1 GHz row of its power table
+    quote the default `pfdsim transient` run (A leading by 100 ps, 10
+    periods at 1 GHz): its SimStats, and its avg_power to the digits
+    printed, in µW and as energy per cycle in fJ. Both fixtures are the
+    session's, so this runs no simulation of its own."""
+    text = (REPO / "README.md").read_text()
+    stats = re.search(r'^```json\n"stats": (\{.*?\})\n```$', text, re.M | re.S)
+    assert json.loads(stats.group(1)) == asdict(grid_runs[100e-12][1].stats)
+    row = re.search(r"^\| 1 GHz +\| ([0-9.]+) µW +\| ([0-9.]+) fJ \|$", text, re.M)
+    assert default_report["frequency"] == 1e9 and default_report["offset"] == 100e-12
+    power = default_report["avg_power"]
+    for quoted, value in ((row.group(1), power * 1e6), (row.group(2), power / 1e9 * 1e15)):
+        assert quoted == f"{value:.{len(quoted.partition('.')[2])}f}", quoted

@@ -2,6 +2,7 @@
 and has a documented use in README's "Library API sketch", and helpers
 that nothing but their tests used are gone."""
 
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -52,6 +53,10 @@ def test_public_name_resolves_and_is_documented(name):
     (pfdsim.cli, "_check_run_length"),
     (pfdsim.engine.SimOptions, "validate"),
     (pfdsim.engine.SimOptions, "t_stop"),
+    (pfdsim.engine.SimOptions, "abstol_v"),
+    (pfdsim.engine.SimOptions, "abstol_i"),
+    (pfdsim.engine.SimOptions, "max_newton_iters"),
+    (pfdsim.engine.SimOptions, "gmin"),
     (pfdsim.engine, "_resolve_dt"),
     (pfdsim.experiments, "_run_points"),
 ])
@@ -81,6 +86,22 @@ def test_run_length_is_the_transients_argument():
     assert list(inspect.signature(pfdsim.engine._dc_solve).parameters) == ["k"]
     assert list(inspect.signature(pfdsim.netlist.build_nor2).parameters) == [
         "net", "name", "out", "in1", "in2", "p_params", "n_params"]
+
+
+def test_sim_options_hold_the_settings_a_run_varies():
+    """The CLI sets dt and the integrator, and ROADMAP item 12 checks the
+    searches at reltol 1e-4; the tolerance floors, gmin and the Newton
+    iteration limit, which no caller varied, are engine constants. So
+    SimOptions takes no other keyword and the DC solve takes no options."""
+    assert [f.name for f in dataclasses.fields(pfdsim.SimOptions)] == [
+        "reltol", "dt", "integrator"]
+    assert list(inspect.signature(pfdsim.dc_operating_point).parameters) == ["netlist"]
+    for name, value in (("gmin", 0.0), ("abstol_v", 1e-6), ("abstol_i", 1e-9),
+                        ("max_newton_iters", 50)):
+        with pytest.raises(TypeError, match=f"'{name}'"):
+            pfdsim.SimOptions(**{name: value})
+    with pytest.raises(TypeError):
+        pfdsim.dc_operating_point(pfdsim.build_pfd(), pfdsim.SimOptions())
 
 
 def test_build_pfd_has_no_internal_cap_knob():

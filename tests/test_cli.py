@@ -394,6 +394,19 @@ class TestSearchCommands:
         assert capsys.readouterr().err == (f"pfdsim: solver failure: {probe}transient Newton "
                                            "failed at t = 1.000000e-10 s (worst node 'UP')\n")
 
+    @pytest.mark.parametrize("argv,label", [
+        (["sweep-width"], "width 1.675e-07 m: "),
+        (["corners"], "corner FF: "),
+    ], ids=["sweep-width", "corners"])
+    def test_sweep_solver_failure_names_the_point_exit_2(self, argv, label, tmp_path,
+                                                         capsys, second_transient_fails):
+        """A solver failure at a sweep's second point exits 2, naming the
+        point, and writes nothing."""
+        assert main([*argv, *FAST, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (f"pfdsim: solver failure: {label}transient Newton "
+                                           "failed at t = 1.000000e-10 s (worst node 'UP')\n")
+        assert not (tmp_path / "o").exists()
+
     def test_fmax_reports_hertz(self, tmp_path):
         out = tmp_path / "o"
         rc = main(["fmax", "--f-lo", "0.8e9", "--f-hi", "2e9", "--tol-rel", "0.5",

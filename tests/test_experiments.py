@@ -542,6 +542,21 @@ class TestCornerSweep:
             corner_sweep(DesignPoint(offset=0.0), corners=["TT"], n_periods=3)
 
 
+@pytest.mark.parametrize("sweep,label", [
+    ("width_sweep", "width 1.675e-07 m"),
+    ("corner_sweep", "corner FF"),
+])
+def test_sweep_solver_error_names_the_point(sweep, label, second_transient_fails):
+    """The transient of a sweep's second point fails: the SolverError says
+    which point, by its swept value, and keeps its time and node."""
+    with pytest.raises(SolverError) as err:
+        getattr(experiments, sweep)(LEAD, n_periods=3)
+    assert str(err.value) == (f"{label}: transient Newton failed at t = 1.000000e-10 s "
+                              "(worst node 'UP')")
+    assert (err.value.time, err.value.node) == (1e-10, "UP")
+    assert len(second_transient_fails) == 2
+
+
 class TestFmaxTrend:
     def test_fmax_non_decreasing_in_width(self):
         """Wider devices switch faster, so the certified frequency cannot

@@ -16,6 +16,7 @@ from pfdsim.measure import (
     Decision,
     MeasurementError,
     PulseTable,
+    _crossings,
     average_power,
     classify_decision,
     mutual_exclusion_overlap,
@@ -363,9 +364,11 @@ class TestAveragePower:
 # --------------------------------------------------------------------------
 
 def ref_cross_time(t0, t1, v0, v1, level) -> float:
+    """The interpolated crossing, clamped into [t0, t1] as the package
+    clamps it: LEVELS draws samples exactly at the threshold."""
     if v1 == v0:
         return float(t0)
-    return float(t0 + (level - v0) * (t1 - t0) / (v1 - v0))
+    return float(min(max(t0 + (level - v0) * (t1 - t0) / (v1 - v0), t0), t1))
 
 
 def ref_first_crossing(w, level, start_index=0):
@@ -584,3 +587,31 @@ class TestPulseTableReference:
                     rise_time(w, 0.0, VDD)
             else:
                 assert bits(rise_time(w, 0.0, VDD)) == expected
+
+
+@st.composite
+def sample_at_threshold(draw):
+    """Three samples on a drawn axis, the middle one exactly at the pulse
+    threshold 0.5*vdd: a pulse that starts and ends in one sample, whose
+    interpolated start rounding can carry past its end."""
+    steps = draw(st.lists(st.floats(min_value=1e-3, max_value=5.0), min_size=2, max_size=2))
+    t = np.cumsum([0.0] + steps) * 1e-11
+    low = st.floats(min_value=-0.2 * VDD, max_value=0.5 * VDD, exclude_max=True)
+    return t, np.array([draw(low), 0.5 * VDD, draw(low)])
+
+
+class TestCrossings:
+    @settings(max_examples=500, deadline=None)
+    @given(run=st.one_of(sample_at_threshold(), runs().map(lambda r: (r[0].t, r[0].v))))
+    # unclamped, this pulse started 1.6e-27 s after it ended
+    @example(run=(np.array([0.0, 1e-11, 2e-11]), np.array([0.19, 0.5 * VDD, 0.0])))
+    def test_each_crossing_lies_in_its_interval(self, run):
+        """Every interpolated crossing, at the rise-time levels and the
+        pulse threshold, lies in the sample interval [t[k-1], t[k]] whose
+        flip it marks, so no pulse ends before it starts."""
+        t, v = run
+        for level in (0.1 * VDD, 0.5 * VDD, 0.9 * VDD):
+            k, when = _crossings(t, v, v >= level, level)
+            assert np.all(t[k - 1] <= when) and np.all(when <= t[k])
+        starts, ends = pulses(Waveform(t, v))
+        assert np.all(starts <= ends)
